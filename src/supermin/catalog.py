@@ -10,6 +10,7 @@ deformation back onto the two-parameter family.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .field import AlgScalar
-from .g2 import add_vec, dot, from_u, hdot, scale_vec, u_basis
+from .g2 import add_vec, dot, hdot, scale_vec, u_basis
 from .poly import Poly
 
 _DIM = 7
@@ -421,26 +422,42 @@ def chart_scale(spec: SingularityTypeSpec, r1, r8):
         q = AlgScalar.root(90) * (r1 * r8).inverse()
         if q == AlgScalar.one():
             return AlgScalar.one()
-        if q.is_rational() and not q.coeff(0)[1]:
-            frac = q.as_fraction()
-            if frac > 0:
-                root = _fraction_root(frac, n)
-                if root is not None:
-                    return AlgScalar.rational(root)
+        frac = q.as_fraction() if q.is_rational() and not q.coeff(0)[1] else Fraction(0)
+        if frac > 0:
+            root = _fraction_root(frac, n)
+            if root is not None:
+                return AlgScalar.rational(root)
         warnings.warn(
             "chart scale is not exactly representable; falling back to float",
             stacklevel=2,
         )
+        if frac > 0:
+            # logarithms of the integers stay finite where float(frac) overflows
+            log_q = math.log(frac.numerator) - math.log(frac.denominator)
+            return complex(math.exp(log_q / n))
         q = complex(q)
     else:
         q = complex(AlgScalar.root(90)) / (complex(r1) * complex(r8))
     return q ** (1.0 / n)
 
 
+def _int_root(x: int, n: int) -> int:
+    """floor(x^(1/n)) for x >= 0, by Newton's method on integers."""
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // n)  # 2^ceil(bits/n) > x^(1/n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
+
+
 def _fraction_root(frac: Fraction, n: int) -> Fraction | None:
-    num = round(frac.numerator ** (1.0 / n))
-    den = round(frac.denominator ** (1.0 / n))
-    if num > 0 and den > 0 and num**n == frac.numerator and den**n == frac.denominator:
+    """The exact positive n-th root of a positive fraction, or None."""
+    num = _int_root(frac.numerator, n)
+    den = _int_root(frac.denominator, n)
+    if num**n == frac.numerator and den**n == frac.denominator:
         return Fraction(num, den)
     return None
 

@@ -195,12 +195,12 @@ def cmd_report(cfg: RunConfig) -> int:
 
 
 def _report_body(cfg: RunConfig, curve) -> int:
-    rep = plucker.full_report(curve)
+    seq = harmonic.build_sequence(curve)
+    rep = plucker.full_report(seq)
     body = rep.to_json_dict()
     body["plucker_identity"] = plucker.plucker_identity(rep.degrees, rep.totals)
     body["symmetric"] = plucker.symmetry_check(rep.totals)
 
-    seq = harmonic.build_sequence(curve)
     numeric_p = (0, 2, 3)
     numeric = {}
     agree = True
@@ -219,7 +219,7 @@ def cmd_integrate(cfg: RunConfig) -> int:
     curve, _k = _load_curve(cfg.curve_path)
     try:
         seq = harmonic.build_sequence(curve)
-        exact = plucker.degrees_exact(curve)[cfg.p]
+        exact = plucker.degrees_exact(seq)[cfg.p]
     except ValueError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_FAIL

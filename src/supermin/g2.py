@@ -200,10 +200,6 @@ def mat_mul(a, b) -> tuple:
         tuple(dot(a[i], mat_col(b, j)) for j in range(7)) for i in range(7)
     )
 
-def mat_conj_t(m) -> tuple:
-    return tuple(tuple(_conj(m[j][i]) for j in range(7)) for i in range(7))
-
-
 def mat_det(m):
     """Determinant over the exact field by Gaussian elimination."""
     rows = [list(r) for r in m]

@@ -5,16 +5,20 @@ osculating directions f0, f1, ..., f6 ("the sequence") together with the
 squared norms and the ladder of identities that a superminimal almost
 complex 2-sphere must satisfy.
 
-The construction is Gram-determinant based.  Writing F_i for the i-th
-z-derivative of f0 and G[i][j] for the hermitian pairing <F_i, F_j>, the
-unnormalized p-th section is the vector-valued determinant
+Everything is read off one table of osculating minors: with F_i the i-th
+z-derivative of f0, W_p[S] = det [F_i[c]] over rows i = 0..p and the sorted
+(p+1)-subset S of components.  By Cauchy-Binet the Gram determinant
+D_p = det [<F_i, F_j>] (i, j = 0..p) and the unnormalized section E_p (the
+Gram-Schmidt direction of F_p against F_0..F_{p-1}, times D_{p-1}) are
 
-    E_p = sum_i (-1)^(i+p) det(G[{0..p} minus {i}][0..p-1]) * F_i,
+    D_p    = sum_S W_p[S] * conj(W_p[S]),
+    E_p[c] = sum_{|S|=p, c not in S} (-1)^(pos(c in S+c) + p)
+             * W_p[S+c] * conj(W_{p-1}[S]),
 
-and D_p = det(G[0..p][0..p]).  Then f_p = E_p / D_{p-1} is the classical
-Gram-Schmidt direction of F_p against F_0..F_{p-1}, and the squared norm is
-the rational function a_p = D_p / D_{p-1}.  All minors share one memo table,
-so the whole chain costs a single pass over subsets of derivative orders.
+so f_p = E_p / D_{p-1} and a_p = D_p / D_{p-1}.  D_7 and E_7 vanish, as
+C^7 has no 8-subsets of columns.  The chart w = 1/z needs no second build:
+w^N f(1/w) (N the top degree) has minors (-1)^(p(p+1)/2) w^e W_p(1/w) with
+e = (p+1)(N-p), so its chain is a reversal of this one.
 
 Identity checks are done on the polynomial level by cross-multiplication
 (never by rational-function division), which keeps everything exact.
@@ -22,6 +26,7 @@ Identity checks are done on the polynomial level by cross-multiplication
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -31,15 +36,6 @@ from .g2 import cross, wedge_pair
 from .poly import BiPoly, Poly, RationalFn
 
 _DIM = 7
-
-
-def hermitian_pair(u, v) -> BiPoly:
-    """<u, v> = sum_c u_c * conj(v_c) for 7-vectors of BiPoly."""
-    acc = BiPoly()
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a * b.conj()
-    return acc
 
 
 def _curve_tuple(curve) -> tuple[Poly, ...]:
@@ -86,101 +82,61 @@ def wedge_table(tower) -> list[dict[tuple[int, ...], Poly]]:
     return stages
 
 
-class _MinorTable:
-    """Memoized leading-column minors of a square matrix of BiPolys.
+def _conj_terms(w: Poly) -> list[tuple[int, AlgScalar]]:
+    """conj(w) as (power of zbar, coefficient) pairs."""
+    return [(e, c.conj()) for e, c in w.terms.items()]
 
-    ``det(rows)`` is the determinant over the given row set and the column
-    prefix 0..len(rows)-1.  Every subset is expanded along its last column,
-    so computing the largest determinant fills in all the smaller ones that
-    the section formulas need.
-    """
 
-    def __init__(self, entries):
-        self._entries = entries
-        self._memo: dict[frozenset[int], BiPoly] = {frozenset(): BiPoly.one()}
-
-    def det(self, rows: frozenset[int]) -> BiPoly:
-        cached = self._memo.get(rows)
-        if cached is not None:
-            return cached
-        order = sorted(rows)
-        col = len(order) - 1
-        acc = BiPoly()
-        for t, r in enumerate(order):
-            entry = self._entries[r][col]
-            if not entry:
-                continue
-            sub = self.det(rows - {r})
-            if not sub:
-                continue
-            term = entry * sub
-            acc = acc + term if (col + t) % 2 == 0 else acc - term
-        self._memo[rows] = acc
-        return acc
+def _add_outer(acc: dict, u: Poly, vbar: list, negate: bool = False) -> None:
+    """acc += (-1)^negate * u(z) * conj(v)(zbar), with vbar = _conj_terms(v)."""
+    for a, x in u.terms.items():
+        if negate:
+            x = -x
+        for b, y in vbar:
+            k = (a, b)
+            p = x * y
+            acc[k] = acc[k] + p if k in acc else p
 
 
 class HarmonicSequence:
     """The full osculating chain of a linearly full holomorphic curve.
 
+    Construction builds the minor table and rejects a curve that is not
+    linearly full; the other attributes are derived from it on first use.
+
     Attributes
     ----------
     curve : the defining 7-vector of Poly.
-    derivatives : tower of z-derivatives, orders 0..7.
-    gram : 8x8 matrix of hermitian pairings between derivative orders.
-    raw_sections : unnormalized sections E_0..E_7 (7-vectors of BiPoly);
-        E_7 vanishes identically exactly when the chain terminates.
-    sections : f_0..f_6 as 7-vectors of RationalFn (f_p = E_p / D_{p-1}).
+    derivatives : tower of z-derivatives, orders 0..6.
+    minors : the osculating minors W_0..W_6 (``wedge_table`` of the tower).
+    raw_sections : unnormalized sections E_0..E_7 (7-vectors of BiPoly).
     norms : squared norms a_0..a_6 (a_p = D_p / D_{p-1}).
-    log_norm_derivative : d/dz log a_p for p = 0..6.
     norm_ratios : a_{p+1} / a_p for p = 0..5 (the curvature densities that
         integrate to the osculating degrees).
-    wedges : stages 0..6 of ``wedge_table`` on the derivative tower.
     """
 
     def __init__(self, curve):
         self.curve = _curve_tuple(curve)
-        self.derivatives = derivative_tower(self.curve, _DIM)
-        self.gram = tuple(
-            tuple(
-                _pair_poly_vec(self.derivatives[i], self.derivatives[j])
-                for j in range(_DIM + 1)
-            )
-            for i in range(_DIM + 1)
-        )
-        self._minors = _MinorTable(self.gram)
-        dets = [self._minors.det(frozenset(range(p + 1))) for p in range(_DIM + 1)]
-        for p in range(_DIM):
-            if dets[p].is_zero():
+        self.derivatives = derivative_tower(self.curve, _DIM - 1)
+        self.minors = wedge_table(self.derivatives)
+        for p, stage in enumerate(self.minors):
+            if not any(stage.values()):
                 raise ValueError(
                     "curve is not linearly full: derivatives of orders "
                     f"0..{p} are linearly dependent (failing order {p})"
                 )
-        self._dets = tuple(dets)
-        self.raw_sections = tuple(self._section_raw(p) for p in range(_DIM + 1))
-        self.sections = tuple(
-            tuple(RationalFn(comp, self.gram_det(p - 1)) for comp in self.raw_sections[p])
-            for p in range(_DIM)
-        )
-        self.norms = tuple(
-            RationalFn(self.gram_det(p), self.gram_det(p - 1)) for p in range(_DIM)
-        )
-        self.log_norm_derivative = tuple(
-            RationalFn(
-                self.gram_det(p).diff_z() * self.gram_det(p - 1)
-                - self.gram_det(p) * self.gram_det(p - 1).diff_z(),
-                self.gram_det(p) * self.gram_det(p - 1),
-            )
-            for p in range(_DIM)
-        )
-        self.norm_ratios = tuple(
-            RationalFn(
-                self.gram_det(p + 1) * self.gram_det(p - 1),
-                self.gram_det(p) * self.gram_det(p),
-            )
-            for p in range(_DIM - 1)
-        )
-        self.wedges = wedge_table(self.derivatives[:_DIM])
         self._reversed: HarmonicSequence | None = None
+
+    @cached_property
+    def _dets(self) -> tuple[BiPoly, ...]:
+        dets = []
+        for stage in self.minors:
+            acc: dict = {}
+            for w in stage.values():
+                if w:
+                    _add_outer(acc, w, _conj_terms(w))
+            dets.append(BiPoly(acc))
+        return (*dets, BiPoly())
 
     def gram_det(self, p: int) -> BiPoly:
         """D_p for p = -1..7, with D_{-1} = 1."""
@@ -188,21 +144,38 @@ class HarmonicSequence:
             return BiPoly.one()
         return self._dets[p]
 
-    def _section_raw(self, p: int) -> tuple[BiPoly, ...]:
-        rows = frozenset(range(p + 1))
-        cof = []
-        for i in range(p + 1):
-            c = self._minors.det(rows - {i})
-            cof.append(c if (i + p) % 2 == 0 else -c)
-        comps = []
-        for c in range(_DIM):
-            acc = BiPoly()
-            for i in range(p + 1):
-                f = self.derivatives[i][c]
-                if f and cof[i]:
-                    acc = acc + cof[i] * f.to_bipoly()
-            comps.append(acc)
-        return tuple(comps)
+    @cached_property
+    def raw_sections(self) -> tuple[tuple[BiPoly, ...], ...]:
+        sections = [tuple(c.to_bipoly() for c in self.curve)]
+        for p in range(1, _DIM):
+            prev = {cols: _conj_terms(w) for cols, w in self.minors[p - 1].items() if w}
+            acc: list[dict] = [{} for _ in range(_DIM)]
+            for cols, w in self.minors[p].items():
+                if not w:
+                    continue
+                for pos, c in enumerate(cols):
+                    sub = prev.get(cols[:pos] + cols[pos + 1 :])
+                    if sub:
+                        _add_outer(acc[c], w, sub, negate=(pos + p) % 2 == 1)
+            sections.append(tuple(BiPoly(a) for a in acc))
+        sections.append(tuple(BiPoly() for _ in range(_DIM)))
+        return tuple(sections)
+
+    @cached_property
+    def norms(self) -> tuple[RationalFn, ...]:
+        return tuple(
+            RationalFn(self.gram_det(p), self.gram_det(p - 1)) for p in range(_DIM)
+        )
+
+    @cached_property
+    def norm_ratios(self) -> tuple[RationalFn, ...]:
+        return tuple(
+            RationalFn(
+                self.gram_det(p + 1) * self.gram_det(p - 1),
+                self.gram_det(p) * self.gram_det(p),
+            )
+            for p in range(_DIM - 1)
+        )
 
     def terminates(self) -> bool:
         """True when the chain closes up: the 7th section is identically 0."""
@@ -214,13 +187,11 @@ class HarmonicSequence:
         """The sequence of the curve pulled back through z -> 1/z.
 
         Components are multiplied by z^deg to clear poles, which is a gauge
-        change and leaves every projective invariant untouched.
+        change and leaves every projective invariant untouched.  Its parts
+        are reversals of this chain's; no exact product is formed for it.
         """
         if self._reversed is None:
-            total = max(c.degree() for c in self.curve)
-            self._reversed = HarmonicSequence(
-                tuple(c.reverse(total) for c in self.curve)
-            )
+            self._reversed = _ReversedSequence(self)
         return self._reversed
 
     # ------------------------------------------------------------- evaluation
@@ -234,17 +205,58 @@ class HarmonicSequence:
         return self.norms[p](z)
 
 
+class _ReversedSequence(HarmonicSequence):
+    """The chain of ``source`` in the chart w = 1/z, derived by reversal.
+
+    With e_p = (p+1)(N-p), the stage-p minors are (-1)^(p(p+1)/2) times the
+    source's reversed by e_p; so D_p is reversed by e_p in z and zbar, E_p
+    by (e_p, e_{p-1}) with sign (-1)^p, and each curvature density a_{p+1}/a_p
+    becomes |w|^-4 times its value at 1/w.
+    """
+
+    def __init__(self, source: HarmonicSequence):
+        top = max(c.degree() for c in source.curve)
+        self._source = source
+        self._exps = tuple((p + 1) * (top - p) for p in range(_DIM))
+        self.curve = tuple(c.reverse(top) for c in source.curve)
+        self.derivatives = derivative_tower(self.curve, _DIM - 1)
+        self.minors = [
+            {
+                cols: -w.reverse(e) if p * (p + 1) // 2 % 2 else w.reverse(e)
+                for cols, w in stage.items()
+            }
+            for p, (stage, e) in enumerate(zip(source.minors, self._exps))
+        ]
+        self._reversed = None
+
+    @cached_property
+    def _dets(self) -> tuple[BiPoly, ...]:
+        dets = [self._source.gram_det(p).reverse(e) for p, e in enumerate(self._exps)]
+        return (*dets, BiPoly())
+
+    @cached_property
+    def raw_sections(self) -> tuple[tuple[BiPoly, ...], ...]:
+        source = self._source.raw_sections
+        sections = []
+        for p, e in enumerate(self._exps):
+            e_prev = self._exps[p - 1] if p else 0
+            comps = (c.reverse(e, e_prev) for c in source[p])
+            sections.append(tuple(-c if p % 2 else c for c in comps))
+        sections.append(source[_DIM])
+        return tuple(sections)
+
+    @cached_property
+    def norm_ratios(self) -> tuple[RationalFn, ...]:
+        out = []
+        for g in self._source.norm_ratios:  # |w|^-4 g(1/w)
+            top = max(max(k) for k in (*g.num.terms, *g.den.terms))
+            out.append(RationalFn(g.num.reverse(top), g.den.reverse(top + 2)))
+        return tuple(out)
+
+
 def build_sequence(curve) -> HarmonicSequence:
     """Construct the osculating chain of a linearly full polynomial curve."""
     return HarmonicSequence(curve)
-
-
-def _pair_poly_vec(u, v) -> BiPoly:
-    acc = BiPoly()
-    for a, b in zip(u, v):
-        if a and b:
-            acc = acc + a.to_bipoly() * b.conj_factor()
-    return acc
 
 
 # ------------------------------------------------------------------ identities
@@ -485,33 +497,3 @@ def check_cross_table(
             all(zero_ok.values()) and all(prop_ok.values()) and worst <= tol
         ),
     }
-
-
-def sequence_summary(seq: HarmonicSequence) -> dict:
-    """JSON-ready digest: size of each squared norm and identity verdicts."""
-    norm_shape = []
-    for p in range(_DIM):
-        a = seq.norms[p]
-        norm_shape.append(
-            {
-                "num_terms": len(a.num.terms),
-                "den_terms": len(a.den.terms),
-                "num_degree": _bidegree(a.num),
-                "den_degree": _bidegree(a.den),
-            }
-        )
-    rec = check_recursion(seq)
-    return {
-        "norms": norm_shape,
-        "derivative_rule": all(rec["derivative_rule"]),
-        "conjugate_derivative_rule": all(rec["conjugate_derivative_rule"]),
-        "terminates": rec["terminates"],
-        "reality": check_reality(seq)["all_proportional"],
-        "norm_products": check_norm_products(seq)["all_passed"],
-    }
-
-
-def _bidegree(p: BiPoly) -> list[int]:
-    if not p.terms:
-        return [-1, -1]
-    return [max(a for a, _ in p.terms), max(b for _, b in p.terms)]

@@ -1,11 +1,13 @@
 """Invariants of the osculating curves: ramification, degrees, areas.
 
-For a linearly full polynomial curve in C^7 the stages of ``wedge_table``
-are the homogeneous coordinates of its osculating curves.  This module
-extracts their vanishing orders (singularity types), computes the degrees
-three independent ways (exact support, the ramification formula, numerical
-curvature integrals), checks the degree/ramification recurrence, and turns
-degrees into areas.
+For a linearly full polynomial curve in C^7 the minors of its
+``HarmonicSequence`` are the homogeneous coordinates of its osculating
+curves.  This module extracts their vanishing orders (singularity types),
+computes the degrees three independent ways (exact support, the
+ramification formula, numerical curvature integrals), checks the
+degree/ramification recurrence, and turns degrees into areas.  The point
+at infinity is read from the sequence's reversal.  Every function taking a
+``curve`` also accepts a built sequence, so one table serves a report.
 
 Index conventions used throughout: degrees delta_0..delta_5 are 0-based
 (delta_p is the degree of the p-th osculating curve, with the boundary
@@ -22,29 +24,24 @@ from fractions import Fraction
 
 import numpy as np
 
-from .harmonic import HarmonicSequence, derivative_tower, wedge_table
+# wedge_table is re-exported: perfbench/tracer.py wraps it under this name.
+from .harmonic import HarmonicSequence, build_sequence, wedge_table  # noqa: F401
 from .poly import Poly, poly_gcd
 
-_DIM = 7
+
+def _sequence(curve) -> HarmonicSequence:
+    """The chain of ``curve``, which may already be a built sequence."""
+    return curve if isinstance(curve, HarmonicSequence) else build_sequence(curve)
 
 
 def wedge_curves(curve) -> tuple:
     """Stages 0..6 of the osculating minors of the curve.
 
-    Stage p maps each (p+1)-subset of component indices to a Poly; stage 6
-    is the single full determinant, whose vanishing would mean the curve is
-    not linearly full (raised as an error naming the failing stage).
+    Stage p maps each (p+1)-subset of component indices to a Poly.  A curve
+    whose minors of some stage all vanish is not linearly full; that raises
+    an error naming the failing order.
     """
-    tower = derivative_tower(curve, _DIM - 1)
-    stages = wedge_table(tower)
-    if all(q.is_zero() for q in stages[_DIM - 1].values()):
-        for p, stage in enumerate(stages):
-            if all(q.is_zero() for q in stage.values()):
-                raise ValueError(
-                    "curve is not linearly full: every osculating minor of "
-                    f"stage {p} vanishes identically"
-                )
-    return tuple(stages)
+    return tuple(_sequence(curve).minors)
 
 
 def _stage_ord(stage) -> int:
@@ -57,23 +54,19 @@ def _stage_deg(stage) -> int:
     return max(vals)
 
 
-def _reversed_curve(curve) -> tuple[Poly, ...]:
-    total = max(c.degree() for c in curve)
-    return tuple(c.reverse(total) for c in curve)
-
-
 def singularity_type(curve, at=0) -> tuple[int, ...]:
     """Ramification indices (r_1..r_6) of the osculating chain at a point.
 
     ``at`` is 0 or "inf" (math.inf also accepted); the infinite point is
-    handled by the exact substitution z -> 1/z with cleared denominators.
+    read from the minors of the chart w = 1/z, whose stage-p orders at 0
+    are (p+1)(N-p) minus the stage degrees (N the top degree of the curve).
     With s_j the vanishing order of stage j at the point and s_{-1} = 0,
     the j-th index is the second difference s_{j+1} - 2 s_j + s_{j-1}.
     """
     if at == 0:
-        stages = wedge_curves(curve)
+        stages = _sequence(curve).minors
     elif at in ("inf", math.inf):
-        stages = wedge_curves(_reversed_curve(curve))
+        stages = _sequence(curve).reversed_sequence().minors
     else:
         raise ValueError("singularity_type evaluates at 0 or 'inf' only")
     s = [0] + [_stage_ord(stage) for stage in stages]
@@ -91,7 +84,7 @@ def degrees_exact(curve) -> tuple[int, ...]:
     the origin; a shared interior zero is detected through the component
     gcd and reported, since it would mean ramification at a third point.
     """
-    stages = wedge_curves(curve)
+    stages = _sequence(curve).minors
     out = []
     for p in range(6):
         stage = stages[p]
@@ -142,10 +135,10 @@ def degrees_numeric(
 
     The density a_{p+1}/a_p is integrated over the sphere in two charts:
     the unit disc directly, and the unit disc of the substituted coordinate
-    w = 1/z using the reversed curve's own chain (the density transforms
-    with the Jacobian exactly, because reversal is a coordinate change plus
-    a gauge factor).  Radial Gauss-Legendre times a uniform angular grid,
-    with node doubling until two successive estimates agree.
+    w = 1/z, where the density is |w|^-4 a_{p+1}/a_p (1/w), the exact
+    reversal of the first chart's (``HarmonicSequence.reversed_sequence``).
+    Radial Gauss-Legendre times a uniform angular grid, with node doubling
+    until two successive estimates agree.
     """
     if not 0 <= p <= 5:
         raise ValueError("degree index must lie in 0..5")
@@ -204,10 +197,11 @@ def full_report(curve) -> SingularityReport:
     The ramification-formula degrees are computed alongside and must agree
     with the exact ones; a mismatch raises instead of reporting quietly.
     """
-    t0 = singularity_type(curve, 0)
-    tinf = singularity_type(curve, "inf")
+    seq = _sequence(curve)
+    t0 = singularity_type(seq, 0)
+    tinf = singularity_type(seq, "inf")
     totals = tuple(a + b for a, b in zip(t0, tinf))
-    deg = degrees_exact(curve)
+    deg = degrees_exact(seq)
     from_formula = degrees_formula(totals)
     if deg != from_formula:
         raise ValueError(

@@ -219,6 +219,16 @@ class BiPoly:
     def diff_zbar(self) -> BiPoly:
         return BiPoly({(a, b - 1): c * b for (a, b), c in self.terms.items() if b})
 
+    def reverse(self, total: int, total_bar: int | None = None) -> BiPoly:
+        """z^total * zbar^total_bar * p(1/z, 1/zbar); total_bar defaults to
+        total, and both must cover the degrees."""
+        if total_bar is None:
+            total_bar = total
+        out = {(total - a, total_bar - b): c for (a, b), c in self.terms.items()}
+        if any(a < 0 or b < 0 for a, b in out):
+            raise ValueError("reversal exponent smaller than degree")
+        return BiPoly(out)
+
     def content(self) -> tuple[int, int]:
         """Largest (c, d) with z^c * zbar^d dividing every term."""
         if not self.terms:
@@ -264,14 +274,6 @@ class RationalFn:
                 den = den.shift_down(c, d)
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_scalar(cls, c) -> RationalFn:
-        return cls(BiPoly.const(c), BiPoly.one())
-
-    @classmethod
-    def from_bipoly(cls, p: BiPoly) -> RationalFn:
-        return cls(p, BiPoly.one())
 
     @staticmethod
     def _coerce(other) -> RationalFn | None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -268,6 +270,26 @@ def test_chart_scale_exact_rational_root():
     r1 = AlgScalar.term(10, Fraction(3, 8))
     r = catalog.chart_scale(spec, r1, AlgScalar.one())
     assert r == AlgScalar.rational(2)
+
+
+def test_chart_scale_exact_root_beyond_float_range():
+    """Exact roots come from integer arithmetic, not a rounded float root:
+    q = 3^120 (about 1.8e57) and q = 10^402 both have exact cube roots."""
+    spec = catalog.SingularityTypeSpec.from_pair(1, 1)
+    for q, root in ((3**120, 3**40), (10**402, 10**134)):
+        r1 = AlgScalar.term(10, Fraction(3, q))  # sqrt90 / r1 = q
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = catalog.chart_scale(spec, r1, AlgScalar.one())
+        assert r == AlgScalar.rational(root)
+
+
+def test_chart_scale_float_fallback_above_1e308():
+    spec = catalog.SingularityTypeSpec.from_pair(1, 1)
+    r1 = AlgScalar.term(10, Fraction(3, 2 * 10**400))  # q = 2e400, no exact cube root
+    with pytest.warns(UserWarning):
+        r = catalog.chart_scale(spec, r1, AlgScalar.one())
+    assert abs(math.log10(abs(r)) - (400 + math.log10(2)) / 3) < 1e-12
 
 
 def test_chart_scale_float_fallback_warns():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from supermin import catalog, g2, harmonic, twistor
+from supermin import catalog, g2, harmonic, plucker, twistor
 from supermin.field import AlgScalar
 from supermin.poly import BiPoly, Poly, RationalFn
 
@@ -131,13 +131,61 @@ def test_section_norm_is_det_product(seq11):
 
 
 def test_gram_det_is_wedge_norm(seq11):
-    # Cauchy-Binet: D_p equals the squared norm of the p-th wedge stage
+    # Cauchy-Binet: D_p equals the squared norm of the p-th wedge stage,
+    # summed here with plain BiPoly products rather than the outer-product
+    # accumulator that builds gram_det
     for p in range(7):
         acc = BiPoly()
-        for _cols, w in seq11.wedges[p].items():
+        for _cols, w in seq11.minors[p].items():
             wb = w.to_bipoly()
             acc = acc + wb * wb.conj()
         assert acc == seq11.gram_det(p), p
+
+
+def float_gram_schmidt(curve, p, z):
+    """Float Gram matrix of derivatives 0..p at z, and F_p minus its
+    orthogonal projection onto F_0..F_{p-1} (coefficient 1 on F_p)."""
+    tower = harmonic.derivative_tower(curve, p)
+    rows = np.array([[c(z) for c in row] for row in tower])
+    basis = []
+    for row in rows[:p]:
+        v = row - sum(np.vdot(q, row) * q for q in basis)
+        basis.append(v / np.linalg.norm(v))
+    section = rows[p] - sum(np.vdot(q, rows[p]) * q for q in basis)
+    return rows @ rows.conj().T, section
+
+
+def test_chain_matches_float_reference(curve11, dense_curve):
+    """D_p and f_p from the minor table against numpy: the determinant of
+    the float Gram matrix and float Gram-Schmidt of the derivatives."""
+    for curve in (curve11, dense_curve):
+        seq = harmonic.build_sequence(curve)
+        for z in (0.52 - 0.31j, -0.7 + 0.45j, 1.1 + 0.2j):
+            for p in range(7):
+                gram, section = float_gram_schmidt(curve, p, z)
+                want = np.linalg.det(gram)
+                assert abs(seq.gram_det(p)(z) - want) <= 1e-9 * abs(want), (p, z)
+                got = seq.section_value(p, z)
+                assert np.linalg.norm(got - section) <= 1e-9 * np.linalg.norm(section), (p, z)
+
+
+def test_reversed_sequence_is_the_rebuilt_chart(family_curves, dense_curve):
+    """The chain at w = 1/z derived by reversal equals the chain built from
+    scratch on w^N f(1/w), exactly; so do the singularity types."""
+    for curve in (*family_curves.values(), dense_curve):
+        seq = harmonic.build_sequence(curve)
+        top = max(c.degree() for c in curve)
+        flipped = tuple(c.reverse(top) for c in curve)
+        rebuilt = harmonic.build_sequence(flipped)
+        rev = seq.reversed_sequence()
+        assert rev.minors == rebuilt.minors
+        for p in range(8):
+            assert rev.gram_det(p) == rebuilt.gram_det(p), p
+            assert rev.raw_sections[p] == rebuilt.raw_sections[p], p
+        for p in range(6):
+            got, want = rev.norm_ratios[p], rebuilt.norm_ratios[p]
+            assert (got.num, got.den) == (want.num, want.den), p
+        assert plucker.singularity_type(curve, "inf") == plucker.singularity_type(flipped, 0)
 
 
 def test_reality_proportionality(seq11):
@@ -247,5 +295,7 @@ def test_section_value_matches_rationalfn(seq11):
     z = 0.52 - 0.31j
     for p in range(4):
         direct = seq11.section_value(p, z)
-        via_fn = np.array([f(z) for f in seq11.sections[p]])
+        via_fn = np.array(
+            [RationalFn(c, seq11.gram_det(p - 1))(z) for c in seq11.raw_sections[p]]
+        )
         assert np.allclose(direct, via_fn, atol=1e-10)

@@ -106,6 +106,19 @@ def test_bipoly_product_and_conj():
     assert h.conj() == q.to_bipoly() * p.conj_factor()
 
 
+def test_bipoly_reverse_against_values():
+    rng = random.Random(13)
+    p, q = rand_poly(rng), rand_poly(rng)
+    h = p.to_bipoly() * q.conj_factor()
+    rev = h.reverse(7, 6)  # z^7 zbar^6 h(1/z, 1/zbar)
+    for w in (0.5 + 0.5j, -0.8 + 0.1j):
+        assert close(rev(w), w**7 * w.conjugate() ** 6 * h(1 / w))
+    assert rev.reverse(7, 6) == h
+    assert h.reverse(7) == h.reverse(7, 7)
+    with pytest.raises(ValueError):
+        h.reverse(max(max(k) for k in h.terms) - 1)
+
+
 def test_bipoly_derivatives():
     p = Poly.monomial(2)
     h = p.to_bipoly() * p.conj_factor()  # z^2 zbar^2
