@@ -19,12 +19,10 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import catalog, harmonic, plucker, twistor
-from ._threads import thread_count
 from .serialize import (
     curve_from_obj,
     curve_to_obj,
@@ -124,14 +122,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         checks["harmonic_sequence"] = {"passed": False, "error": str(exc)}
 
     if seq is not None and horizontal:
-        # Independent identity suites; worker count honors SUPERMIN_THREADS.
-        with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-            fut_real = pool.submit(harmonic.check_reality, seq)
-            fut_norm = pool.submit(harmonic.check_norm_products, seq)
-            fut_cross = pool.submit(harmonic.check_cross_table, seq)
-            reality = fut_real.result()
-            norms = fut_norm.result()
-            cross = fut_cross.result()
+        reality = harmonic.check_reality(seq)
+        norms = harmonic.check_norm_products(seq)
+        cross = harmonic.check_cross_table(seq)
         checks["reality"] = {
             "passed": reality["all_proportional"],
             "detail": reality,

@@ -86,6 +86,35 @@ def wedge_pair(x, y) -> dict[tuple[int, int], object]:
     }
 
 
+def _size(v) -> int:
+    return len(getattr(v, "terms", ())) or 1
+
+
+def _pivot(x, y) -> int | None:
+    """The component c with y[c] != 0 that makes the cheapest products
+    x[a]*y[c] and x[c]*y[a] (term counts multiplied); None when y == 0."""
+    sx = sum(_size(v) for v in x)
+    sy = sum(_size(v) for v in y)
+    live = [c for c in range(7) if y[c]]
+    if not live:
+        return None
+    return min(live, key=lambda c: _size(y[c]) * sx + _size(x[c]) * sy)
+
+
+def proportional(x, y) -> bool:
+    """Whether x wedge y == 0, i.e. x and y are pointwise proportional.
+
+    With a pivot y[c] != 0 it suffices that x[a]*y[c] == x[c]*y[a] for the
+    other six a: multiplying any minor x[a]*y[b] - x[b]*y[a] by y[c] turns
+    it into x[c]*(y[a]*y[b] - y[b]*y[a]) = 0, and the entries lie in an
+    integral domain.  Twelve products instead of the 42 of ``wedge_pair``.
+    """
+    c = _pivot(x, y)
+    if c is None:
+        return True
+    return all(x[a] * y[c] == x[c] * y[a] for a in range(7) if a != c)
+
+
 def std_basis(i: int) -> tuple:
     """The i-th standard basis vector (0-based) with AlgScalar entries."""
     return tuple(

@@ -32,7 +32,8 @@ from itertools import combinations
 import numpy as np
 
 from .field import AlgScalar
-from .g2 import cross, wedge_pair
+# wedge_pair is re-exported: perfbench/tracer.py wraps it under this name.
+from .g2 import cross, proportional, wedge_pair  # noqa: F401
 from .poly import BiPoly, Poly, RationalFn
 
 _DIM = 7
@@ -328,15 +329,17 @@ def orthogonality_residuals(seq: HarmonicSequence) -> dict:
 def check_reality(seq: HarmonicSequence) -> dict:
     """Pointwise proportionality conj(f_{3+k}) ~ f_{3-k} for k = 1, 2, 3.
 
-    Tested projectively: every 2x2 minor of the pair of unnormalized
-    sections must vanish, which is gauge-free.
+    Tested projectively on the pair of unnormalized sections, which is
+    gauge-free: against one pivot component c where f_{3-k} is not
+    identically 0, each other component a must satisfy
+    conj(E_{3+k})[a] * E_{3-k}[c] == conj(E_{3+k})[c] * E_{3-k}[a]
+    (``g2.proportional``).  BiPolys form an integral domain, so this is
+    the vanishing of every 2x2 minor.
     """
     report = {}
     for k in (1, 2, 3):
         upper = tuple(c.conj() for c in seq.raw_sections[3 + k])
-        lower = seq.raw_sections[3 - k]
-        minors = wedge_pair(upper, lower)
-        report[k] = all(m.is_zero() for m in minors.values())
+        report[k] = proportional(upper, seq.raw_sections[3 - k])
     report["all_proportional"] = all(report[k] for k in (1, 2, 3))
     return report
 
@@ -460,7 +463,9 @@ def check_cross_table(
     (a) zero entries: the cross product of the unnormalized sections
         vanishes identically (exact);
     (b) nonzero entries: the cross product is pointwise proportional to the
-        target section -- every 2x2 minor against it vanishes (exact);
+        target section, tested against one pivot component of the target
+        (``g2.proportional``; exact, equivalent to every 2x2 minor
+        vanishing since BiPolys form an integral domain);
     (c) the proportionality scalars, read off in the unit gauge at sample
         points, match the table's integer multiples of i within tol.
     """
@@ -474,8 +479,7 @@ def check_cross_table(
                 zero_ok[(i, j)] = all(c.is_zero() for c in w)
             else:
                 _, k = entry
-                minors = wedge_pair(tuple(w), seq.raw_sections[k])
-                prop_ok[(i, j)] = all(m.is_zero() for m in minors.values())
+                prop_ok[(i, j)] = proportional(w, seq.raw_sections[k])
     if samples is None:
         samples = regular_sample_points(seq)
     worst = 0.0

@@ -33,14 +33,31 @@ def scalar_to_strings(c: AlgScalar) -> list[str]:
     return out
 
 
+def _require(ok: bool, message: str) -> None:
+    """The input boundary: every malformed shape is a ValueError."""
+    if not ok:
+        raise ValueError(message)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _rational(s) -> Fraction:
+    _require(isinstance(s, str), f"rational must be a 'p/q' string, got {s!r}")
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational 'p/q' string: {s!r}") from None
+
+
 def scalar_from_strings(parts) -> AlgScalar:
-    parts = list(parts)
-    if len(parts) != 16:
-        raise ValueError("scalar record must hold exactly 16 rational strings")
-    terms = {}
-    for idx, m in enumerate(MASK_ORDER):
-        terms[m] = (Fraction(parts[idx]), Fraction(parts[idx + 8]))
-    return AlgScalar(terms)
+    _require(
+        isinstance(parts, (list, tuple)) and len(parts) == 16,
+        "scalar record must hold exactly 16 rational strings",
+    )
+    vals = [_rational(s) for s in parts]
+    return AlgScalar({m: (vals[idx], vals[idx + 8]) for idx, m in enumerate(MASK_ORDER)})
 
 
 def poly_to_obj(p: Poly) -> list:
@@ -48,14 +65,17 @@ def poly_to_obj(p: Poly) -> list:
 
 
 def poly_from_obj(obj) -> Poly:
+    _require(isinstance(obj, list), "polynomial record must be a list of terms")
     terms = {}
     for rec in obj:
-        e, parts = rec
-        exp = int(e)
-        if exp < 0:
-            raise ValueError("polynomial exponents must be non-negative")
-        if exp in terms:
-            raise ValueError(f"duplicate exponent {exp} in polynomial record")
+        _require(
+            isinstance(rec, list) and len(rec) == 2,
+            "polynomial term must be a pair [exponent, scalar]",
+        )
+        exp, parts = rec
+        _require(_is_int(exp), f"polynomial exponent must be an integer, got {exp!r}")
+        _require(exp >= 0, "polynomial exponents must be non-negative")
+        _require(exp not in terms, f"duplicate exponent {exp} in polynomial record")
         terms[exp] = scalar_from_strings(parts)
     return Poly(terms)
 
@@ -71,17 +91,23 @@ def curve_to_obj(curve, k: tuple[int, int] | None = None) -> dict:
 
 
 def curve_from_obj(obj) -> tuple[tuple[Poly, ...], tuple[int, int] | None]:
-    if not isinstance(obj, dict) or obj.get("basis") != "e":
-        raise ValueError("curve record must be an object with basis tag 'e'")
+    _require(
+        isinstance(obj, dict) and obj.get("basis") == "e",
+        "curve record must be an object with basis tag 'e'",
+    )
     comps = obj.get("components")
-    if not isinstance(comps, list) or len(comps) != 7:
-        raise ValueError("curve record must hold exactly 7 components")
+    _require(
+        isinstance(comps, list) and len(comps) == 7,
+        "curve record must hold exactly 7 components",
+    )
     curve = tuple(poly_from_obj(c) for c in comps)
     k = obj.get("k")
     if k is not None:
-        if len(k) != 2:
-            raise ValueError("curve exponent tag must be a pair")
-        k = (int(k[0]), int(k[1]))
+        _require(
+            isinstance(k, list) and len(k) == 2 and all(_is_int(v) and v >= 1 for v in k),
+            f"curve exponent tag must be a pair of integers >= 1, got {k!r}",
+        )
+        k = tuple(k)
     return curve, k
 
 

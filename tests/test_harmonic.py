@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,61 @@ def test_cross_table_exact_and_measured(seq11):
     assert rep["scalars_match"]
     assert rep["max_scalar_error"] < 1e-8
     assert rep["all_passed"]
+
+
+def with_section(seq, p, change):
+    """A copy of seq whose section E_p is replaced by change(E_p)."""
+    mutant = copy.copy(seq)
+    sections = list(seq.raw_sections)
+    sections[p] = tuple(change(list(sections[p])))
+    mutant.raw_sections = tuple(sections)
+    return mutant
+
+
+def doubled(a):
+    def change(comps):
+        comps[a] = comps[a] * AlgScalar.rational(2)
+        return comps
+    return change
+
+
+def swapped(a, b):
+    def change(comps):
+        comps[a], comps[b] = comps[b], comps[a]
+        return comps
+    return change
+
+
+def test_reality_negative_controls(seq11):
+    """Doubling any one component of f_{3-k}, the pivot or not, or swapping
+    two components of f_{3+k}, breaks exactly the k-th pairing."""
+    for k in (1, 2, 3):
+        upper = tuple(c.conj() for c in seq11.raw_sections[3 + k])
+        pivot = g2._pivot(upper, seq11.raw_sections[3 - k])
+        for a in range(7):
+            assert seq11.raw_sections[3 - k][a], (k, a)
+            rep = harmonic.check_reality(with_section(seq11, 3 - k, doubled(a)))
+            assert not rep[k] and not rep["all_proportional"], (k, a, pivot)
+            assert all(rep[j] for j in (1, 2, 3) if j != k), (k, a)
+        rep = harmonic.check_reality(with_section(seq11, 3 + k, swapped(pivot, (pivot + 1) % 7)))
+        assert not rep[k], k
+
+
+def test_cross_table_negative_control(seq11):
+    """Doubling a component of f_4 other than the pivot breaks f_1 x f_6 ~ f_4
+    and leaves every entry that does not involve f_4 standing."""
+    sections = seq11.raw_sections
+    w = g2.cross(sections[1], sections[6])
+    a = 0
+    assert g2._pivot(w, sections[4]) != a and sections[4][a]
+    rep = harmonic.check_cross_table(with_section(seq11, 4, doubled(a)), samples=[])
+    prop = rep["proportional_entries_exact"]
+    assert prop[(1, 6)] is False
+    assert not rep["all_passed"]
+    for (i, j), ok in prop.items():
+        if 4 not in (i, j, harmonic.FRAME_CROSS_TABLE[i][j][1]):
+            assert ok, (i, j)
+    assert all(ok for (i, j), ok in rep["zero_entries_exact"].items() if 4 not in (i, j))
 
 
 def test_second_curve_identities(seq12):

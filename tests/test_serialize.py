@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from supermin import catalog, serialize
+from supermin import catalog, cli, serialize
 from supermin.field import AlgScalar
 from supermin.poly import Poly
 
@@ -70,6 +70,60 @@ def test_curve_schema_validation():
         serialize.curve_from_obj({"basis": "u", "components": []})
     with pytest.raises(ValueError):
         serialize.curve_from_obj({"basis": "e", "components": [[]] * 6})
+
+
+def malformed(obj, shape):
+    """A copy of a valid curve record with one field made malformed."""
+    bad = json.loads(json.dumps(obj))
+    if shape == "integer_components":
+        bad["components"] = [1, 2, 3, 4, 5, 6, 7]
+    elif shape == "scalar_1_over_0":
+        bad["components"][0][0][1][0] = "1/0"
+    elif shape == "k_scalar":
+        bad["k"] = 5
+    elif shape == "k_negative":
+        bad["k"] = [0, -3]
+    elif shape == "exponent_1_5":
+        bad["components"][0][0][0] = 1.5
+    return bad
+
+
+MALFORMED = ("integer_components", "scalar_1_over_0", "k_scalar", "k_negative", "exponent_1_5")
+
+
+@pytest.mark.parametrize("shape", MALFORMED)
+def test_curve_rejects_malformed_shape(curve11, shape):
+    obj = serialize.curve_to_obj(curve11, (1, 1))
+    serialize.curve_from_obj(obj)  # the unaltered record loads
+    with pytest.raises(ValueError):
+        serialize.curve_from_obj(malformed(obj, shape))
+
+
+@pytest.mark.parametrize("shape", MALFORMED)
+def test_cli_malformed_curve_exits_2(curve11, shape, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(malformed(serialize.curve_to_obj(curve11, (1, 1)), shape)))
+    code = cli.main(["sample", str(path), "-n", "8", "--out", str(tmp_path / "pts.json")])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("invalid input: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in out + err
+    assert not (tmp_path / "pts.json").exists()
+
+
+def test_scalar_rejects_non_strings():
+    with pytest.raises(ValueError):
+        serialize.scalar_from_strings([0] * 16)
+    with pytest.raises(ValueError):
+        serialize.scalar_from_strings(["0.5"] * 15 + [None])
+
+
+def test_gen_output_roundtrips_byte_for_byte(family_curves):
+    for pair, curve in family_curves.items():
+        text = serialize.dumps_canonical(serialize.curve_to_obj(curve, pair))
+        back, k = serialize.curve_from_obj(json.loads(text))
+        assert k == pair
+        assert serialize.dumps_canonical(serialize.curve_to_obj(back, k)) == text, pair
 
 
 def test_dumps_canonical_is_deterministic(curve11):
