@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .field import AlgScalar
-from .g2 import add_vec, dot, hdot, scale_vec, u_basis
+from .g2 import _conj, add_vec, dot, hdot, scale_vec, u_basis
 from .poly import Poly
 
 _DIM = 7
@@ -476,42 +476,31 @@ def normalizer(spec: SingularityTypeSpec, r1, r8):
     k1, k2 = spec.k1, spec.k2
     exact = isinstance(r, AlgScalar) and isinstance(r1, AlgScalar) and isinstance(r8, AlgScalar)
     if exact:
-        rp = {e: r**e for e in set(spec.exponents())}
-        d = (
-            AlgScalar.rational(90) * (r1 * r1 * r8 * r8).inverse(),
-            AlgScalar.term(6, 15) * (rp[k1] * r1 * r1 * r8).inverse(),
-            AlgScalar.term(15, 6) * (rp[k1 + k2] * r1 * r8 * r8).inverse(),
-            AlgScalar.root(90) * (rp[2 * k1 + k2] * r1 * r8).inverse(),
-            AlgScalar.root(15) * (rp[3 * k1 + k2] * r1).inverse(),
-            AlgScalar.root(6) * (rp[3 * k1 + 2 * k2] * r8).inverse(),
-            rp[4 * k1 + 2 * k2].inverse(),
-        )
-        basis = u_basis()
-        mat = [[AlgScalar.zero() for _ in range(_DIM)] for _ in range(_DIM)]
-        for dj, u in zip(d, basis):
-            for a in range(_DIM):
-                if not u[a]:
-                    continue
-                row = dj * u[a]
-                for b in range(_DIM):
-                    if u[b]:
-                        mat[a][b] = mat[a][b] + row * u[b].conj()
-        return tuple(tuple(row) for row in mat)
-    rc, r1c, r8c = complex(r), complex(r1), complex(r8)
-    s6, s15, s90 = np.sqrt(6.0), np.sqrt(15.0), np.sqrt(90.0)
-    d = np.array(
-        [
-            90.0 / (r1c**2 * r8c**2),
-            15 * s6 / (rc**k1 * r1c**2 * r8c),
-            6 * s15 / (rc ** (k1 + k2) * r1c * r8c**2),
-            s90 / (rc ** (2 * k1 + k2) * r1c * r8c),
-            s15 / (rc ** (3 * k1 + k2) * r1c),
-            s6 / (rc ** (3 * k1 + 2 * k2) * r8c),
-            1.0 / rc ** (4 * k1 + 2 * k2),
-        ]
+        root, zero, basis = AlgScalar.root, AlgScalar.zero(), u_basis()
+    else:
+        r, r1, r8 = complex(r), complex(r1), complex(r8)
+        root, zero = math.sqrt, 0j
+        basis = [[complex(c) for c in u] for u in u_basis()]
+    d = (
+        90 / (r1 * r1 * r8 * r8),
+        15 * root(6) / (r**k1 * r1 * r1 * r8),
+        6 * root(15) / (r ** (k1 + k2) * r1 * r8 * r8),
+        root(90) / (r ** (2 * k1 + k2) * r1 * r8),
+        root(15) / (r ** (3 * k1 + k2) * r1),
+        root(6) / (r ** (3 * k1 + 2 * k2) * r8),
+        1 / r ** (4 * k1 + 2 * k2),
     )
-    u = np.array([[complex(c) for c in vec] for vec in u_basis()])
-    return u.T @ np.diag(d) @ u.conj()
+    mat = [[zero] * _DIM for _ in range(_DIM)]
+    for dj, u in zip(d, basis):
+        for a in range(_DIM):
+            if not u[a]:
+                continue
+            row = dj * u[a]
+            for b in range(_DIM):
+                if u[b]:
+                    mat[a][b] = mat[a][b] + row * _conj(u[b])
+    out = tuple(tuple(row) for row in mat)
+    return out if exact else np.array(out)
 
 
 def transform_curve(matrix, curve) -> tuple[Poly, ...]:

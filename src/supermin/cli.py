@@ -19,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import catalog, harmonic, plucker, twistor
@@ -37,33 +36,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    k1: int | None = None
-    k2: int | None = None
-    curve_path: str | None = None
-    out: str | None = None
-    tol: float = 0.01
-    grid: int = 48
-    n: int = 32
-    p: int | None = None
-    format: str = "json"
-
-    def validate(self) -> None:
-        if self.command == "gen":
-            if self.k1 is None or self.k2 is None or self.k1 < 1 or self.k2 < 1:
-                raise UsageError("--k1 and --k2 must be integers >= 1")
-        if self.tol <= 0:
-            raise UsageError("--tol must be positive")
-        if self.grid < 8:
-            raise UsageError("--grid must be at least 8")
-        if self.command == "sample" and self.n < 8:
-            raise UsageError("sample count -n must be at least 8")
-        if self.command == "integrate" and (self.p is None or not 0 <= self.p <= 5):
-            raise UsageError("--p must be in 0..5")
-
-
 class UsageError(Exception):
     pass
 
@@ -78,13 +50,19 @@ def _write_text(path: str | None, text: str) -> None:
 def _load_curve(path: str):
     """Read a curve file; returns (curve, k).  Raises on bad schema."""
     raw = Path(path).read_text()
-    return curve_from_obj(json.loads(raw))
+    try:
+        obj = json.loads(raw)
+    except RecursionError:
+        raise ValueError("curve file is nested too deeply to parse") from None
+    return curve_from_obj(obj)
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    curve = catalog.example_family(cfg.k1, cfg.k2)
-    text = dumps_canonical(curve_to_obj(curve, (cfg.k1, cfg.k2)))
-    _write_text(cfg.out, text)
+def cmd_gen(args: argparse.Namespace) -> int:
+    if args.k1 < 1 or args.k2 < 1:
+        raise UsageError("--k1 and --k2 must be integers >= 1")
+    curve = catalog.example_family(args.k1, args.k2)
+    text = dumps_canonical(curve_to_obj(curve, (args.k1, args.k2)))
+    _write_text(args.out, text)
     return EXIT_OK
 
 
@@ -99,8 +77,8 @@ _VERIFY_CHECKS = (
 )
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    curve, k = _load_curve(cfg.curve_path)
+def cmd_verify(args: argparse.Namespace) -> int:
+    curve, k = _load_curve(args.curve)
     checks: dict[str, dict] = {}
 
     checks["quadric_membership"] = {"passed": twistor.is_quadric_curve(curve)}
@@ -158,7 +136,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         "failed": failed,
         "passed": not failed,
     }
-    _write_text(cfg.out, dumps_canonical(jsonable(report)))
+    _write_text(args.out, dumps_canonical(jsonable(report)))
     if failed:
         print(f"verification failed: {failed[0]}", file=sys.stderr)
         return EXIT_FAIL
@@ -178,16 +156,16 @@ def _coefficient_reality(curve, k) -> dict:
     return {"passed": ok, "mu": mu}
 
 
-def cmd_report(cfg: RunConfig) -> int:
-    curve, _k = _load_curve(cfg.curve_path)
+def cmd_report(args: argparse.Namespace) -> int:
+    curve, _k = _load_curve(args.curve)
     try:
-        return _report_body(cfg, curve)
+        return _report_body(args.out, curve)
     except ValueError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
 
-def _report_body(cfg: RunConfig, curve) -> int:
+def _report_body(out: str | None, curve) -> int:
     seq = harmonic.build_sequence(curve)
     rep = plucker.full_report(seq)
     body = rep.to_json_dict()
@@ -204,34 +182,40 @@ def _report_body(cfg: RunConfig, curve) -> int:
     body["numeric_degrees"] = numeric
     body["triple_agreement"] = agree
 
-    _write_text(cfg.out, dumps_canonical(jsonable(body)))
+    _write_text(out, dumps_canonical(jsonable(body)))
     return EXIT_OK if body["plucker_identity"] and agree else EXIT_FAIL
 
 
-def cmd_integrate(cfg: RunConfig) -> int:
-    curve, _k = _load_curve(cfg.curve_path)
+def cmd_integrate(args: argparse.Namespace) -> int:
+    if args.tol <= 0:
+        raise UsageError("--tol must be positive")
+    if args.grid < 8:
+        raise UsageError("--grid must be at least 8")
+    if not 0 <= args.p <= 5:
+        raise UsageError("--p must be in 0..5")
+    curve, _k = _load_curve(args.curve)
     try:
         seq = harmonic.build_sequence(curve)
-        exact = plucker.degrees_exact(seq)[cfg.p]
+        exact = plucker.degrees_exact(seq)[args.p]
     except ValueError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
     try:
         est = plucker.degrees_numeric(
-            seq, cfg.p, rel_tol=cfg.tol,
-            start_nodes=cfg.grid, max_nodes=4 * cfg.grid,
+            seq, args.p, rel_tol=args.tol,
+            start_nodes=args.grid, max_nodes=4 * args.grid,
         )
     except RuntimeError as exc:
-        print(f"p = {cfg.p}", file=sys.stderr)
+        print(f"p = {args.p}", file=sys.stderr)
         print(f"exact = {exact}", file=sys.stderr)
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_FAIL
     err = abs(est - exact)
-    print(f"p = {cfg.p}")
+    print(f"p = {args.p}")
     print(f"estimate = {format_float(est)}")
     print(f"exact = {exact}")
     print(f"absolute error = {format_float(err)}")
-    return EXIT_OK if err <= cfg.tol * exact else EXIT_FAIL
+    return EXIT_OK if err <= args.tol * exact else EXIT_FAIL
 
 
 def _sample_points(curve, n: int) -> list[list[float]]:
@@ -277,23 +261,25 @@ def _obj_mesh(points: list[list[float]], n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    curve, _k = _load_curve(cfg.curve_path)
-    points = _sample_points(curve, cfg.n)
-    if cfg.format == "json":
+def cmd_sample(args: argparse.Namespace) -> int:
+    if args.n < 8:
+        raise UsageError("sample count -n must be at least 8")
+    curve, _k = _load_curve(args.curve)
+    points = _sample_points(curve, args.n)
+    if args.format == "json":
         body = {
-            "n": cfg.n,
+            "n": args.n,
             "charts": 2,
             "points": [[format_float(c) for c in pt] for pt in points],
         }
         text = dumps_canonical(body)
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         rows = ["x1,x2,x3,x4,x5,x6,x7"]
         rows += [",".join(format_float(c) for c in pt) for pt in points]
         text = "\n".join(rows) + "\n"
     else:
-        text = _obj_mesh(points, cfg.n)
-    _write_text(cfg.out, text)
+        text = _obj_mesh(points, args.n)
+    _write_text(args.out, text)
     return EXIT_OK
 
 
@@ -308,59 +294,42 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--k1", type=int, required=True)
     gen.add_argument("--k2", type=int, required=True)
     gen.add_argument("--out", default=None)
+    gen.set_defaults(handler=cmd_gen)
 
     verify = sub.add_parser("verify", help="run the identity suite on a curve file")
     verify.add_argument("curve")
     verify.add_argument("--out", default=None)
+    verify.set_defaults(handler=cmd_verify)
 
     report = sub.add_parser("report", help="types, degrees, totals, and area")
     report.add_argument("curve")
     report.add_argument("--out", default=None)
+    report.set_defaults(handler=cmd_report)
 
     integrate = sub.add_parser("integrate", help="numeric degree of one stage")
     integrate.add_argument("curve")
     integrate.add_argument("--p", type=int, required=True)
     integrate.add_argument("--tol", type=float, default=0.01)
     integrate.add_argument("--grid", type=int, default=48)
+    integrate.set_defaults(handler=cmd_integrate)
 
     sample = sub.add_parser("sample", help="evaluate the projected surface")
     sample.add_argument("curve")
     sample.add_argument("-n", type=int, default=32)
     sample.add_argument("--out", required=True)
     sample.add_argument("--format", choices=("json", "csv", "obj"), default="json")
+    sample.set_defaults(handler=cmd_sample)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        k1=getattr(args, "k1", None),
-        k2=getattr(args, "k2", None),
-        curve_path=getattr(args, "curve", None),
-        out=getattr(args, "out", None),
-        tol=getattr(args, "tol", 0.01),
-        grid=getattr(args, "grid", 48),
-        n=getattr(args, "n", 32),
-        p=getattr(args, "p", None),
-        format=getattr(args, "format", "json"),
-    )
     try:
-        cfg.validate()
+        return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    handlers = {
-        "gen": cmd_gen,
-        "verify": cmd_verify,
-        "report": cmd_report,
-        "integrate": cmd_integrate,
-        "sample": cmd_sample,
-    }
-    try:
-        return handlers[cfg.command](cfg)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

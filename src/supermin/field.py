@@ -128,16 +128,8 @@ class AlgScalar:
 
     # -------------------------------------------------------------- arithmetic
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, AlgScalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return AlgScalar({0: (Fraction(other), _ZERO)})
-        return None
-
     def __add__(self, other) -> AlgScalar:
-        o = self._coerce(other)
+        o = as_scalar(other)
         if o is None:
             return NotImplemented
         out = dict(self._terms)
@@ -152,19 +144,19 @@ class AlgScalar:
         return AlgScalar({m: (-re, -im) for m, (re, im) in self._terms.items()})
 
     def __sub__(self, other) -> AlgScalar:
-        o = self._coerce(other)
+        o = as_scalar(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other) -> AlgScalar:
-        o = self._coerce(other)
+        o = as_scalar(other)
         if o is None:
             return NotImplemented
         return o + (-self)
 
     def __mul__(self, other) -> AlgScalar:
-        o = self._coerce(other)
+        o = as_scalar(other)
         if o is None:
             return NotImplemented
         out: dict[int, tuple[Fraction, Fraction]] = {}
@@ -216,13 +208,13 @@ class AlgScalar:
         return num * AlgScalar({0: (a / n2, -b / n2)})
 
     def __truediv__(self, other) -> AlgScalar:
-        o = self._coerce(other)
+        o = as_scalar(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other) -> AlgScalar:
-        o = self._coerce(other)
+        o = as_scalar(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
@@ -244,7 +236,7 @@ class AlgScalar:
     # ------------------------------------------------------------- comparisons
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
+        o = as_scalar(other)
         if o is None:
             return NotImplemented
         return self._terms == o._terms
@@ -280,3 +272,12 @@ class AlgScalar:
                 body += f"*sqrt{RADICAL[m]}"
             parts.append(body)
         return " + ".join(parts)
+
+
+def as_scalar(c) -> AlgScalar | None:
+    """``c`` as an AlgScalar when it is one, an int or a Fraction; else None."""
+    if isinstance(c, AlgScalar):
+        return c
+    if isinstance(c, (int, Fraction)):
+        return AlgScalar({0: (Fraction(c), _ZERO)})
+    return None

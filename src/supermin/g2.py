@@ -7,9 +7,8 @@ e_7 = e_3 x e_4).  Entry t in row i, column j (0-based) means
     e_{i+1} x e_{j+1} = sign(t) * e_{|t|}
 
 with 0 for a vanishing product.  Everything here is generic over the scalar
-ring: entries of the vectors may be AlgScalar, Poly, BiPoly, RationalFn,
-complex numbers or numpy scalars; they only need +, *, unary - and
-truthiness.
+ring: entries of the vectors may be AlgScalar, Poly, BiPoly, complex
+numbers or numpy scalars; they only need +, *, unary - and truthiness.
 """
 
 from __future__ import annotations

@@ -8,51 +8,89 @@ Three layers, all dict-keyed and immutable by convention:
 * ``RationalFn`` -- quotients of BiPolys.  The only automatic simplification
                     is cancellation of a common monomial z^c * zbar^d; genuine
                     identities are always tested by cross-multiplication.
+
+``Poly`` and ``BiPoly`` share the ring operations that do not depend on
+the shape of a key; each writes its own product.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .field import AlgScalar
+from .field import AlgScalar, as_scalar
 
 _ZERO = AlgScalar.zero()
 
 
-def _as_scalar(c) -> AlgScalar | None:
-    if isinstance(c, AlgScalar):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return AlgScalar.rational(c)
-    return None
+class _SparsePoly:
+    """Terms {key: AlgScalar} with zero coefficients dropped.
 
-
-class Poly:
-    """Polynomial in z over Q(i, sqrt2, sqrt3, sqrt5)."""
+    Sums, differences and equality are defined only between two
+    polynomials of the same class; a Poly never meets a BiPoly implicitly.
+    """
 
     __slots__ = ("terms", "_ceval")
 
-    def __init__(self, terms: dict[int, AlgScalar] | None = None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
+    _CONST_KEY: object  # the key of the constant term
+
+    def __init__(self, terms: dict | None = None):
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
         self._ceval = None
 
     @classmethod
-    def const(cls, c) -> Poly:
-        s = _as_scalar(c)
+    def const(cls, c):
+        s = as_scalar(c)
         if s is None:
             raise TypeError(f"not a scalar: {c!r}")
-        return cls({0: s})
-
-    @classmethod
-    def monomial(cls, exp: int, c=1) -> Poly:
-        s = _as_scalar(c)
-        return cls({exp: s})
+        return cls({cls._CONST_KEY: s})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out[k] + c if k in out else c
+        return type(self)(out)
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def _scale(self, other):
+        """The product with a scalar; NotImplemented for anything else."""
+        s = as_scalar(other)
+        if s is None:
+            return NotImplemented
+        return type(self)({k: c * s for k, c in self.terms.items()})
+
+    __rmul__ = _scale
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+class Poly(_SparsePoly):
+    """Polynomial in z over Q(i, sqrt2, sqrt3, sqrt5)."""
+
+    __slots__ = ()
+    _CONST_KEY = 0
+
+    @classmethod
+    def monomial(cls, exp: int, c=1) -> Poly:
+        return cls({exp: as_scalar(c)})
 
     def degree(self) -> int:
         """Degree, with the zero polynomial mapped to -1."""
@@ -62,52 +100,23 @@ class Poly:
         """Order of vanishing at z = 0; zero polynomial gives -1."""
         return min(self.terms) if self.terms else -1
 
-    def __add__(self, other) -> Poly:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
-        return Poly(out)
-
-    def __neg__(self) -> Poly:
-        return Poly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> Poly:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other) -> Poly:
-        if isinstance(other, Poly):
-            out: dict[int, AlgScalar] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = e1 + e2
-                    p = c1 * c2
-                    out[e] = out[e] + p if e in out else p
-            return Poly(out)
-        s = _as_scalar(other)
-        if s is None:
-            return NotImplemented
-        return Poly({e: c * s for e, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if type(other) is not Poly:
+            return self._scale(other)
+        out: dict[int, AlgScalar] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = e1 + e2
+                p = c1 * c2
+                out[e] = out[e] + p if e in out else p
+        return Poly(out)
 
     def diff(self) -> Poly:
         return Poly({e - 1: c * e for e, c in self.terms.items() if e})
 
     def scale_arg(self, r) -> Poly:
         """The polynomial p(r*z)."""
-        s = _as_scalar(r)
+        s = as_scalar(r)
         if s is None:
             raise TypeError(f"not a scalar: {r!r}")
         powers: dict[int, AlgScalar] = {0: AlgScalar.one()}
@@ -144,71 +153,26 @@ class Poly:
         return " + ".join(bits)
 
 
-class BiPoly:
+class BiPoly(_SparsePoly):
     """Polynomial in z and zbar; keys are (power of z, power of zbar)."""
 
-    __slots__ = ("terms", "_ceval")
-
-    def __init__(self, terms: dict[tuple[int, int], AlgScalar] | None = None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-        self._ceval = None
-
-    @classmethod
-    def const(cls, c) -> BiPoly:
-        s = _as_scalar(c)
-        if s is None:
-            raise TypeError(f"not a scalar: {c!r}")
-        return cls({(0, 0): s})
+    __slots__ = ()
+    _CONST_KEY = (0, 0)
 
     @classmethod
     def one(cls) -> BiPoly:
         return cls({(0, 0): AlgScalar.one()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other) -> BiPoly:
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return BiPoly(out)
-
-    def __neg__(self) -> BiPoly:
-        return BiPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other) -> BiPoly:
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other) -> BiPoly:
-        if isinstance(other, BiPoly):
-            out: dict[tuple[int, int], AlgScalar] = {}
-            for (a1, b1), c1 in self.terms.items():
-                for (a2, b2), c2 in other.terms.items():
-                    k = (a1 + a2, b1 + b2)
-                    p = c1 * c2
-                    out[k] = out[k] + p if k in out else p
-            return BiPoly(out)
-        s = _as_scalar(other)
-        if s is None:
-            return NotImplemented
-        return BiPoly({k: c * s for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BiPoly):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if type(other) is not BiPoly:
+            return self._scale(other)
+        out: dict[tuple[int, int], AlgScalar] = {}
+        for (a1, b1), c1 in self.terms.items():
+            for (a2, b2), c2 in other.terms.items():
+                k = (a1 + a2, b1 + b2)
+                p = c1 * c2
+                out[k] = out[k] + p if k in out else p
+        return BiPoly(out)
 
     def conj(self) -> BiPoly:
         return BiPoly({(b, a): c.conj() for (a, b), c in self.terms.items()})
@@ -256,7 +220,11 @@ class BiPoly:
 
 
 class RationalFn:
-    """Quotient of two BiPolys, reduced only by common monomial content."""
+    """Quotient of two BiPolys, reduced only by common monomial content.
+
+    Two quotients are equal when their cross products agree, so a
+    RationalFn has no hash.
+    """
 
     __slots__ = ("num", "den")
 
@@ -275,91 +243,10 @@ class RationalFn:
         self.num = num
         self.den = den
 
-    @staticmethod
-    def _coerce(other) -> RationalFn | None:
-        if isinstance(other, RationalFn):
-            return other
-        if isinstance(other, BiPoly):
-            return RationalFn(other, BiPoly.one())
-        if isinstance(other, Poly):
-            return RationalFn(other.to_bipoly(), BiPoly.one())
-        s = _as_scalar(other)
-        if s is not None:
-            return RationalFn(BiPoly.const(s), BiPoly.one())
-        return None
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __add__(self, other) -> RationalFn:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFn(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> RationalFn:
-        return RationalFn(-self.num, self.den)
-
-    def __sub__(self, other) -> RationalFn:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> RationalFn:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other) -> RationalFn:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFn(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> RationalFn:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFn(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other) -> RationalFn:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
+        if type(other) is not RationalFn:
             return NotImplemented
-        return (self.num * o.den - o.num * self.den).is_zero()
-
-    def __hash__(self):
-        raise TypeError("RationalFn is unhashable (equality is cross-multiplied)")
-
-    def diff_z(self) -> RationalFn:
-        return RationalFn(
-            self.num.diff_z() * self.den - self.num * self.den.diff_z(),
-            self.den * self.den,
-        )
-
-    def diff_zbar(self) -> RationalFn:
-        return RationalFn(
-            self.num.diff_zbar() * self.den - self.num * self.den.diff_zbar(),
-            self.den * self.den,
-        )
-
-    def conj(self) -> RationalFn:
-        return RationalFn(self.num.conj(), self.den.conj())
+        return (self.num * other.den - other.num * self.den).is_zero()
 
     def constant_value(self) -> AlgScalar:
         """The scalar c with num = c * den, when the function is constant.

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supermin import catalog, cli, serialize
 from supermin.field import AlgScalar
@@ -99,16 +102,130 @@ def test_curve_rejects_malformed_shape(curve11, shape):
         serialize.curve_from_obj(malformed(obj, shape))
 
 
-@pytest.mark.parametrize("shape", MALFORMED)
-def test_cli_malformed_curve_exits_2(curve11, shape, tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(malformed(serialize.curve_to_obj(curve11, (1, 1)), shape)))
-    code = cli.main(["sample", str(path), "-n", "8", "--out", str(tmp_path / "pts.json")])
-    out, err = capsys.readouterr()
+def run_main(argv):
+    """cli.main in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_usage_exit(code, out, err):
     assert code == 2
     assert err.startswith("invalid input: ") and len(err.splitlines()) == 1
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("shape", MALFORMED)
+def test_cli_malformed_curve_exits_2(curve11, shape, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(malformed(serialize.curve_to_obj(curve11, (1, 1)), shape)))
+    assert_clean_usage_exit(
+        *run_main(["sample", str(path), "-n", "8", "--out", str(tmp_path / "pts.json")])
+    )
     assert not (tmp_path / "pts.json").exists()
+
+
+def test_cli_deeply_nested_curve_exits_2(tmp_path):
+    """The JSON parser gives up on deep nesting with a RecursionError; the
+    loader reports it as malformed input, not as a failed run."""
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000)
+    assert_clean_usage_exit(*run_main(["verify", str(path)]))
+
+
+# Property tests of the input boundary: arbitrary JSON values and one-node
+# mutations of a gen record either load as a curve or raise ValueError,
+# and the command line turns every rejection into one line and exit 2.
+
+GEN11 = serialize.curve_to_obj(catalog.example_family(1, 1), (1, 1))
+
+
+def json_paths(obj, path=()):
+    """The key path of every node of a JSON tree, the root's included."""
+    yield path
+    if isinstance(obj, dict):
+        children = obj.items()
+    elif isinstance(obj, list):
+        children = enumerate(obj)
+    else:
+        return
+    for key, child in children:
+        yield from json_paths(child, path + (key,))
+
+
+rationals = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**12))
+SCHEMA_WORDS = ("basis", "components", "k", "e", "0", "1/2", "-7/3", "1/0")
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from(SCHEMA_WORDS),
+    lambda children: st.lists(children, max_size=8)
+    | st.dictionaries(st.text() | st.sampled_from(SCHEMA_WORDS), children, max_size=4),
+    max_leaves=24,
+)
+
+
+@st.composite
+def gen_record_mutations(draw):
+    """The (1, 1) gen record with one node replaced by a random JSON value,
+    or by an exponent or a rational string, which may leave it valid."""
+    path = draw(st.sampled_from(list(json_paths(GEN11))))
+    value = draw(json_values | st.integers(0, 12) | rationals.map(str))
+    if not path:
+        return value
+    record = json.loads(json.dumps(GEN11))
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return record
+
+
+curve_inputs = json_values | gen_record_mutations()
+
+
+def rejected(obj) -> bool:
+    try:
+        serialize.curve_from_obj(obj)
+    except ValueError:
+        return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(curve_inputs)
+def test_curve_from_obj_gives_a_curve_or_valueerror(obj):
+    try:
+        curve, _k = serialize.curve_from_obj(obj)
+    except ValueError:
+        return
+    assert len(curve) == 7 and all(type(c) is Poly for c in curve)
+
+
+@settings(max_examples=100, deadline=None)
+@given(curve_inputs.filter(rejected))
+def test_cli_rejects_malformed_input_in_one_line(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_curve.json"
+    path.write_text(json.dumps(obj))
+    assert_clean_usage_exit(*run_main(["verify", str(path)]))
+
+
+sparse_scalars = st.dictionaries(
+    st.integers(0, 7), st.tuples(rationals, rationals), max_size=3
+).map(AlgScalar)
+sparse_polys = st.dictionaries(st.integers(0, 60), sparse_scalars, max_size=4).map(Poly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(sparse_polys, min_size=7, max_size=7).map(tuple),
+    st.none() | st.tuples(st.integers(1, 9), st.integers(1, 9)),
+)
+def test_random_sparse_curves_round_trip(curve, k):
+    text = serialize.dumps_canonical(serialize.curve_to_obj(curve, k))
+    back, k_back = serialize.curve_from_obj(json.loads(text))
+    assert back == curve
+    assert k_back == k
 
 
 def test_scalar_rejects_non_strings():
