@@ -17,11 +17,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .field import AlgScalar
+from .field import AlgScalar, as_scalar
 from .g2 import _conj, add_vec, dot, hdot, scale_vec, u_basis
 from .poly import Poly
 
 _DIM = 7
+# float tolerances of reality_check (relative) and is_circle_symmetric
+_REALITY_TOL = 1e-9
+_CIRCLE_TOL = 1e-12
+
+
+def _nonzero(x, tol: float) -> bool:
+    """Exact test for an AlgScalar, |x| > tol for a float."""
+    return bool(x) if isinstance(x, AlgScalar) else abs(x) > tol
 
 
 # --------------------------------------------------------------- type patterns
@@ -128,17 +136,15 @@ def lowest_curve() -> tuple[Poly, ...]:
 
 @dataclass(frozen=True)
 class NormalFormCurve:
-    """A curve of the shape sum_p z^(K_p) h_p(z) v_p.
+    """A curve of the shape sum_p z^(K_p) v_p.
 
     ``vectors`` are the seven direction vectors in e-coordinates (entries
-    exact AlgScalar or complex), ``exponents`` the strictly increasing
-    ladder K_0..K_6, ``spec`` the gap pattern generating the ladder, and
-    ``units`` optional polynomial unit factors h_p (None means all 1).
+    exact AlgScalar or complex), ``spec`` the gap pattern generating the
+    strictly increasing ladder K_0..K_6 of ``exponents``.
     """
 
     spec: SingularityTypeSpec
     vectors: tuple[tuple, ...]
-    units: tuple[Poly, ...] | None = None
 
     def __post_init__(self):
         if len(self.vectors) != _DIM or any(len(v) != _DIM for v in self.vectors):
@@ -159,10 +165,8 @@ class NormalFormCurve:
         if not self.is_exact():
             raise TypeError("normal form has float entries; use evaluate() instead")
         comps = [Poly() for _ in range(_DIM)]
-        for p, (exp, v) in enumerate(zip(self.exponents, self.vectors)):
+        for exp, v in zip(self.exponents, self.vectors):
             term = Poly.monomial(exp)
-            if self.units is not None:
-                term = term * self.units[p]
             for c in range(_DIM):
                 comps[c] = comps[c] + term * Poly.const(v[c])
         return tuple(comps)
@@ -170,34 +174,25 @@ class NormalFormCurve:
     def evaluate(self, z: complex) -> np.ndarray:
         """Float value of the curve at z (works for float parameter data)."""
         out = np.zeros(_DIM, dtype=complex)
-        for p, (exp, v) in enumerate(zip(self.exponents, self.vectors)):
-            w = z**exp
-            if self.units is not None:
-                w *= self.units[p](z)
-            out += w * np.array([complex(c) for c in v])
+        for exp, v in zip(self.exponents, self.vectors):
+            out += z**exp * np.array([complex(c) for c in v])
         return out
 
     def derivative_value(self, z: complex) -> np.ndarray:
-        if self.units is not None:
-            raise NotImplementedError("derivative with unit factors not needed")
         out = np.zeros(_DIM, dtype=complex)
         for exp, v in zip(self.exponents, self.vectors):
             if exp:
                 out += exp * z ** (exp - 1) * np.array([complex(c) for c in v])
         return out
 
-    def is_circle_symmetric(self, tol: float = 1e-12) -> bool:
+    def is_circle_symmetric(self) -> bool:
         """True when the direction vectors are mutually hermitian-orthogonal,
         which makes the curve invariant under rotations of z up to symmetry."""
-        for i in range(_DIM):
-            for j in range(i + 1, _DIM):
-                val = hdot(self.vectors[i], self.vectors[j])
-                if isinstance(val, AlgScalar):
-                    if val:
-                        return False
-                elif abs(val) > tol:
-                    return False
-        return True
+        return not any(
+            _nonzero(hdot(self.vectors[i], self.vectors[j]), _CIRCLE_TOL)
+            for i in range(_DIM)
+            for j in range(i + 1, _DIM)
+        )
 
 
 def normal_form_of(curve, spec: SingularityTypeSpec) -> NormalFormCurve:
@@ -243,37 +238,27 @@ def lambda_weights(spec: SingularityTypeSpec, j: int) -> AlgScalar:
     return AlgScalar.rational(Fraction(num, den))
 
 
-def reality_check(form: NormalFormCurve, tol: float = 1e-9):
+def reality_check(form: NormalFormCurve):
     """Test the pairing pattern that makes the image sphere real.
 
     The bilinear products of the direction vectors must vanish except on
     the antidiagonal, where (v_j, v_{6-j}) = (-1)^j * mu * lambda_j for one
     common constant mu.  Returns (ok, mu); mu is solved from the (0, 6)
     pairing and verified everywhere else.  Exact vectors are tested
-    exactly, float vectors against ``tol``.
+    exactly, float vectors to a tolerance relative to the largest entry.
     """
-    exact = form.is_exact()
     lam = [lambda_weights(form.spec, j) for j in range(_DIM)]
-    mu = dot(form.vectors[0], form.vectors[6])
-    if exact:
-        mu = mu * lam[0].inverse()
-    else:
-        mu = complex(mu) / complex(lam[0])
-    scale = max(abs(complex(c)) for v in form.vectors for c in v) ** 2
+    if not form.is_exact():
+        lam = [complex(x) for x in lam]
+    vectors = form.vectors
+    mu = dot(vectors[0], vectors[6]) / lam[0]
+    scale = max(abs(complex(c)) for v in vectors for c in v) ** 2
     if scale == 0.0:
         scale = 1.0
     for j in range(_DIM):
         for i in range(_DIM):
-            got = dot(form.vectors[j], form.vectors[i])
-            want = AlgScalar.zero() if exact else 0j
-            if i == 6 - j:
-                want = mu * lam[j]
-                if j % 2:
-                    want = -want
-            if exact:
-                if got != want:
-                    return False, mu
-            elif abs(complex(got) - complex(want)) > tol * scale:
+            want = (-1) ** j * mu * lam[j] if i == 6 - j else 0
+            if _nonzero(dot(vectors[j], vectors[i]) - want, _REALITY_TOL * scale):
                 return False, mu
     return True, mu
 
@@ -295,7 +280,7 @@ class RFamilyParams:
     r8: object = 1
 
     def __post_init__(self):
-        if _is_zero(self.r1) or _is_zero(self.r8):
+        if self.r1 == 0 or self.r8 == 0:
             raise ValueError("corner parameters r1 and r8 must be nonzero")
 
     def as_tuple(self) -> tuple:
@@ -305,12 +290,6 @@ class RFamilyParams:
         return all(
             isinstance(r, (AlgScalar, int, Fraction)) for r in self.as_tuple()
         )
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, AlgScalar):
-        return x.is_zero()
-    return x == 0
 
 
 def r_family(spec: SingularityTypeSpec, params: RFamilyParams) -> NormalFormCurve:
@@ -323,26 +302,15 @@ def r_family(spec: SingularityTypeSpec, params: RFamilyParams) -> NormalFormCurv
     diagonal (circle-symmetric) form.
     """
     k1, k2 = spec.k1, spec.k2
-    exact = params.is_exact()
-    if exact:
-        r1, r2, r3, r4, r5, r6, r7, r8 = (
-            x if isinstance(x, AlgScalar) else AlgScalar.rational(x)
-            for x in params.as_tuple()
-        )
-        sqrt2 = AlgScalar.root(2)
-        half = AlgScalar.rational(1, 2)
-
-        def rat(n, d):
-            return AlgScalar.rational(Fraction(n, d))
-
+    if params.is_exact():
+        r1, r2, r3, r4, r5, r6, r7, r8 = (as_scalar(x) for x in params.as_tuple())
+        sqrt2, basis = AlgScalar.root(2), u_basis()
     else:
         r1, r2, r3, r4, r5, r6, r7, r8 = (complex(x) for x in params.as_tuple())
         sqrt2 = complex(np.sqrt(2.0))
-        half = 0.5
-
-        def rat(n, d):
-            return n / d
-
+        basis = tuple(tuple(complex(c) for c in u) for u in u_basis())
+    # a Fraction times an AlgScalar stays exact, times a complex is n/d in float
+    rat, half = Fraction, Fraction(1, 2)
     den2 = (2 * k1 + k2)
     den3 = (3 * k1 + k2)
     den32 = (3 * k1 + 2 * k2)
@@ -385,25 +353,16 @@ def r_family(spec: SingularityTypeSpec, params: RFamilyParams) -> NormalFormCurv
             (r3, 3),
             (r4, 4),
             (r5, 5),
-            (1 if not exact else AlgScalar.one(), 6),
+            (1, 6),
         ),
     )
-    basis = u_basis()
-    if not exact:
-        basis = tuple(np.array([complex(c) for c in u]) for u in basis)
     vectors = []
     for combo in combos:
-        if exact:
-            vec = None
-            for coeff, q in combo:
-                term = scale_vec(coeff, basis[q])
-                vec = term if vec is None else add_vec(vec, term)
-            vectors.append(tuple(vec))
-        else:
-            vec = np.zeros(_DIM, dtype=complex)
-            for coeff, q in combo:
-                vec = vec + complex(coeff) * basis[q]
-            vectors.append(tuple(vec))
+        vec = None
+        for coeff, q in combo:
+            term = scale_vec(coeff, basis[q])
+            vec = term if vec is None else add_vec(vec, term)
+        vectors.append(vec)
     return NormalFormCurve(spec=spec, vectors=tuple(vectors))
 
 

@@ -20,7 +20,6 @@ from fractions import Fraction
 
 # radicand represented by each mask: bit0 -> 2, bit1 -> 3, bit2 -> 5
 RADICAL = (1, 2, 3, 6, 5, 10, 15, 30)
-_PRIMES = (2, 3, 5)
 
 # fixed mask order used when a scalar is flattened to coefficient lists
 # (sorted by radicand value: 1, 2, 3, 5, 6, 10, 15, 30)
@@ -28,16 +27,6 @@ MASK_ORDER = (0, 1, 2, 4, 3, 5, 6, 7)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _common_square(m1: int, m2: int) -> int:
-    """Integer pulled out when sqrt(RADICAL[m1]) * sqrt(RADICAL[m2]) reduces."""
-    g = 1
-    shared = m1 & m2
-    for bit, p in enumerate(_PRIMES):
-        if shared >> bit & 1:
-            g *= p
-    return g
 
 
 class AlgScalar:
@@ -162,7 +151,7 @@ class AlgScalar:
         out: dict[int, tuple[Fraction, Fraction]] = {}
         for m1, (a, b) in self._terms.items():
             for m2, (c, d) in o._terms.items():
-                g = _common_square(m1, m2)
+                g = RADICAL[m1 & m2]
                 m = m1 ^ m2
                 re = (a * c - b * d) * g
                 im = (a * d + b * c) * g

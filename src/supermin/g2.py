@@ -228,24 +228,22 @@ def mat_mul(a, b) -> tuple:
         tuple(dot(a[i], mat_col(b, j)) for j in range(7)) for i in range(7)
     )
 
-def mat_det(m):
-    """Determinant over the exact field by Gaussian elimination."""
+def mat_rank(m) -> int:
+    """Rank of a matrix over the exact field, by Gaussian elimination."""
     rows = [list(r) for r in m]
-    det = AlgScalar.one()
-    for c in range(7):
-        pivot = next((r for r in range(c, 7) if rows[r][c]), None)
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
         if pivot is None:
-            return AlgScalar.zero()
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det = det * rows[c][c]
-        inv = rows[c][c].inverse()
-        for r in range(c + 1, 7):
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][c].inverse()
+        for r in range(rank + 1, len(rows)):
             if rows[r][c]:
                 f = rows[r][c] * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-    return det
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def g2c_membership(m, tol: float | None = None) -> bool:
@@ -272,7 +270,7 @@ def g2c_membership(m, tol: float | None = None) -> bool:
             elif max(abs(complex(x)) for x in resid) > tol:
                 return False
     if tol is None:
-        return bool(mat_det(m))
+        return mat_rank(m) == 7
     import numpy as np
 
     return abs(np.linalg.det(np.array(m, dtype=complex))) > tol

@@ -37,6 +37,13 @@ from .g2 import cross, proportional, wedge_pair  # noqa: F401
 from .poly import BiPoly, Poly, RationalFn
 
 _DIM = 7
+# the float part of the cross-table check: a fixed, seeded set of points
+# where every squared norm is at least _MIN_NORM, and the error allowed
+# in each measured frame constant
+_SAMPLE_COUNT = 10
+_SAMPLE_SEED = 2026
+_MIN_NORM = 1e-8
+_SCALAR_TOL = 1e-8
 
 
 def _curve_tuple(curve) -> tuple[Poly, ...]:
@@ -210,9 +217,9 @@ class _ReversedSequence(HarmonicSequence):
     """The chain of ``source`` in the chart w = 1/z, derived by reversal.
 
     With e_p = (p+1)(N-p), the stage-p minors are (-1)^(p(p+1)/2) times the
-    source's reversed by e_p; so D_p is reversed by e_p in z and zbar, E_p
-    by (e_p, e_{p-1}) with sign (-1)^p, and each curvature density a_{p+1}/a_p
-    becomes |w|^-4 times its value at 1/w.
+    source's reversed by e_p; so D_p is reversed by e_p in z and zbar, and
+    each curvature density a_{p+1}/a_p becomes |w|^-4 times its value at
+    1/w.  The sections E_p follow from the reversed minors as in any chain.
     """
 
     def __init__(self, source: HarmonicSequence):
@@ -234,17 +241,6 @@ class _ReversedSequence(HarmonicSequence):
     def _dets(self) -> tuple[BiPoly, ...]:
         dets = [self._source.gram_det(p).reverse(e) for p, e in enumerate(self._exps)]
         return (*dets, BiPoly())
-
-    @cached_property
-    def raw_sections(self) -> tuple[tuple[BiPoly, ...], ...]:
-        source = self._source.raw_sections
-        sections = []
-        for p, e in enumerate(self._exps):
-            e_prev = self._exps[p - 1] if p else 0
-            comps = (c.reverse(e, e_prev) for c in source[p])
-            sections.append(tuple(-c if p % 2 else c for c in comps))
-        sections.append(source[_DIM])
-        return tuple(sections)
 
     @cached_property
     def norm_ratios(self) -> tuple[RationalFn, ...]:
@@ -440,23 +436,20 @@ def measured_cross_constants(seq: HarmonicSequence, z: complex) -> dict:
     return out
 
 
-def regular_sample_points(
-    seq: HarmonicSequence, count: int = 10, *, rng=None, min_norm: float = 1e-8
-) -> list[complex]:
+def regular_sample_points(seq: HarmonicSequence) -> list[complex]:
     """Sample points where every squared norm is safely away from zero."""
-    if rng is None:
-        rng = np.random.default_rng(2026)
+    rng = np.random.default_rng(_SAMPLE_SEED)
     points: list[complex] = []
-    while len(points) < count:
+    while len(points) < _SAMPLE_COUNT:
         z = complex(rng.uniform(0.35, 1.2) * np.exp(2j * np.pi * rng.uniform()))
         vals = [seq.norms[p](z) for p in range(_DIM)]
-        if min(abs(v) for v in vals) >= min_norm:
+        if min(abs(v) for v in vals) >= _MIN_NORM:
             points.append(z)
     return points
 
 
 def check_cross_table(
-    seq: HarmonicSequence, *, samples: list[complex] | None = None, tol: float = 1e-8
+    seq: HarmonicSequence, *, samples: list[complex] | None = None
 ) -> dict:
     """Verify the frame multiplication table at all three levels.
 
@@ -467,7 +460,8 @@ def check_cross_table(
         (``g2.proportional``; exact, equivalent to every 2x2 minor
         vanishing since BiPolys form an integral domain);
     (c) the proportionality scalars, read off in the unit gauge at sample
-        points, match the table's integer multiples of i within tol.
+        points, match the table's integer multiples of i within
+        ``_SCALAR_TOL``.
     """
     zero_ok: dict[tuple[int, int], bool] = {}
     prop_ok: dict[tuple[int, int], bool] = {}
@@ -496,8 +490,8 @@ def check_cross_table(
         "zero_entries_exact": zero_ok,
         "proportional_entries_exact": prop_ok,
         "max_scalar_error": worst,
-        "scalars_match": worst <= tol,
+        "scalars_match": worst <= _SCALAR_TOL,
         "all_passed": bool(
-            all(zero_ok.values()) and all(prop_ok.values()) and worst <= tol
+            all(zero_ok.values()) and all(prop_ok.values()) and worst <= _SCALAR_TOL
         ),
     }

@@ -183,12 +183,9 @@ class BiPoly(_SparsePoly):
     def diff_zbar(self) -> BiPoly:
         return BiPoly({(a, b - 1): c * b for (a, b), c in self.terms.items() if b})
 
-    def reverse(self, total: int, total_bar: int | None = None) -> BiPoly:
-        """z^total * zbar^total_bar * p(1/z, 1/zbar); total_bar defaults to
-        total, and both must cover the degrees."""
-        if total_bar is None:
-            total_bar = total
-        out = {(total - a, total_bar - b): c for (a, b), c in self.terms.items()}
+    def reverse(self, total: int) -> BiPoly:
+        """z^total * zbar^total * p(1/z, 1/zbar); total must cover the degrees."""
+        out = {(total - a, total - b): c for (a, b), c in self.terms.items()}
         if any(a < 0 or b < 0 for a, b in out):
             raise ValueError("reversal exponent smaller than degree")
         return BiPoly(out)

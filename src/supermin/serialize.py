@@ -11,6 +11,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .field import AlgScalar, MASK_ORDER
@@ -43,8 +44,14 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+# Fraction alone would also take decimals, exponents, underscores, spaces
+# and non-ASCII digits, and "1e10000000" would take seconds to expand.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _rational(s) -> Fraction:
     _require(isinstance(s, str), f"rational must be a 'p/q' string, got {s!r}")
+    _require(_RATIONAL.fullmatch(s) is not None, f"not a rational 'p/q' string: {s!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):

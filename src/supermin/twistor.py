@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import AlgScalar
-from .g2 import cross, dot, hdot, scale_vec
+from .g2 import cross, dot, hdot, mat_rank, scale_vec
 from .poly import Poly
 
 _REL_TOL = 1e-9
@@ -203,11 +203,6 @@ def sphere_image(curve, z: complex) -> np.ndarray:
 
 
 def linear_fullness_order(curve) -> int:
-    """Rank of the coefficient span; 7 means linearly full."""
+    """Exact rank of the coefficient span; 7 means linearly full."""
     exps = sorted({e for p in curve for e in p.terms})
-    if not exps:
-        return 0
-    m = np.array(
-        [[complex(p.terms.get(e, AlgScalar.zero())) for e in exps] for p in curve]
-    )
-    return int(np.linalg.matrix_rank(m, tol=1e-10))
+    return mat_rank([[p.terms.get(e, AlgScalar.zero()) for e in exps] for p in curve])

@@ -254,6 +254,37 @@ def test_rfamily_float_path():
         assert resid < 1e-12 * max(scale, 1.0)
 
 
+def test_rfamily_exact_and_complex_parameters_agree():
+    """One code path: the same parameters given exactly and as complex
+    numbers give the same curve, reality verdict and constant mu."""
+    spec = catalog.SingularityTypeSpec.from_pair(1, 2)
+    exact = (
+        AlgScalar.rational(2), AlgScalar.rational(1, 3), AlgScalar.root(2),
+        AlgScalar.rational(-1), AlgScalar.term(2, 0, Fraction(1, 2)),
+        AlgScalar.root(3), AlgScalar.rational(5), AlgScalar.i(),
+    )
+    form = catalog.r_family(spec, catalog.RFamilyParams(*exact))
+    floats = catalog.r_family(spec, catalog.RFamilyParams(*(complex(r) for r in exact)))
+    assert form.is_exact() and not floats.is_exact()
+    for z in (0.4 + 0.2j, -0.9 + 0.6j, 1.3 - 0.5j):
+        want = form.evaluate(z)
+        assert np.linalg.norm(floats.evaluate(z) - want) <= 1e-12 * np.linalg.norm(want)
+    ok, mu = catalog.reality_check(form)
+    ok_f, mu_f = catalog.reality_check(floats)
+    assert ok and ok_f
+    assert abs(mu_f - complex(mu)) <= 1e-12 * abs(complex(mu))
+
+
+def test_reality_check_float_detects_breakage():
+    spec = catalog.SingularityTypeSpec.from_pair(1, 1)
+    form = catalog.r_family(spec, catalog.RFamilyParams(r1=1.5 + 0.25j, r3=0.7, r8=2.0))
+    assert catalog.reality_check(form)[0]
+    vectors = list(form.vectors)
+    vectors[0] = tuple(1.001 * c for c in vectors[0])
+    broken = catalog.NormalFormCurve(spec=spec, vectors=tuple(vectors))
+    assert not catalog.reality_check(broken)[0]
+
+
 # ---------------------------------------------------------------------------
 # normalizer
 # ---------------------------------------------------------------------------

@@ -88,10 +88,23 @@ def malformed(obj, shape):
         bad["k"] = [0, -3]
     elif shape == "exponent_1_5":
         bad["components"][0][0][0] = 1.5
+    elif shape in NOT_P_OVER_Q:
+        bad["components"][0][0][1][0] = NOT_P_OVER_Q[shape]
     return bad
 
 
-MALFORMED = ("integer_components", "scalar_1_over_0", "k_scalar", "k_negative", "exponent_1_5")
+# strings fractions.Fraction parses although they are not ASCII "p/q"
+NOT_P_OVER_Q = {
+    "scalar_decimal": "1.5",
+    "scalar_spaced_underscore": " 1_0 ",
+    "scalar_non_ascii_digit": "\u0663",
+    "scalar_exponent": "1e10000000",
+}
+
+MALFORMED = (
+    "integer_components", "scalar_1_over_0", "k_scalar", "k_negative", "exponent_1_5",
+    *NOT_P_OVER_Q,
+)
 
 
 @pytest.mark.parametrize("shape", MALFORMED)

@@ -179,6 +179,17 @@ def test_family_curves_are_superhorizontal_quadric(family_curves):
         assert twistor.linear_fullness_order(curve) == 7, pair
 
 
+def test_linear_fullness_is_exact_at_any_scale(curve11):
+    """A tiny overall factor changes no rank; a float rank with an absolute
+    cutoff would see the scaled coefficients as zero."""
+    from supermin.poly import Poly
+
+    tiny = Poly.const(AlgScalar.rational(1, 10**12))
+    scaled = tuple(tiny * c for c in curve11)
+    assert twistor.linear_fullness_order(scaled) == 7
+    assert twistor.linear_fullness_order((*curve11[:3], *(Poly(),) * 4)) == 3
+
+
 def test_perturbed_curve_fails_superhorizontality(curve11):
     bad = list(curve11)
     comp = dict(bad[3].terms)
