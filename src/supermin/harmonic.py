@@ -2,7 +2,7 @@
 
 Starting from a polynomial curve f0 the module produces the full chain of
 osculating directions f0, f1, ..., f6 ("the sequence") together with the
-squared norms and the ladder of identities that a superminimal almost
+Gram determinants and the ladder of identities that a superminimal almost
 complex 2-sphere must satisfy.
 
 Everything is read off one table of osculating minors: with F_i the i-th
@@ -38,8 +38,8 @@ from .poly import BiPoly, Poly, RationalFn
 
 _DIM = 7
 # the float part of the cross-table check: a fixed, seeded set of points
-# where every squared norm is at least _MIN_NORM, and the error allowed
-# in each measured frame constant
+# where each |D_p| is at least _MIN_NORM times the sum of its terms' moduli,
+# and the error allowed in each measured frame constant
 _SAMPLE_COUNT = 10
 _SAMPLE_SEED = 2026
 _MIN_NORM = 1e-8
@@ -118,9 +118,8 @@ class HarmonicSequence:
     derivatives : tower of z-derivatives, orders 0..6.
     minors : the osculating minors W_0..W_6 (``wedge_table`` of the tower).
     raw_sections : unnormalized sections E_0..E_7 (7-vectors of BiPoly).
-    norms : squared norms a_0..a_6 (a_p = D_p / D_{p-1}).
-    norm_ratios : a_{p+1} / a_p for p = 0..5 (the curvature densities that
-        integrate to the osculating degrees).
+    ``norm_value`` and ``density_value`` evaluate the squared norm a_p and
+    the curvature density a_{p+1}/a_p from the values of the D_p.
     """
 
     def __init__(self, curve):
@@ -169,22 +168,6 @@ class HarmonicSequence:
         sections.append(tuple(BiPoly() for _ in range(_DIM)))
         return tuple(sections)
 
-    @cached_property
-    def norms(self) -> tuple[RationalFn, ...]:
-        return tuple(
-            RationalFn(self.gram_det(p), self.gram_det(p - 1)) for p in range(_DIM)
-        )
-
-    @cached_property
-    def norm_ratios(self) -> tuple[RationalFn, ...]:
-        return tuple(
-            RationalFn(
-                self.gram_det(p + 1) * self.gram_det(p - 1),
-                self.gram_det(p) * self.gram_det(p),
-            )
-            for p in range(_DIM - 1)
-        )
-
     def terminates(self) -> bool:
         """True when the chain closes up: the 7th section is identically 0."""
         return self.gram_det(_DIM).is_zero() and all(
@@ -210,16 +193,29 @@ class HarmonicSequence:
         return np.array([comp(z) for comp in self.raw_sections[p]]) / den
 
     def norm_value(self, p: int, z: complex) -> complex:
-        return self.norms[p](z)
+        """Float value of a_p = D_p / D_{p-1} at z."""
+        return self.gram_det(p)(z) / self.gram_det(p - 1)(z)
+
+    def density_value(self, p: int, z):
+        """Float a_{p+1}/a_p = D_{p+1} D_{p-1} / D_p^2 at z, a point or an array.
+
+        Each D_q is divided by its content |z|^(2 c_q) before it is evaluated,
+        which keeps small |z| from underflowing; the factor |z|^(2k) left over
+        (k = c_{p+1} - 2 c_p + c_{p-1}, the ramification index) is applied once.
+        """
+        dets = [self.gram_det(q) for q in (p - 1, p, p + 1)]
+        c = [d.content()[0] for d in dets]
+        lo, mid, hi = (d.shift_down(e, e)(z) for d, e in zip(dets, c))
+        return hi * lo / (mid * mid) * abs(z) ** (2 * (c[2] - 2 * c[1] + c[0]))
 
 
 class _ReversedSequence(HarmonicSequence):
     """The chain of ``source`` in the chart w = 1/z, derived by reversal.
 
     With e_p = (p+1)(N-p), the stage-p minors are (-1)^(p(p+1)/2) times the
-    source's reversed by e_p; so D_p is reversed by e_p in z and zbar, and
-    each curvature density a_{p+1}/a_p becomes |w|^-4 times its value at
-    1/w.  The sections E_p follow from the reversed minors as in any chain.
+    source's reversed by e_p; so D_p is reversed by e_p in z and zbar, and as
+    e_p has second difference -2, ``density_value`` gives |w|^-4 times the
+    source's density at 1/w.  The sections E_p follow as in any chain.
     """
 
     def __init__(self, source: HarmonicSequence):
@@ -241,14 +237,6 @@ class _ReversedSequence(HarmonicSequence):
     def _dets(self) -> tuple[BiPoly, ...]:
         dets = [self._source.gram_det(p).reverse(e) for p, e in enumerate(self._exps)]
         return (*dets, BiPoly())
-
-    @cached_property
-    def norm_ratios(self) -> tuple[RationalFn, ...]:
-        out = []
-        for g in self._source.norm_ratios:  # |w|^-4 g(1/w)
-            top = max(max(k) for k in (*g.num.terms, *g.den.terms))
-            out.append(RationalFn(g.num.reverse(top), g.den.reverse(top + 2)))
-        return tuple(out)
 
 
 def build_sequence(curve) -> HarmonicSequence:
@@ -437,13 +425,24 @@ def measured_cross_constants(seq: HarmonicSequence, z: complex) -> dict:
 
 
 def regular_sample_points(seq: HarmonicSequence) -> list[complex]:
-    """Sample points where every squared norm is safely away from zero."""
+    """Sample points where no Gram determinant comes near zero.
+
+    |D_p(z)| must be at least _MIN_NORM * sum |c_ab| |z|^(a+b) over the terms
+    of D_p.  Both sides scale alike, so f and lambda * f get the same points.
+    """
+    sizes = [
+        [(a + b, abs(complex(c))) for (a, b), c in seq.gram_det(p).terms.items()]
+        for p in range(_DIM)
+    ]
     rng = np.random.default_rng(_SAMPLE_SEED)
     points: list[complex] = []
     while len(points) < _SAMPLE_COUNT:
         z = complex(rng.uniform(0.35, 1.2) * np.exp(2j * np.pi * rng.uniform()))
-        vals = [seq.norms[p](z) for p in range(_DIM)]
-        if min(abs(v) for v in vals) >= _MIN_NORM:
+        r = abs(z)
+        if all(
+            abs(seq.gram_det(p)(z)) >= _MIN_NORM * sum(m * r**e for e, m in size)
+            for p, size in enumerate(sizes)
+        ):
             points.append(z)
     return points
 

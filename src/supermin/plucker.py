@@ -133,16 +133,17 @@ def degrees_numeric(
 ) -> float:
     """The p-th degree as (1/pi) times the integral of the curvature density.
 
-    The density a_{p+1}/a_p is integrated over the sphere in two charts:
-    the unit disc directly, and the unit disc of the substituted coordinate
-    w = 1/z, where the density is |w|^-4 a_{p+1}/a_p (1/w), the exact
-    reversal of the first chart's (``HarmonicSequence.reversed_sequence``).
-    Radial Gauss-Legendre times a uniform angular grid, with node doubling
-    until two successive estimates agree.
+    The density a_{p+1}/a_p = D_{p+1} D_{p-1} / D_p^2 is integrated over
+    the sphere in two charts, the unit discs of z and of w = 1/z: each
+    chart's ``density_value`` evaluates its own D_q, content divided out,
+    and the chart at w is the reversal (``reversed_sequence``), so its
+    density is |w|^-4 times the first's at 1/w.  Radial Gauss-Legendre
+    times a uniform angular grid, with node doubling until two successive
+    estimates agree.
     """
     if not 0 <= p <= 5:
         raise ValueError("degree index must lie in 0..5")
-    gammas = (seq.norm_ratios[p], seq.reversed_sequence().norm_ratios[p])
+    charts = (seq, seq.reversed_sequence())
 
     def estimate(n: int) -> float:
         x, w = np.polynomial.legendre.leggauss(n)
@@ -152,8 +153,8 @@ def degrees_numeric(
         theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
         z = r[:, None] * np.exp(1j * theta)[None, :]
         total = 0.0
-        for gamma in gammas:
-            vals = gamma(z).real
+        for chart in charts:
+            vals = chart.density_value(p, z).real
             total += float((wr * r) @ vals.sum(axis=1)) * (2.0 * np.pi / m)
         return total / np.pi
 

@@ -6,6 +6,10 @@ import sys
 
 import pytest
 
+from supermin import cli, harmonic
+from supermin.field import AlgScalar
+from supermin.serialize import curve_to_obj, dumps_canonical
+
 CLI = [sys.executable, "-m", "supermin.cli"]
 
 
@@ -97,6 +101,22 @@ def test_verify_perturbed_curve_fails(perturbed_file, tmp_path):
     assert res.stderr.strip()
 
 
+def test_verify_scaled_curve_passes(curve11, seq11, tmp_path):
+    """The (1,1) member times 10^-6 is as null, superhorizontal and linearly
+    full as the member; the sample guard scales with the curve, so verify
+    must finish and pass rather than reject every draw.  Only then are the
+    sample points compared in process, where a hang would have no timeout."""
+    small = AlgScalar.rational(1, 10**6)
+    path = tmp_path / "small.json"
+    path.write_text(dumps_canonical(curve_to_obj(tuple(c * small for c in curve11))))
+    res = run_cli("verify", str(path), timeout=120)
+    assert res.returncode == 0, res.stderr
+    want = harmonic.regular_sample_points(seq11)
+    for s in (small, AlgScalar.rational(10**6)):
+        scaled = harmonic.build_sequence(tuple(c * s for c in curve11))
+        assert harmonic.regular_sample_points(scaled) == want
+
+
 def test_verify_missing_file_is_io_error():
     assert run_cli("verify", "/tmp/definitely-not-here.json").returncode == 3
 
@@ -145,6 +165,14 @@ def test_integrate_forced_non_convergence(tmp_path):
     )
     assert res.returncode == 1
     assert "non-convergence" in res.stderr
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_integrate_rejects_non_finite_tol(tol, capsys):
+    """Checked before the curve file is read: this one does not exist."""
+    code = cli.main(["integrate", "/no/such/curve.json", "--p", "0", "--tol", tol])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("usage error:")
 
 
 def test_integrate_p_out_of_range(curve_file):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,10 +185,27 @@ def test_reversed_sequence_is_the_rebuilt_chart(family_curves, dense_curve):
         for p in range(8):
             assert rev.gram_det(p) == rebuilt.gram_det(p), p
             assert rev.raw_sections[p] == rebuilt.raw_sections[p], p
-        for p in range(6):
-            got, want = rev.norm_ratios[p], rebuilt.norm_ratios[p]
-            assert (got.num, got.den) == (want.num, want.den), p
+        for w in (0.52 - 0.31j, -0.7 + 0.45j, 1.1 + 0.2j):
+            for p in range(6):
+                want = seq.density_value(p, 1 / w) / abs(w) ** 4
+                assert abs(rev.density_value(p, w) - want) <= 1e-9 * abs(want), (p, w)
         assert plucker.singularity_type(curve, "inf") == plucker.singularity_type(flipped, 0)
+
+
+def test_density_near_zero_matches_exact_quotient(family_curves):
+    """On (3,2) the D_q vanish to order 2 c_q at 0 in both charts (c_6 = 35),
+    so at |z| = 1e-6 the raw D_6 and D_5^2 underflow and p = 5 would divide
+    0 by 0.  The density divides the contents out first and matches the
+    exact quotient, reduced by its monomial content, to 1e-9."""
+    seq = harmonic.build_sequence(family_curves[(3, 2)])
+    for chart in (seq, seq.reversed_sequence()):
+        d = chart.gram_det
+        for p in (0, 2, 3, 5):
+            exact = RationalFn(d(p + 1) * d(p - 1), d(p) * d(p))
+            for z in (1e-6, -0.6e-6 + 0.8e-6j):
+                got, want = chart.density_value(p, z), exact(z)
+                assert np.isfinite(got), (p, z)
+                assert abs(got - want) <= 1e-9 * abs(want), (p, z)
 
 
 def test_reality_proportionality(seq11):
@@ -282,24 +300,25 @@ def test_second_curve_identities(seq12):
 
 def test_gauge_covariance_under_polynomial_factor(curve11, seq11):
     """Multiplying the curve by (z + 1) rescales every norm by |z + 1|^2
-    and leaves the curvature densities untouched, all exactly."""
+    and leaves the curvature densities untouched, all exactly; the norm and
+    density identities are cross-multiplied Gram determinants."""
     lam = Poly.monomial(1) + Poly.const(1)
     lam2 = lam.to_bipoly() * lam.conj_factor()
     seq2 = harmonic.build_sequence(tuple(lam * c for c in curve11))
+    d, d2 = seq11.gram_det, seq2.gram_det
 
     power = BiPoly.one()
     for p in range(7):
         power = power * lam2  # (lam lambar)^(p+1)
-        assert seq2.gram_det(p) == power * seq11.gram_det(p), p
+        assert d2(p) == power * d(p), p
 
-    for p in range(7):
-        scaled = RationalFn(
-            seq11.gram_det(p) * lam2, seq11.gram_det(p - 1)
-        )
-        assert seq2.norms[p] == scaled, p
+    for p in range(7):  # a2_p = |lam|^2 a_p
+        assert d2(p) * d(p - 1) == lam2 * d(p) * d2(p - 1), p
 
-    for p in range(6):
-        assert seq2.norm_ratios[p] == seq11.norm_ratios[p], p
+    for p in range(6):  # a2_{p+1} / a2_p = a_{p+1} / a_p
+        assert (d2(p + 1) * d2(p - 1)) * (d(p) * d(p)) == (d(p + 1) * d(p - 1)) * (
+            d2(p) * d2(p)
+        ), p
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +365,24 @@ def test_regular_sample_points_deterministic(seq11):
     b = harmonic.regular_sample_points(seq11)
     assert a == b
     assert len(set(a)) == len(a)
+
+
+def test_sample_points_reject_a_zero_of_the_chain(curve11, seq11):
+    """A factor (z - z0) makes every D_p vanish at z0.  The draws are
+    seeded, so z0, which the unfactored curve accepts first, is drawn again
+    and now rejected; the other points stay."""
+    want = harmonic.regular_sample_points(seq11)
+    z0 = want[0]
+    root = AlgScalar.term(
+        1,
+        Fraction(z0.real).limit_denominator(10**9),
+        Fraction(z0.imag).limit_denominator(10**9),
+    )
+    factor = Poly.monomial(1) - Poly.const(root)
+    seq = harmonic.build_sequence(tuple(factor * c for c in curve11))
+    got = harmonic.regular_sample_points(seq)
+    assert z0 not in got
+    assert got[:9] == want[1:]
 
 
 def test_section_value_matches_rationalfn(seq11):
