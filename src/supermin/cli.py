@@ -207,6 +207,11 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     return EXIT_OK if err <= args.tol * exact else EXIT_FAIL
 
 
+# a sample point is refused where |f(z)|^2 is at most this fraction of
+# (sum over terms of |a| r^e)^2, a bound that scales with f as |f|^2 does
+_VANISH_REL = 1e-24
+
+
 def _sample_points(curve, n: int) -> list[list[float]]:
     """2n^2 unit 7-vectors: an n-by-n polar grid on each of two charts.
 
@@ -221,13 +226,15 @@ def _sample_points(curve, n: int) -> list[list[float]]:
         (curve, lambda i: i / (n - 1)),
         (reversed_curve, lambda i: i / n),
     ):
+        sizes = [(e, abs(complex(a))) for c in chart for e, a in c.terms.items()]
         for i in range(n):
             r = radius_of(i)
+            floor = _VANISH_REL * sum(m * r**e for e, m in sizes) ** 2
             for j in range(n):
                 theta = 2.0 * math.pi * j / n
                 z = complex(r * math.cos(theta), r * math.sin(theta))
                 x = [complex(c(z)) for c in chart]
-                if sum(abs(v) ** 2 for v in x) < 1e-24:
+                if sum(abs(v) ** 2 for v in x) <= floor:
                     raise RuntimeError(f"curve vanishes near sample point z={z}")
                 points.append([float(v) for v in twistor.project(x)])
     return points

@@ -11,6 +11,12 @@ where mask bit 0 stands for sqrt2, bit 1 for sqrt3, bit 2 for sqrt5, and
 RADICAL[m] is the product of the selected primes.  Multiplication of radicals
 is closed:  sqrt(a)*sqrt(b) = g * sqrt(a*b/g^2) with g the product of shared
 primes, which in mask terms is RADICAL[m1 & m2] * sqrt(RADICAL[m1 ^ m2]).
+
+AlgScalar is the public scalar: curve files, reports and the ``terms``
+view of a polynomial hold AlgScalars with Fraction parts.  Polynomials do
+not compute with it.  ``poly`` stores the same layout fraction-free, as
+Python ints (re, im) per (key, mask) over one denominator per polynomial,
+and folds radicals with the same RADICAL table.
 """
 
 from __future__ import annotations

@@ -86,7 +86,11 @@ def wedge_pair(x, y) -> dict[tuple[int, int], object]:
 
 
 def _size(v) -> int:
-    return len(getattr(v, "terms", ())) or 1
+    """Number of terms of a polynomial entry; 1 for a scalar."""
+    try:
+        return len(v) or 1
+    except TypeError:
+        return 1
 
 
 def _pivot(x, y) -> int | None:

@@ -34,7 +34,7 @@ import numpy as np
 from .field import AlgScalar
 # wedge_pair is re-exported: perfbench/tracer.py wraps it under this name.
 from .g2 import cross, proportional, wedge_pair  # noqa: F401
-from .poly import BiPoly, Poly, RationalFn
+from .poly import BiPoly, Poly, RationalFn, hermitian_sum
 
 _DIM = 7
 # the float part of the cross-table check: a fixed, seeded set of points
@@ -90,22 +90,6 @@ def wedge_table(tower) -> list[dict[tuple[int, ...], Poly]]:
     return stages
 
 
-def _conj_terms(w: Poly) -> list[tuple[int, AlgScalar]]:
-    """conj(w) as (power of zbar, coefficient) pairs."""
-    return [(e, c.conj()) for e, c in w.terms.items()]
-
-
-def _add_outer(acc: dict, u: Poly, vbar: list, negate: bool = False) -> None:
-    """acc += (-1)^negate * u(z) * conj(v)(zbar), with vbar = _conj_terms(v)."""
-    for a, x in u.terms.items():
-        if negate:
-            x = -x
-        for b, y in vbar:
-            k = (a, b)
-            p = x * y
-            acc[k] = acc[k] + p if k in acc else p
-
-
 class HarmonicSequence:
     """The full osculating chain of a linearly full holomorphic curve.
 
@@ -136,13 +120,7 @@ class HarmonicSequence:
 
     @cached_property
     def _dets(self) -> tuple[BiPoly, ...]:
-        dets = []
-        for stage in self.minors:
-            acc: dict = {}
-            for w in stage.values():
-                if w:
-                    _add_outer(acc, w, _conj_terms(w))
-            dets.append(BiPoly(acc))
+        dets = [hermitian_sum((1, w, w) for w in stage.values() if w) for stage in self.minors]
         return (*dets, BiPoly())
 
     def gram_det(self, p: int) -> BiPoly:
@@ -155,16 +133,16 @@ class HarmonicSequence:
     def raw_sections(self) -> tuple[tuple[BiPoly, ...], ...]:
         sections = [tuple(c.to_bipoly() for c in self.curve)]
         for p in range(1, _DIM):
-            prev = {cols: _conj_terms(w) for cols, w in self.minors[p - 1].items() if w}
-            acc: list[dict] = [{} for _ in range(_DIM)]
+            prev = self.minors[p - 1]
+            terms: list[list] = [[] for _ in range(_DIM)]
             for cols, w in self.minors[p].items():
                 if not w:
                     continue
                 for pos, c in enumerate(cols):
-                    sub = prev.get(cols[:pos] + cols[pos + 1 :])
+                    sub = prev[cols[:pos] + cols[pos + 1 :]]
                     if sub:
-                        _add_outer(acc[c], w, sub, negate=(pos + p) % 2 == 1)
-            sections.append(tuple(BiPoly(a) for a in acc))
+                        terms[c].append((-1 if (pos + p) % 2 else 1, w, sub))
+            sections.append(tuple(hermitian_sum(t) for t in terms))
         sections.append(tuple(BiPoly() for _ in range(_DIM)))
         return tuple(sections)
 

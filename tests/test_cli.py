@@ -8,6 +8,7 @@ import pytest
 
 from supermin import cli, harmonic
 from supermin.field import AlgScalar
+from supermin.poly import Poly
 from supermin.serialize import curve_to_obj, dumps_canonical
 
 CLI = [sys.executable, "-m", "supermin.cli"]
@@ -231,6 +232,28 @@ def test_sample_csv(curve_file, tmp_path):
     rows = out.read_text().splitlines()
     assert rows[0] == "x1,x2,x3,x4,x5,x6,x7"
     assert len(rows) == 1 + 2 * 8 * 8
+
+
+def test_sample_guard_scales_with_the_curve(curve11, tmp_path):
+    """The (1,1) member times 10^-13 has the member's image on the sphere, so
+    sample must accept it and agree point by point; the member times z
+    vanishes at z = 0 and must still be refused there."""
+    z = Poly.monomial(1)
+    curves = {
+        "member": curve11,
+        "small": tuple(c * AlgScalar.rational(1, 10**13) for c in curve11),
+        "times_z": tuple(z * c for c in curve11),
+    }
+    codes, points = {}, {}
+    for name, curve in curves.items():
+        src, out = tmp_path / f"{name}.json", tmp_path / f"{name}_pts.json"
+        src.write_text(dumps_canonical(curve_to_obj(curve)))
+        codes[name] = cli.main(["sample", str(src), "-n", "8", "--out", str(out)])
+        if codes[name] == 0:
+            points[name] = [[float(c) for c in pt] for pt in json.loads(out.read_text())["points"]]
+    assert codes == {"member": 0, "small": 0, "times_z": 1}
+    for want, got in zip(points["member"], points["small"]):
+        assert max(abs(a - b) for a, b in zip(want, got)) <= 1e-12
 
 
 def test_sample_rejects_tiny_grid(curve_file):

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supermin.field import AlgScalar
 from supermin.poly import BiPoly, Poly, RationalFn, poly_divmod, poly_gcd
@@ -190,3 +192,88 @@ def test_rationalfn_evaluate():
     f = RationalFn(p.to_bipoly(), BiPoly.const(AlgScalar.rational(2)))
     z = 1.5 + 0.5j
     assert close(f(z), (z**2 + 1) / 2)
+
+
+# ---------------------------------------------------------------------------
+# The integer core against a reference on {key: AlgScalar} dicts
+# ---------------------------------------------------------------------------
+
+_part = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7]))
+_scalar = st.dictionaries(
+    st.integers(0, 7), st.tuples(_part, _part), min_size=1, max_size=4
+).map(AlgScalar)
+_poly_terms = st.dictionaries(st.integers(0, 6), _scalar, max_size=5)
+_bipoly_terms = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), _scalar, max_size=6
+)
+
+
+def _ref(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if c}
+
+
+def _ref_mul(a: dict, b: dict, add) -> dict:
+    out: dict = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = add(k1, k2)
+            out[k] = out.get(k, AlgScalar.zero()) + c1 * c2
+    return _ref(out)
+
+
+def _ref_add(a: dict, b: dict, sign: int) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, AlgScalar.zero()) + c * sign
+    return _ref(out)
+
+
+def _ref_value(terms: dict, z: complex) -> complex:
+    zb = z.conjugate()
+    return sum(
+        (complex(c) * (z**k[0] * zb**k[1] if type(k) is tuple else z**k)
+         for k, c in terms.items()),
+        0j,
+    )
+
+
+def _check_ring(cls, x, a, y, b, add):
+    assert dict(x.terms) == _ref(a)
+    assert x == cls(dict(a)) and hash(x) == hash(cls(dict(a)))
+    assert (x == y) == (_ref(a) == _ref(b))
+    assert x * y == cls(_ref_mul(a, b, add))
+    assert x + y == cls(_ref_add(a, b, 1))
+    assert x - y == cls(_ref_add(a, b, -1))
+    third = x * Fraction(1, 3)
+    assert third * 3 == x and hash(third * 3) == hash(x)
+    other = Poly.const(1) if cls is BiPoly else BiPoly.const(1)
+    for mixed in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            mixed(x, other)
+    assert (x == other) is False
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_terms, _poly_terms)
+def test_poly_integer_core_matches_scalar_reference(a, b):
+    x, y = Poly(a), Poly(b)
+    _check_ring(Poly, x, a, y, b, operator.add)
+    assert x.reverse(6) == Poly({6 - e: c for e, c in a.items()})
+    z = 0.7 - 0.4j
+    assert close(x(z), _ref_value(a, z))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bipoly_terms, _bipoly_terms)
+def test_bipoly_integer_core_matches_scalar_reference(a, b):
+    x, y = BiPoly(a), BiPoly(b)
+    _check_ring(BiPoly, x, a, y, b, lambda k1, k2: (k1[0] + k2[0], k1[1] + k2[1]))
+    ref = _ref(a)
+    assert x.conj() == BiPoly({(q, p): c.conj() for (p, q), c in ref.items()})
+    assert x.diff_z() == BiPoly({(p - 1, q): c * p for (p, q), c in ref.items() if p})
+    assert x.reverse(4) == BiPoly({(4 - p, 4 - q): c for (p, q), c in ref.items()})
+    c, d = x.content()
+    assert all(p >= c and q >= d for p, q in ref)
+    assert x.shift_down(c, d) == BiPoly({(p - c, q - d): v for (p, q), v in ref.items()})
+    z = 0.7 - 0.4j
+    assert close(x(z), _ref_value(a, z))
