@@ -1,10 +1,12 @@
 """Byte identity of command-line outputs against recorded files.
 
 ``tests/golden/`` holds the outputs of ``gen``, ``verify --out`` and
-``report --out`` on the five family pairs and on the r2 = 1/2 deformation
+``report --out`` on the five family pairs, on the r2 = 1/2 deformation
 of the (1, 1) member (the ``dense_curve`` fixture, stored as
-``dense_curve.json``), and of ``sample -n 16`` on (1, 2) in all three
-formats.  The test regenerates each output and compares it byte for byte,
+``dense_curve.json``) and on the (1, 2) member scaled by
+1 + sqrt2 + i*sqrt3 (stored as ``lambda_curve.json``; its chain is the
+only one whose monomials carry several radicals), and of ``sample -n 16``
+on (1, 2) in all three formats.  The test regenerates each output and compares it byte for byte,
 exit code included.  After a deliberate change of output, re-record with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -30,6 +32,11 @@ def _dense_curve_text() -> str:
     return dumps_canonical(curve_to_obj(catalog.r_family(spec, params).to_curve()))
 
 
+def _lambda_curve_text() -> str:
+    lam = AlgScalar.one() + AlgScalar.term(2, 1) + AlgScalar.term(3, 0, 1)
+    return dumps_canonical(curve_to_obj(tuple(p * lam for p in catalog.example_family(1, 2))))
+
+
 def _outputs(work: Path) -> dict[str, tuple[int, bytes]]:
     """Every recorded output by file name, with the exit code that made it."""
     out: dict[str, tuple[int, bytes]] = {}
@@ -44,10 +51,11 @@ def _outputs(work: Path) -> dict[str, tuple[int, bytes]]:
         tag = f"{k1}_{k2}"
         run(f"gen_{tag}.json", "gen", "--k1", str(k1), "--k2", str(k2))
         curves.append((tag, work / f"gen_{tag}.json"))
-    dense = work / "dense_curve.json"
-    dense.write_text(_dense_curve_text())
-    out[dense.name] = (0, dense.read_bytes())
-    curves.append(("dense", dense))
+    for tag, text in (("dense", _dense_curve_text()), ("lambda", _lambda_curve_text())):
+        path = work / f"{tag}_curve.json"
+        path.write_text(text)
+        out[path.name] = (0, path.read_bytes())
+        curves.append((tag, path))
     for tag, path in curves:
         run(f"verify_{tag}.json", "verify", str(path))
         run(f"report_{tag}.json", "report", str(path))
