@@ -18,9 +18,10 @@ ints (re, im) over one positive denominator, standing for
 The form is reduced -- no (0, 0) pair, and the gcd of the denominator and
 all numerators is 1 -- so ``==`` and ``hash`` compare the stored data.
 Products fold radicals as ``AlgScalar`` does, sqrt(R[m1]) * sqrt(R[m2]) =
-R[m1 & m2] * sqrt(R[m1 ^ m2]), and multiply ints only.  A key's entries
-are kept together, in the order AlgScalar arithmetic gives its masks, so
-float evaluation sums them in the same order as ``complex(AlgScalar)``.
+R[m1 & m2] * sqrt(R[m1 ^ m2]), and multiply ints only.  Entries keep
+their order of first appearance in a sum or product, a cancelled one
+holding its place as (0, 0) until settled; float evaluation sums the
+monomials, and each one's masks, in that order.
 
 Constructors take {key: AlgScalar} dicts (ints and Fractions are accepted
 as scalars).  ``terms`` is the read-only {key: AlgScalar} view of a
@@ -49,22 +50,26 @@ def _pair(a, b):
     return (a, b)
 
 
-def _mul_into(out: dict, keys: dict, rows1, rows2, add) -> None:
-    """out += p1 * p2, for the grouped rows (``_rows``) of two polynomials.
+def _by_key(num: dict) -> list:
+    """[(key, [(mask, re, im), ...])] of flat numerators, in stored order."""
+    groups: dict = {}
+    for (k, m), (re, im) in num.items():
+        groups.setdefault(k, []).append((m, re, im))
+    return list(groups.items())
 
-    Key pair by key pair, this is the AlgScalar arithmetic of the product of
-    two coefficients added into a sum: the product is summed over its masks
-    first, a sum that cancels stays as a (0, 0) placeholder, and a mask that
-    comes back after cancelling moves behind its key's other masks.  ``keys``
-    records the keys in order of first appearance, which is their place
-    even when all their masks cancel.  ``_settled`` drops the placeholders.
+
+def _mul_into(out: dict, num1: dict, num2: dict, add) -> None:
+    """out += p1 * p2, for the flat numerators of two polynomials.
+
+    Each product enters ``out`` at (add(k1, k2), m1 ^ m2).  A sum that
+    cancels stays as a (0, 0) pair, so the entry keeps its first place;
+    ``_settled`` drops it.
     """
     get = out.get
-    seen = keys.setdefault
-    for k1, ms1 in rows1:
+    rows2 = _by_key(num2)
+    for k1, ms1 in _by_key(num1):
         for k2, ms2 in rows2:
             k = add(k1, k2)
-            block: dict = {}
             for m1, p, q in ms1:
                 for m2, c, d in ms2:
                     re = p * c - q * d
@@ -74,34 +79,14 @@ def _mul_into(out: dict, keys: dict, rows1, rows2, add) -> None:
                         g = RADICAL[g]
                         re *= g
                         im *= g
-                    m = m1 ^ m2
-                    v = block.get(m)
-                    block[m] = (re, im) if v is None else (v[0] + re, v[1] + im)
-            for m, (re, im) in block.items():
-                if not (re or im):
-                    continue
-                km = (k, m)
-                v = get(km)
-                if v is None:
-                    out[km] = (re, im)
-                    seen(k)
-                elif v[0] or v[1]:
-                    out[km] = (v[0] + re, v[1] + im)
-                else:
-                    del out[km]
-                    out[km] = (re, im)
+                    km = (k, m1 ^ m2)
+                    v = get(km)
+                    out[km] = (re, im) if v is None else (v[0] + re, v[1] + im)
 
 
-def _settled(out: dict, keys) -> dict:
-    """``out`` without (0, 0) entries, each key's entries brought together.
-
-    Keys come in the order of ``keys``, masks in their order in ``out``.
-    """
-    groups: dict = {k: [] for k in keys}
-    for km, v in out.items():
-        if v[0] or v[1]:
-            groups[km[0]].append((km, v))
-    return {km: v for group in groups.values() for km, v in group}
+def _settled(out: dict) -> dict:
+    """``out`` without its (0, 0) entries."""
+    return {km: v for km, v in out.items() if v[0] or v[1]}
 
 
 class _SparsePoly:
@@ -111,7 +96,7 @@ class _SparsePoly:
     polynomials of the same class.
     """
 
-    __slots__ = ("_num", "_den", "_rows_cache", "_view", "_ceval")
+    __slots__ = ("_num", "_den", "_view", "_ceval")
 
     _CONST_KEY: object  # the key of the constant term
     _ADD: staticmethod  # the key of a product of two monomials
@@ -138,7 +123,7 @@ class _SparsePoly:
     def _set(self, num: dict, den: int) -> None:
         self._num = num
         self._den = den
-        self._rows_cache = self._view = self._ceval = None
+        self._view = self._ceval = None
 
     @classmethod
     def _of(cls, num: dict, den: int = 1):
@@ -160,30 +145,14 @@ class _SparsePoly:
     def const(cls, c):
         return cls({cls._CONST_KEY: c})
 
-    def _rows(self) -> list:
-        """[(key, [(mask, re, im), ...])] in stored order, built once."""
-        rows = self._rows_cache
-        if rows is None:
-            groups: dict = {}
-            for (k, m), (re, im) in self._num.items():
-                group = groups.get(k)
-                if group is None:
-                    group = groups[k] = []
-                group.append((m, re, im))
-            rows = self._rows_cache = list(groups.items())
-        return rows
-
     def _complex_terms(self) -> list:
-        """[(key, complex coefficient)]; masks summed as complex(AlgScalar) does."""
+        """[(key, complex coefficient)], keys and masks summed in stored order."""
         den = self._den
-        out = []
-        for k, ms in self._rows():
-            c = 0j
-            for m, re, im in ms:
-                r = _SQRT[m]
-                c += complex(re / den * r, im / den * r)
-            out.append((k, c))
-        return out
+        out: dict = {}
+        for (k, m), (re, im) in self._num.items():
+            r = _SQRT[m]
+            out[k] = out.get(k, 0j) + complex(re / den * r, im / den * r)
+        return list(out.items())
 
     @property
     def terms(self) -> MappingProxyType:
@@ -193,7 +162,7 @@ class _SparsePoly:
             den = self._den
             view = self._view = MappingProxyType({
                 k: AlgScalar({m: (Fraction(re, den), Fraction(im, den)) for m, re, im in ms})
-                for k, ms in self._rows()
+                for k, ms in _by_key(self._num)
             })
         return view
 
@@ -207,7 +176,7 @@ class _SparsePoly:
 
     def __len__(self) -> int:
         """The number of monomials."""
-        return len(self._rows())
+        return len({k for k, _ in self._num})
 
     def is_zero(self) -> bool:
         return not self._num
@@ -224,7 +193,7 @@ class _SparsePoly:
             re, im = re * f2, im * f2
             v = get(k)
             out[k] = (re, im) if v is None else (v[0] + re, v[1] + im)
-        return self._of(_settled(out, {k: None for k, _ in out}), den)
+        return self._of(_settled(out), den)
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -242,9 +211,8 @@ class _SparsePoly:
     def _times(self, other):
         """The product with a polynomial of the same class."""
         out: dict = {}
-        keys: dict = {}
-        _mul_into(out, keys, self._rows(), other._rows(), self._ADD)
-        return self._of(_settled(out, keys), self._den * other._den)
+        _mul_into(out, self._num, other._num, self._ADD)
+        return self._of(_settled(out), self._den * other._den)
 
     def _scale(self, other):
         """The product with a scalar; NotImplemented for anything else."""
@@ -417,15 +385,12 @@ def hermitian_sum(terms) -> BiPoly:
     terms = list(terms)
     den = math.lcm(*(u._den * v._den for _, u, v in terms))
     out: dict = {}
-    keys: dict = {}
     for sign, u, v in terms:
         f = sign * (den // (u._den * v._den))
-        rows = u._rows()
-        if f != 1:
-            rows = [(k, [(m, re * f, im * f) for m, re, im in ms]) for k, ms in rows]
-        vbar = [(k, [(m, re, -im) for m, re, im in ms]) for k, ms in v._rows()]
-        _mul_into(out, keys, rows, vbar, _pair)
-    return BiPoly._of(_settled(out, keys), den)
+        num = {km: (re * f, im * f) for km, (re, im) in u._num.items()}
+        vbar = {km: (re, -im) for km, (re, im) in v._num.items()}
+        _mul_into(out, num, vbar, _pair)
+    return BiPoly._of(_settled(out), den)
 
 
 class RationalFn:

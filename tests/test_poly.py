@@ -239,6 +239,7 @@ def _ref_value(terms: dict, z: complex) -> complex:
 
 def _check_ring(cls, x, a, y, b, add):
     assert dict(x.terms) == _ref(a)
+    assert len(x) == len(_ref(a))
     assert x == cls(dict(a)) and hash(x) == hash(cls(dict(a)))
     assert (x == y) == (_ref(a) == _ref(b))
     assert x * y == cls(_ref_mul(a, b, add))
