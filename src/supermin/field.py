@@ -16,9 +16,9 @@ AlgScalar is the public scalar: curve files, reports and the ``terms``
 view of a polynomial hold AlgScalars with Fraction parts.  Polynomials do
 not compute with it.  ``poly`` stores the same layout fraction-free, as
 Python ints (re, im) per (key, mask) over one denominator per polynomial,
-and folds radicals with the same RADICAL table.  A polynomial's masks are
-kept in order of first appearance, not in the order AlgScalar arithmetic
-would give them.
+and folds radicals with the same RADICAL table.  It keeps its (key, mask)
+entries in order of first appearance, so a coefficient in a ``terms``
+view may list its masks in another order than AlgScalar arithmetic would.
 """
 
 from __future__ import annotations
