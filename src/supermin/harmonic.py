@@ -17,8 +17,10 @@ Gram-Schmidt direction of F_p against F_0..F_{p-1}, times D_{p-1}) are
 
 so f_p = E_p / D_{p-1} and a_p = D_p / D_{p-1}.  D_7 and E_7 vanish, as
 C^7 has no 8-subsets of columns.  The chart w = 1/z needs no second build:
-w^N f(1/w) (N the top degree) has minors (-1)^(p(p+1)/2) w^e W_p(1/w) with
-e = (p+1)(N-p), so its chain is a reversal of this one.
+w^N f(1/w) (N the top degree) has minors (-1)^(p(p+1)/2) w^e_p W_p(1/w) with
+e_p = (p+1)(N-p).  So its stage-p vanishing order at w = 0 is e_p minus the
+top degree of W_p, and its D_p is this chain's reversed by e_p; nothing else
+of that chart is formed.
 
 Identity checks are done on the polynomial level by cross-multiplication
 (never by rational-function division), which keeps everything exact.
@@ -116,7 +118,7 @@ class HarmonicSequence:
                     "curve is not linearly full: derivatives of orders "
                     f"0..{p} are linearly dependent (failing order {p})"
                 )
-        self._reversed: HarmonicSequence | None = None
+        self._reversed: _ChartAtInfinity | None = None
 
     @cached_property
     def _dets(self) -> tuple[BiPoly, ...]:
@@ -128,6 +130,12 @@ class HarmonicSequence:
         if p == -1:
             return BiPoly.one()
         return self._dets[p]
+
+    @cached_property
+    def chart_exponents(self) -> tuple[int, ...]:
+        """e_p = (p+1)(N-p), p = 0..6: stage p's reversal degree at w = 1/z."""
+        top = max(c.degree() for c in self.curve)
+        return tuple((p + 1) * (top - p) for p in range(_DIM))
 
     @cached_property
     def raw_sections(self) -> tuple[tuple[BiPoly, ...], ...]:
@@ -152,15 +160,15 @@ class HarmonicSequence:
             c.is_zero() for c in self.raw_sections[_DIM]
         )
 
-    def reversed_sequence(self) -> HarmonicSequence:
-        """The sequence of the curve pulled back through z -> 1/z.
+    def reversed_sequence(self) -> _ChartAtInfinity:
+        """The Gram determinants of the curve pulled back through z -> 1/z.
 
-        Components are multiplied by z^deg to clear poles, which is a gauge
-        change and leaves every projective invariant untouched.  Its parts
-        are reversals of this chain's; no exact product is formed for it.
+        Components are multiplied by z^N to clear poles, which is a gauge
+        change and leaves every projective invariant untouched.  Only D_p,
+        reversed from this chain's, and the density are offered.
         """
         if self._reversed is None:
-            self._reversed = _ReversedSequence(self)
+            self._reversed = _ChartAtInfinity(self)
         return self._reversed
 
     # ------------------------------------------------------------- evaluation
@@ -187,34 +195,21 @@ class HarmonicSequence:
         return hi * lo / (mid * mid) * abs(z) ** (2 * (c[2] - 2 * c[1] + c[0]))
 
 
-class _ReversedSequence(HarmonicSequence):
-    """The chain of ``source`` in the chart w = 1/z, derived by reversal.
+class _ChartAtInfinity:
+    """The Gram determinants of ``source`` in the chart w = 1/z.
 
-    With e_p = (p+1)(N-p), the stage-p minors are (-1)^(p(p+1)/2) times the
-    source's reversed by e_p; so D_p is reversed by e_p in z and zbar, and as
-    e_p has second difference -2, ``density_value`` gives |w|^-4 times the
-    source's density at 1/w.  The sections E_p follow as in any chain.
+    D_p is the source's reversed by e_p in z and zbar (``chart_exponents``).
+    ``gram_det`` and ``density_value`` are HarmonicSequence's, read over
+    these D_p; as e_p has second difference -2, the density is |w|^-4 times
+    the source's at 1/w.
     """
 
     def __init__(self, source: HarmonicSequence):
-        top = max(c.degree() for c in source.curve)
-        self._source = source
-        self._exps = tuple((p + 1) * (top - p) for p in range(_DIM))
-        self.curve = tuple(c.reverse(top) for c in source.curve)
-        self.derivatives = derivative_tower(self.curve, _DIM - 1)
-        self.minors = [
-            {
-                cols: -w.reverse(e) if p * (p + 1) // 2 % 2 else w.reverse(e)
-                for cols, w in stage.items()
-            }
-            for p, (stage, e) in enumerate(zip(source.minors, self._exps))
-        ]
-        self._reversed = None
+        dets = [source.gram_det(p).reverse(e) for p, e in enumerate(source.chart_exponents)]
+        self._dets = (*dets, BiPoly())
 
-    @cached_property
-    def _dets(self) -> tuple[BiPoly, ...]:
-        dets = [self._source.gram_det(p).reverse(e) for p, e in enumerate(self._exps)]
-        return (*dets, BiPoly())
+    gram_det = HarmonicSequence.gram_det
+    density_value = HarmonicSequence.density_value
 
 
 def build_sequence(curve) -> HarmonicSequence:

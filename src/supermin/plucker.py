@@ -6,7 +6,7 @@ curves.  This module extracts their vanishing orders (singularity types),
 computes the degrees three independent ways (exact support, the
 ramification formula, numerical curvature integrals), checks the
 degree/ramification recurrence, and turns degrees into areas.  The point
-at infinity is read from the sequence's reversal.  Every function taking a
+at infinity is read off the same minors.  Every function taking a
 ``curve`` also accepts a built sequence, so one table serves a report.
 
 Index conventions used throughout: degrees delta_0..delta_5 are 0-based
@@ -57,19 +57,19 @@ def _stage_deg(stage) -> int:
 def singularity_type(curve, at=0) -> tuple[int, ...]:
     """Ramification indices (r_1..r_6) of the osculating chain at a point.
 
-    ``at`` is 0 or "inf" (math.inf also accepted); the infinite point is
-    read from the minors of the chart w = 1/z, whose stage-p orders at 0
-    are (p+1)(N-p) minus the stage degrees (N the top degree of the curve).
-    With s_j the vanishing order of stage j at the point and s_{-1} = 0,
-    the j-th index is the second difference s_{j+1} - 2 s_j + s_{j-1}.
+    ``at`` is 0 or "inf" (math.inf also accepted).  With s_p the vanishing
+    order of stage p at the point and s_{-1} = 0, the j-th index is the
+    second difference s_{j+1} - 2 s_j + s_{j-1}.  At infinity s_p is the
+    order at w = 0 in the chart w = 1/z: e_p (``chart_exponents``) minus
+    the stage's top degree.
     """
+    seq = _sequence(curve)
     if at == 0:
-        stages = _sequence(curve).minors
+        s = [0] + [_stage_ord(stage) for stage in seq.minors]
     elif at in ("inf", math.inf):
-        stages = _sequence(curve).reversed_sequence().minors
+        s = [0] + [e - _stage_deg(st) for st, e in zip(seq.minors, seq.chart_exponents)]
     else:
         raise ValueError("singularity_type evaluates at 0 or 'inf' only")
-    s = [0] + [_stage_ord(stage) for stage in stages]
     out = tuple(s[j + 2] - 2 * s[j + 1] + s[j] for j in range(6))
     if any(r < 0 for r in out):
         raise ValueError(f"negative ramification index from orders {s[1:]}")

@@ -173,18 +173,19 @@ def test_chain_matches_float_reference(curve11, dense_curve):
 
 
 def test_reversed_sequence_is_the_rebuilt_chart(family_curves, dense_curve):
-    """The chain at w = 1/z derived by reversal equals the chain built from
-    scratch on w^N f(1/w), exactly; so do the singularity types."""
+    """The Gram determinants at w = 1/z derived by reversal equal those of
+    the chain built from scratch on w^N f(1/w), exactly; the singularity
+    type at infinity, read off the source minors, equals the rebuilt
+    chain's type at 0."""
     for curve in (*family_curves.values(), dense_curve):
         seq = harmonic.build_sequence(curve)
         top = max(c.degree() for c in curve)
         flipped = tuple(c.reverse(top) for c in curve)
         rebuilt = harmonic.build_sequence(flipped)
         rev = seq.reversed_sequence()
-        assert rev.minors == rebuilt.minors
+        assert not isinstance(rev, harmonic.HarmonicSequence)
         for p in range(8):
             assert rev.gram_det(p) == rebuilt.gram_det(p), p
-            assert rev.raw_sections[p] == rebuilt.raw_sections[p], p
         for w in (0.52 - 0.31j, -0.7 + 0.45j, 1.1 + 0.2j):
             for p in range(6):
                 want = seq.density_value(p, 1 / w) / abs(w) ** 4
