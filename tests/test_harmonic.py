@@ -256,6 +256,19 @@ def swapped(a, b):
     return change
 
 
+def test_recursion_negative_controls(seq11):
+    """Doubling one component of E_p breaks both structure equations at
+    q = p-1 and q = p (those that pair E_p with a neighbour) and no other;
+    the descending rule at 6 reads dz E_6 D_6 - E_6 dz D_6 = 0, homogeneous
+    in E_6, so it stands."""
+    for p in range(7):
+        a = next(c for c in range(7) if seq11.raw_sections[p][c])
+        rec = harmonic.check_recursion(with_section(seq11, p, doubled(a)))
+        broken = {q for q in (p - 1, p) if 0 <= q <= 5}
+        assert rec["derivative_rule"] == [q not in broken for q in range(7)], p
+        assert rec["conjugate_derivative_rule"] == [q not in broken for q in range(6)], p
+
+
 def test_reality_negative_controls(seq11):
     """Doubling any one component of f_{3-k}, the pivot or not, or swapping
     two components of f_{3+k}, breaks exactly the k-th pairing."""

@@ -82,6 +82,15 @@ def test_pushforward_frozen_value():
     assert np.linalg.norm(dv - expected) < 1e-14
 
 
+def test_pushforward_frozen_value_exact():
+    # the same point and direction as AlgScalar tuples stay exact
+    zero, one, i = AlgScalar.zero(), AlgScalar.one(), AlgScalar.i()
+    x = (one, zero, zero, zero, i, zero, zero)
+    v = (zero, one, zero, zero, zero, -i, zero)
+    dv = twistor.pushforward(x, v)
+    assert dv == (zero,) * 6 + (AlgScalar.rational(-2),)
+
+
 def test_pushforward_kills_the_phase_direction():
     # the circle action z -> e^{it} z on homogeneous coordinates is invisible
     # downstairs, so the direction i*x must push to zero
