@@ -372,15 +372,12 @@ def r_family(spec: SingularityTypeSpec, params: RFamilyParams) -> NormalFormCurv
 def chart_scale(spec: SingularityTypeSpec, r1, r8):
     """The positive solution r of r^(2k1+k2) * r1 * r8 = sqrt90.
 
-    Exact when the quantity sqrt90 / (r1 r8) is 1 or a rational with an
-    exact integer-power root; otherwise the principal float root, with a
-    warning.
+    Exact when sqrt90 / (r1 r8) is a rational with an exact integer-power
+    root; otherwise the principal float root, with a warning.
     """
     n = 2 * spec.k1 + spec.k2
     if isinstance(r1, AlgScalar) and isinstance(r8, AlgScalar):
         q = AlgScalar.root(90) * (r1 * r8).inverse()
-        if q == AlgScalar.one():
-            return AlgScalar.one()
         frac = q.as_fraction() if q.is_rational() and not q.coeff(0)[1] else Fraction(0)
         if frac > 0:
             root = _fraction_root(frac, n)

@@ -233,7 +233,7 @@ def _sample_points(curve, n: int) -> list[list[float]]:
             for j in range(n):
                 theta = 2.0 * math.pi * j / n
                 z = complex(r * math.cos(theta), r * math.sin(theta))
-                x = [complex(c(z)) for c in chart]
+                x = [c(z) for c in chart]
                 if sum(abs(v) ** 2 for v in x) <= floor:
                     raise RuntimeError(f"curve vanishes near sample point z={z}")
                 points.append([float(v) for v in twistor.project(x)])

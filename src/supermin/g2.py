@@ -181,16 +181,6 @@ def to_u(vec) -> tuple:
     return tuple(hdot(vec, u) for u in basis)
 
 
-def from_u(coords) -> tuple:
-    """The e-basis vector with the given isotropic-frame coordinates."""
-    basis = u_basis()
-    out = None
-    for c, u in zip(coords, basis):
-        term = scale_vec(c, u)
-        out = term if out is None else add_vec(out, term)
-    return out
-
-
 # entry (m, k): u_i x u_j = i * sign(m) * (sqrt2 if |m| == 2 else 1) * u_k
 _U_TABLE_RAW = (
     (0, 0, 0, (-1, 0), (-2, 1), (-2, 2), (-1, 3)),
@@ -223,14 +213,6 @@ def mat_from_cols(cols) -> tuple:
 
 def mat_col(m, j) -> tuple:
     return tuple(m[i][j] for i in range(7))
-
-def mat_vec(m, v) -> tuple:
-    return tuple(dot(m[i], v) for i in range(7))
-
-def mat_mul(a, b) -> tuple:
-    return tuple(
-        tuple(dot(a[i], mat_col(b, j)) for j in range(7)) for i in range(7)
-    )
 
 def mat_rank(m) -> int:
     """Rank of a matrix over the exact field, by Gaussian elimination."""

@@ -99,9 +99,9 @@ def _cross_matrix(x: np.ndarray) -> np.ndarray:
     return np.column_stack([np.asarray(c) for c in cols])
 
 
-def _nullspace(m: np.ndarray, rel_tol: float = _REL_TOL) -> np.ndarray:
+def _nullspace(m: np.ndarray) -> np.ndarray:
     _, s, vh = np.linalg.svd(m)
-    cutoff = rel_tol * (s[0] if len(s) and s[0] > 0 else 1.0)
+    cutoff = _REL_TOL * (s[0] if len(s) and s[0] > 0 else 1.0)
     null = vh[np.sum(s > cutoff):]
     return null.conjugate()  # rows span the kernel
 

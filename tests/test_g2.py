@@ -225,10 +225,6 @@ def test_u_basis_bilinear_pairing_antidiagonal():
 
 
 def test_to_u_from_u_roundtrip():
-    rng = random.Random(47)
-    v = rand_vec(rng)
-    coords = g2.to_u(v)
-    assert g2.from_u(coords) == v
     # coordinates of the frame itself are the unit vectors
     for j in range(7):
         coords = g2.to_u(g2.u_basis()[j])
@@ -246,21 +242,6 @@ def test_mat_helpers():
     m = g2.mat_from_cols(cols)
     for j in range(7):
         assert g2.mat_col(m, j) == cols[j]
-    v = rand_vec(rng)
-    mv = g2.mat_vec(m, v)
-    expected = [AlgScalar.zero()] * 7
-    for j in range(7):
-        for a in range(7):
-            expected[a] = expected[a] + cols[j][a] * v[j]
-    assert list(mv) == expected
-
-
-def test_mat_mul_associates_with_mat_vec():
-    rng = random.Random(59)
-    a = g2.mat_from_cols([rand_vec(rng) for _ in range(7)])
-    b = g2.mat_from_cols([rand_vec(rng) for _ in range(7)])
-    v = rand_vec(rng)
-    assert g2.mat_vec(g2.mat_mul(a, b), v) == g2.mat_vec(a, g2.mat_vec(b, v))
 
 
 def test_identity_is_in_the_group():
