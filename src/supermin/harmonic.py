@@ -133,7 +133,7 @@ class HarmonicSequence:
 
     @cached_property
     def chart_exponents(self) -> tuple[int, ...]:
-        """e_p = (p+1)(N-p), p = 0..6: stage p's reversal degree at w = 1/z."""
+        """e_p = (p+1)(N-p), N the top degree: stage p's reversal degree at w = 1/z."""
         top = max(c.degree() for c in self.curve)
         return tuple((p + 1) * (top - p) for p in range(_DIM))
 
