@@ -21,7 +21,10 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import catalog, harmonic, plucker, twistor
+from .poly import BLOCK, evaluate, one_scale
 from .serialize import (
     curve_from_obj,
     curve_to_obj,
@@ -207,7 +210,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     return EXIT_OK if err <= args.tol * exact else EXIT_FAIL
 
 
-# a sample point is refused where |f(z)|^2 is at most this fraction of
+# a sample point is refused unless |f(z)|^2 exceeds this fraction of
 # (sum over terms of |a| r^e)^2, a bound that scales with f as |f|^2 does
 _VANISH_REL = 1e-24
 
@@ -218,25 +221,39 @@ def _sample_points(curve, n: int) -> list[list[float]]:
     The first chart covers |z| <= 1 including the boundary circle; the
     second works in the w = 1/z coordinate with radii strictly below 1, so
     the shared circle is emitted once (it belongs to the first chart).
+    Each block of ``poly.BLOCK`` grid points is evaluated by one
+    ``poly.evaluate`` call and projected by ``twistor.project_arrays``.
     """
     total = max(max(c.degree() for c in curve), 0)
     reversed_curve = tuple(c.reverse(total) for c in curve)
+    angles = [2.0 * math.pi * j / n for j in range(n)]
+    cos = np.array([math.cos(t) for t in angles] * n)
+    sin = np.array([math.sin(t) for t in angles] * n)
     points: list[list[float]] = []
-    for chart, radius_of in (
-        (curve, lambda i: i / (n - 1)),
-        (reversed_curve, lambda i: i / n),
+    for chart, radii in (
+        (curve, [i / (n - 1) for i in range(n)]),
+        (reversed_curve, [i / n for i in range(n)]),
     ):
-        sizes = [(e, abs(complex(a))) for c in chart for e, a in c.terms.items()]
-        for i in range(n):
-            r = radius_of(i)
-            floor = _VANISH_REL * sum(m * r**e for e, m in sizes) ** 2
-            for j in range(n):
-                theta = 2.0 * math.pi * j / n
-                z = complex(r * math.cos(theta), r * math.sin(theta))
-                x = [c(z) for c in chart]
-                if sum(abs(v) ** 2 for v in x) <= floor:
-                    raise RuntimeError(f"curve vanishes near sample point z={z}")
-                points.append([float(v) for v in twistor.project(x)])
+        conv = [c.float_terms() for c in chart]
+        top = max(k for k, _ in conv)
+        sizes = [(e, math.ldexp(math.hypot(re, im), k - top))
+                 for k, terms in conv for e, re, im in terms]
+        r = np.repeat(radii, n)
+        floor = np.repeat(
+            [_VANISH_REL * sum(m * rad**e for e, m in sizes) ** 2 for rad in radii], n
+        )
+        for lo in range(0, n * n, BLOCK):
+            at = slice(lo, lo + BLOCK)
+            zr, zi = r[at] * cos[at], r[at] * sin[at]
+            xr, xi = one_scale(evaluate(chart, zr, zi))
+            sq = xr[0] * xr[0] + xi[0] * xi[0]
+            for a, b in zip(xr[1:], xi[1:]):
+                sq += a * a + b * b
+            bad = ~(sq > floor[at])
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise RuntimeError(f"curve vanishes near sample point z={complex(zr[i], zi[i])}")
+            points += twistor.project_arrays(xr, xi).tolist()
     return points
 
 

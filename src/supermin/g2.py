@@ -171,16 +171,6 @@ def u_basis() -> tuple[tuple[AlgScalar, ...], ...]:
     return (u0, u1, u2, u3, u4, u5, u6)
 
 
-def to_u(vec) -> tuple:
-    """Coordinates of an e-basis 7-vector in the isotropic frame.
-
-    The frame is orthonormal for the hermitian pairing, so coordinate j is
-    simply <vec, u_j>.
-    """
-    basis = u_basis()
-    return tuple(hdot(vec, u) for u in basis)
-
-
 # entry (m, k): u_i x u_j = i * sign(m) * (sqrt2 if |m| == 2 else 1) * u_k
 _U_TABLE_RAW = (
     (0, 0, 0, (-1, 0), (-2, 1), (-2, 2), (-1, 3)),

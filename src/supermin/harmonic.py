@@ -28,6 +28,7 @@ Identity checks are done on the polynomial level by cross-multiplication
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from itertools import combinations
 
@@ -35,8 +36,8 @@ import numpy as np
 
 from .field import AlgScalar
 # wedge_pair is re-exported: perfbench/tracer.py wraps it under this name.
-from .g2 import cross, proportional, wedge_pair  # noqa: F401
-from .poly import BiPoly, Poly, RationalFn, hermitian_sum
+from .g2 import CROSS_TABLE, cross, proportional, wedge_pair  # noqa: F401
+from .poly import BiPoly, Poly, RationalFn, as_complex, evaluate, hermitian_sum
 
 _DIM = 7
 # the float part of the cross-table check: a fixed, seeded set of points
@@ -182,17 +183,32 @@ class HarmonicSequence:
         """Float value of a_p = D_p / D_{p-1} at z."""
         return self.gram_det(p)(z) / self.gram_det(p - 1)(z)
 
+    @cached_property
+    def _content_free(self) -> tuple[tuple[BiPoly, int], ...]:
+        """(D_q / |z|^(2 c_q), c_q) for q = -1..7, c_q the content of D_q."""
+        out = []
+        for q in range(-1, _DIM + 1):
+            d = self.gram_det(q)
+            c = d.content()[0]
+            out.append((d.shift_down(c, c), c))
+        return tuple(out)
+
     def density_value(self, p: int, z):
         """Float a_{p+1}/a_p = D_{p+1} D_{p-1} / D_p^2 at z, a point or an array.
 
         Each D_q is divided by its content |z|^(2 c_q) before it is evaluated,
         which keeps small |z| from underflowing; the factor |z|^(2k) left over
-        (k = c_{p+1} - 2 c_p + c_{p-1}, the ramification index) is applied once.
+        (k = c_{p+1} - 2 c_p + c_{p-1}, the ramification index) is applied once,
+        as the monomial z^k zbar^k.  The D_q are real, so only the real parts
+        of the kernel's values are read; each comes scaled by its own 2^-k_q,
+        and one exact ldexp puts the scales back.
         """
-        dets = [self.gram_det(q) for q in (p - 1, p, p + 1)]
-        c = [d.content()[0] for d in dets]
-        lo, mid, hi = (d.shift_down(e, e)(z) for d, e in zip(dets, c))
-        return hi * lo / (mid * mid) * abs(z) ** (2 * (c[2] - 2 * c[1] + c[0]))
+        z = np.asarray(z, dtype=complex)
+        (lo, c0), (mid, c1), (hi, c2) = self._content_free[p:p + 3]
+        k = c2 - 2 * c1 + c0
+        vals = evaluate((lo, mid, hi, BiPoly({(k, k): 1})), z.real, z.imag)
+        (lo, _, klo), (mid, _, kmid), (hi, _, khi), (rk, _, krk) = vals
+        return np.ldexp(hi * lo / (mid * mid) * rk, khi + klo - 2 * kmid + krk)
 
 
 class _ChartAtInfinity:
@@ -209,6 +225,7 @@ class _ChartAtInfinity:
         self._dets = (*dets, BiPoly())
 
     gram_det = HarmonicSequence.gram_det
+    _content_free = HarmonicSequence._content_free
     density_value = HarmonicSequence.density_value
 
 
@@ -356,44 +373,106 @@ FRAME_CROSS_TABLE = (
 )
 
 
-def unit_gauge_frame(seq: HarmonicSequence, z: complex) -> np.ndarray:
+def _cross_parts(xr, xi, yr, yi):
+    """x cross y for 7 rows of (re, im) arrays, summed in table order."""
+    outr = [0.0] * _DIM
+    outi = [0.0] * _DIM
+    for i, row in enumerate(CROSS_TABLE):
+        for j, t in enumerate(row):
+            if t:
+                pr = xr[i] * yr[j] - xi[i] * yi[j]
+                pi = xr[i] * yi[j] + xi[i] * yr[j]
+                k = abs(t) - 1
+                if t > 0:
+                    outr[k], outi[k] = outr[k] + pr, outi[k] + pi
+                else:
+                    outr[k], outi[k] = outr[k] - pr, outi[k] - pi
+    return np.array(outr), np.array(outi)
+
+
+def _sum_rows(v):
+    """Sum over the first axis, in order."""
+    acc = v[0].copy()
+    for row in v[1:]:
+        acc += row
+    return acc
+
+
+def _frame_parts(seq: HarmonicSequence, zr, zi):
+    """The unit-gauge frame at the points zr + i*zi (1-d arrays), as (re, im)
+    arrays of shape (7, 7, points): row p holds f_p = E_p / D_{p-1}."""
+    sections = [c for p in range(_DIM) for c in seq.raw_sections[p]]
+    dets = evaluate([seq.gram_det(p - 1) for p in range(_DIM)], zr, zi)
+    vals = evaluate(sections, zr, zi)
+    # f_p[c] is (E / D) * 2^(kE - kD); one common 2^-top keeps it in range
+    shift = [[vals[_DIM * p + c][2] - dets[p][2] for c in range(_DIM)] for p in range(_DIM)]
+    top = max(map(max, shift))
+    fr = np.empty((_DIM, _DIM, zr.size))
+    fi = np.empty_like(fr)
+    for p in range(_DIM):
+        d = dets[p][0]
+        for c in range(_DIM):
+            er, ei, _ = vals[_DIM * p + c]
+            fr[p, c] = np.ldexp(er / d, shift[p][c] - top)
+            fi[p, c] = np.ldexp(ei / d, shift[p][c] - top)
+    # the gauge: one scalar 1/sqrt(s), s the bilinear square of f_3
+    sr = _sum_rows(fr[3] * fr[3] - fi[3] * fi[3])
+    si = _sum_rows(fr[3] * fi[3] + fi[3] * fr[3])
+    m = np.sqrt(sr * sr + si * si)
+    t = np.sqrt(0.5 * (m + np.abs(sr)))
+    qr = np.where(sr >= 0, t, np.abs(si) / (t + t))
+    qi = np.where(sr >= 0, si / (t + t), np.copysign(t, si))
+    gr, gi = qr / m, -qi / m
+    fr, fi = fr * gr - fi * gi, fr * gi + fi * gr
+    # its sign: the cross product of f_3 and f_4 measures +i on f_4
+    wr, wi = _cross_parts(fr[3], fi[3], fr[4], fi[4])
+    flip = _sum_rows(fr[4] * wi - fi[4] * wr) < 0
+    sign = np.where(flip, -1.0, 1.0)
+    return fr * sign, fi * sign
+
+
+def unit_gauge_frame(seq: HarmonicSequence, z) -> np.ndarray:
     """The float frame at z rescaled so the middle section is real and unit.
 
     All seven sections get the same scalar (the gauge acts on the whole
     chain at once).  The scalar is a square root, so its sign is pinned by
     asking the cross product of sections 3 and 4 to measure +i on section 4
-    -- the convention the multiplication table is written in.
+    -- the convention the multiplication table is written in.  ``z`` is a
+    point or an array of them; the result has shape (7, 7) + shape of z,
+    rows the sections.
     """
-    rows = [seq.section_value(p, z) for p in range(_DIM)]
-    frame = np.array(rows)
-    mid = frame[3]
-    bilinear = (mid * mid).sum()
-    frame = frame * bilinear ** (-0.5)
-    w = np.array(cross(frame[3], frame[4]), dtype=complex)
-    c = np.vdot(frame[4], w) / np.vdot(frame[4], frame[4])
-    if (c / 1j).real < 0:
-        frame = -frame
-    return frame
+    z = np.asarray(z, dtype=complex)
+    fr, fi = _frame_parts(seq, z.real.ravel(), z.imag.ravel())
+    return as_complex(fr, fi).reshape((_DIM, _DIM) + z.shape)
 
 
-def measured_cross_constants(seq: HarmonicSequence, z: complex) -> dict:
+def measured_cross_constants(seq: HarmonicSequence, z) -> dict:
     """All 7x7 cross products of the unit-gauge frame at z, resolved against
-    the table's target section; zero entries report a residual instead."""
-    frame = unit_gauge_frame(seq, z)
+    the table's target section; zero entries report a residual instead.
+
+    ``z`` is a point or an array of them, and each value has its shape.
+    """
+    z = np.asarray(z, dtype=complex)
+    fr, fi = _frame_parts(seq, z.real.ravel(), z.imag.ravel())
+    sq = [_sum_rows(fr[i] * fr[i] + fi[i] * fi[i]) for i in range(_DIM)]
+    norm = [np.sqrt(v) for v in sq]
     out = {}
     for i in range(_DIM):
         for j in range(_DIM):
-            w = np.array(cross(frame[i], frame[j]), dtype=complex)
+            wr, wi = _cross_parts(fr[i], fi[i], fr[j], fi[j])
             entry = FRAME_CROSS_TABLE[i][j]
             if entry == 0:
-                scale = np.linalg.norm(frame[i]) * np.linalg.norm(frame[j])
-                out[(i, j)] = ("zero", np.linalg.norm(w) / scale)
+                size = np.sqrt(_sum_rows(wr * wr + wi * wi))
+                out[(i, j)] = ("zero", (size / (norm[i] * norm[j])).reshape(z.shape))
             else:
                 _, k = entry
-                target = frame[k]
-                c = np.vdot(target, w) / np.vdot(target, target)
-                resid = np.linalg.norm(w - c * target) / np.linalg.norm(target)
-                out[(i, j)] = ("scalar", c, resid)
+                tr, ti = fr[k], fi[k]
+                cr = _sum_rows(tr * wr + ti * wi) / sq[k]
+                ci = _sum_rows(tr * wi - ti * wr) / sq[k]
+                rr, ri = wr - (cr * tr - ci * ti), wi - (cr * ti + ci * tr)
+                resid = np.sqrt(_sum_rows(rr * rr + ri * ri)) / norm[k]
+                out[(i, j)] = ("scalar", as_complex(cr, ci).reshape(z.shape),
+                               resid.reshape(z.shape))
     return out
 
 
@@ -402,21 +481,28 @@ def regular_sample_points(seq: HarmonicSequence) -> list[complex]:
 
     |D_p(z)| must be at least _MIN_NORM * sum |c_ab| |z|^(a+b) over the terms
     of D_p.  Both sides scale alike, so f and lambda * f get the same points.
+    Candidates are drawn from the seeded generator in batches and tested in
+    draw order, each batch by one ``poly.evaluate`` call.
     """
-    sizes = [
-        [(a + b, abs(complex(c))) for (a, b), c in seq.gram_det(p).terms.items()]
-        for p in range(_DIM)
-    ]
+    dets = [seq.gram_det(p) for p in range(_DIM)]
+    sizes = [[(a + b, math.hypot(re, im)) for (a, b), re, im in d.float_terms()[1]]
+             for d in dets]
     rng = np.random.default_rng(_SAMPLE_SEED)
     points: list[complex] = []
     while len(points) < _SAMPLE_COUNT:
-        z = complex(rng.uniform(0.35, 1.2) * np.exp(2j * np.pi * rng.uniform()))
-        r = abs(z)
-        if all(
-            abs(seq.gram_det(p)(z)) >= _MIN_NORM * sum(m * r**e for e, m in size)
-            for p, size in enumerate(sizes)
-        ):
-            points.append(z)
+        batch = []
+        for _ in range(_SAMPLE_COUNT):
+            r, t = rng.uniform(0.35, 1.2), 2.0 * math.pi * rng.uniform()
+            batch.append(complex(r * math.cos(t), r * math.sin(t)))
+        zs = np.array(batch)
+        values = evaluate(dets, zs.real, zs.imag)
+        for n, z in enumerate(batch):
+            r = abs(z)
+            if len(points) < _SAMPLE_COUNT and all(
+                math.hypot(re[n], im[n]) >= _MIN_NORM * sum(m * r**e for e, m in size)
+                for (re, im, _), size in zip(values, sizes)
+            ):
+                points.append(z)
     return points
 
 
@@ -448,16 +534,16 @@ def check_cross_table(
                 prop_ok[(i, j)] = proportional(w, seq.raw_sections[k])
     if samples is None:
         samples = regular_sample_points(seq)
-    worst = 0.0
-    for z in samples:
-        measured = measured_cross_constants(seq, z)
-        for (i, j), rec in measured.items():
-            if rec[0] == "zero":
-                worst = max(worst, rec[1])
-            else:
-                m, _ = FRAME_CROSS_TABLE[i][j]
-                worst = max(worst, abs(rec[1] - m * 1j), rec[2])
-    worst = float(worst)
+    errors = []
+    for (i, j), rec in measured_cross_constants(seq, np.array(samples, dtype=complex)).items():
+        if rec[0] == "zero":
+            errors.append(rec[1])
+        else:
+            m, _ = FRAME_CROSS_TABLE[i][j]
+            c = rec[1]
+            errors += [np.sqrt(c.real * c.real + (c.imag - m) * (c.imag - m)), rec[2]]
+    # np.max carries a NaN forward, so a frame that is not finite fails
+    worst = float(np.max(np.concatenate(errors), initial=0.0))
     return {
         "zero_entries_exact": zero_ok,
         "proportional_entries_exact": prop_ok,

@@ -18,6 +18,7 @@ T[j-1].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ import numpy as np
 
 # wedge_table is re-exported: perfbench/tracer.py wraps it under this name.
 from .harmonic import HarmonicSequence, build_sequence, wedge_table  # noqa: F401
-from .poly import Poly, poly_gcd
+from .poly import Poly, as_complex, poly_gcd
 
 
 def _sequence(curve) -> HarmonicSequence:
@@ -123,6 +124,35 @@ def degrees_formula(totals) -> tuple[int, ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only.
+
+    Newton's method on P_n (three-term recurrence) from the usual cosine
+    guesses, for the non-negative half of the nodes, mirrored; the weights
+    are scaled to sum to 2, the length of the interval.  Elementwise float
+    operations only, so no eigensolver and no BLAS.
+    """
+    half = (n + 1) // 2
+    x = np.array([math.cos(math.pi * (i + 0.75) / (n + 0.5)) for i in range(half)])
+    for _ in range(100):
+        p0, p1 = np.ones(half), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        step = p1 / dp
+        x = x - step
+        if not np.max(np.abs(step)) > 1e-16:
+            break
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    mirror = half - n % 2
+    nodes = np.concatenate((-x[:mirror], x[::-1]))
+    weights = np.concatenate((w[:mirror], w[::-1]))
+    weights *= 2.0 / math.fsum(weights.tolist())
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def degrees_numeric(
     seq: HarmonicSequence,
     p: int,
@@ -139,24 +169,23 @@ def degrees_numeric(
     and the chart at w is the reversal (``reversed_sequence``), so its
     density is |w|^-4 times the first's at 1/w.  Radial Gauss-Legendre
     times a uniform angular grid, with node doubling until two successive
-    estimates agree.
+    estimates agree.  The weighted values are added by ``math.fsum``,
+    which rounds the exact sum once, so no summation order shows.
     """
     if not 0 <= p <= 5:
         raise ValueError("degree index must lie in 0..5")
     charts = (seq, seq.reversed_sequence())
 
     def estimate(n: int) -> float:
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = _gauss_legendre(n)
         r = 0.5 * (x + 1.0)
-        wr = 0.5 * w
+        wr = 0.5 * w * r
         m = 2 * n
-        theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-        z = r[:, None] * np.exp(1j * theta)[None, :]
-        total = 0.0
-        for chart in charts:
-            vals = chart.density_value(p, z).real
-            total += float((wr * r) @ vals.sum(axis=1)) * (2.0 * np.pi / m)
-        return total / np.pi
+        angles = [2.0 * math.pi * j / m for j in range(m)]
+        z = as_complex(r[:, None] * np.array([math.cos(t) for t in angles]),
+                       r[:, None] * np.array([math.sin(t) for t in angles]))
+        parts = [(chart.density_value(p, z) * wr[:, None]).ravel().tolist() for chart in charts]
+        return math.fsum(parts[0] + parts[1]) * (2.0 * math.pi / m) / math.pi
 
     prev = estimate(start_nodes)
     n = start_nodes

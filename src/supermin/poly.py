@@ -28,6 +28,19 @@ as scalars).  ``terms`` is the read-only {key: AlgScalar} view of a
 polynomial, built on first use, for readers outside the arithmetic.
 ``Poly`` and ``BiPoly`` share the ring code; a Poly never meets a BiPoly
 implicitly.
+
+Every float value comes from one kernel, ``evaluate``.  ``float_terms``
+converts the coefficients once, scaled by an exact 2^-k taken from the
+bit lengths of the numerators and the denominator, so no curve is too
+large or too small to convert and the floats of 2^j * p are those of p.
+The kernel holds complex values as (re, im) pairs of real float64 arrays:
+each product and sum is a separate, once-rounded real ufunc, with no
+complex-dtype multiply (numpy's AVX2/FMA loop rounds it differently from
+its SSE2 loop) and no BLAS.  It forms the powers of z once per block of
+points, shared by every polynomial of the call, in the order CPython's
+``z**e`` forms them (exponents up to 100), and adds the terms of each
+polynomial in stored order, as ``out = out + c * z**e`` would.  So its
+bytes depend neither on the CPU nor on where the blocks fall.
 """
 
 from __future__ import annotations
@@ -37,9 +50,13 @@ import operator
 from fractions import Fraction
 from types import MappingProxyType
 
+import numpy as np
+
 from .field import RADICAL, AlgScalar, as_scalar
 
 _SQRT = tuple(math.sqrt(r) for r in RADICAL)
+# points per power table of the float kernel; bounds its memory
+BLOCK = 2048
 
 
 def _add_pairs(k1, k2):
@@ -145,14 +162,27 @@ class _SparsePoly:
     def const(cls, c):
         return cls({cls._CONST_KEY: c})
 
-    def _complex_terms(self) -> list:
-        """[(key, complex coefficient)], keys and masks summed in stored order."""
-        den = self._den
-        out: dict = {}
-        for (k, m), (re, im) in self._num.items():
-            r = _SQRT[m]
-            out[k] = out.get(k, 0j) + complex(re / den * r, im / den * r)
-        return list(out.items())
+    def float_terms(self) -> tuple[int, list]:
+        """(k, [(key, re, im)]): the coefficients times 2^-k as floats.
+
+        k is the largest numerator bit length less the denominator's, so
+        the largest coefficient lies near 1 whatever the scale.  Each part
+        is re * 2^-k / den rounded once (integer true division), times the
+        square root of its radical; masks are summed in stored order.
+        """
+        if self._ceval is None:
+            den = self._den
+            k = max((max(abs(re).bit_length(), abs(im).bit_length())
+                     for re, im in self._num.values()), default=0) - den.bit_length()
+            scaled = den << k if k >= 0 else den
+            up = max(-k, 0)
+            out: dict = {}
+            for (key, m), (re, im) in self._num.items():
+                r = _SQRT[m]
+                c = out.get(key, (0.0, 0.0))
+                out[key] = (c[0] + (re << up) / scaled * r, c[1] + (im << up) / scaled * r)
+            self._ceval = (k, [(key, re, im) for key, (re, im) in out.items()])
+        return self._ceval
 
     @property
     def terms(self) -> MappingProxyType:
@@ -291,12 +321,8 @@ class Poly(_SparsePoly):
         return BiPoly._of({((e, 0), m): v for (e, m), v in self._num.items()}, self._den)
 
     def __call__(self, z):
-        if self._ceval is None:
-            self._ceval = self._complex_terms()
-        out = 0j
-        for e, c in self._ceval:
-            out = out + c * z**e
-        return out
+        """Evaluate at a complex number or an array of them."""
+        return _unscaled(self, z)
 
     def __repr__(self) -> str:
         if not self._num:
@@ -360,19 +386,104 @@ class BiPoly(_SparsePoly):
 
     def __call__(self, z):
         """Evaluate at a complex number or an array of them (zbar = conj z)."""
-        if self._ceval is None:
-            self._ceval = [(a, b, c) for (a, b), c in self._complex_terms()]
-        zb = z.conjugate()
-        out = 0j
-        for a, b, c in self._ceval:
-            out = out + c * z**a * zb**b
-        return out
+        return _unscaled(self, z)
 
     def __repr__(self) -> str:
         if not self._num:
             return "BiPoly(0)"
         bits = [f"({self.terms[k]!r})*z^{k[0]}*zb^{k[1]}" for k in sorted(self.terms)]
         return " + ".join(bits)
+
+
+# ------------------------------------------------------------- float kernel
+
+
+def _powers(zr, zi, exps) -> dict:
+    """{e: (re, im)} of z^e for e in ``exps``, each formed as CPython forms z**e.
+
+    CPython's integer power (exponents up to 100) multiplies r = 1 by the
+    squares z^(2^t) of the set bits of e, lowest bit first, each product
+    (r.re*p.re - r.im*p.im, r.re*p.im + r.im*p.re).  So z^e is z^(e - 2^t)
+    times z^(2^t), t the top bit of e; only the exponents on these chains
+    get a row, so a sparse polynomial of huge degree costs little.
+    """
+    table = {0: (np.ones(zr.size), np.zeros(zr.size))}
+    squares = [(zr, zi)]
+    for e in sorted(exps):
+        low, t = 0, 0
+        while low != e:
+            if t == len(squares):
+                sr, si = squares[-1]
+                squares.append((sr * sr - si * si, sr * si + si * sr))
+            if e >> t & 1:
+                high = low + (1 << t)
+                if high not in table:
+                    (lr, li), (sr, si) = table[low], squares[t]
+                    table[high] = (lr * sr - li * si, lr * si + li * sr)
+                low = high
+            t += 1
+    return table
+
+
+def evaluate(polys, zr, zi) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Values of Polys or BiPolys at the points z = zr + i*zi.
+
+    ``zr`` and ``zi`` are real arrays of one shape.  For each polynomial
+    the result is (re, im, k): its values times 2^-k, k from
+    ``float_terms``.  A Poly term c*z^e is c times the power; a BiPoly term
+    c*z^a*zbar^b is (c times z^a) times conj(z^b).  Points are taken in
+    blocks of ``BLOCK``, each with one power table for all ``polys``.
+    """
+    zr = np.asarray(zr, dtype=float)
+    zi = np.asarray(zi, dtype=float)
+    shape, fr, fi = zr.shape, zr.ravel(), zi.ravel()
+    conv = [p.float_terms() for p in polys]
+    exps = {e for _, terms in conv for key, _, _ in terms
+            for e in (key if type(key) is tuple else (key,))}
+    out = [(np.zeros(fr.size), np.zeros(fr.size)) for _ in polys]
+    for lo in range(0, fr.size, BLOCK):
+        pw = _powers(fr[lo:lo + BLOCK], fi[lo:lo + BLOCK], exps)
+        for (_, terms), (vr, vi) in zip(conv, out):
+            accr, acci = vr[lo:lo + BLOCK], vi[lo:lo + BLOCK]
+            for key, cr, ci in terms:
+                if type(key) is tuple:
+                    (ar, ai), (br, bi) = pw[key[0]], pw[key[1]]
+                    ur = cr * ar - ci * ai
+                    ui = cr * ai + ci * ar
+                    accr += ur * br + ui * bi
+                    acci += ui * br - ur * bi
+                else:
+                    ar, ai = pw[key]
+                    accr += cr * ar - ci * ai
+                    acci += cr * ai + ci * ar
+    return [(vr.reshape(shape), vi.reshape(shape), k)
+            for (k, _), (vr, vi) in zip(conv, out)]
+
+
+def one_scale(values) -> tuple[list, list]:
+    """Results of ``evaluate`` brought to their largest 2^-k: (re rows, im rows).
+
+    Multiplying by a power of two is exact, so projective quantities of
+    the rows (a sphere point, a ratio of components) are unchanged.
+    """
+    top = max((k for _, _, k in values), default=0)
+    return ([np.ldexp(re, k - top) for re, _, k in values],
+            [np.ldexp(im, k - top) for _, im, k in values])
+
+
+def as_complex(re, im) -> np.ndarray:
+    """The complex array re + i*im, assembled without arithmetic."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _unscaled(p: _SparsePoly, z):
+    """p(z) as a complex number, or a complex array for an array z."""
+    z = np.asarray(z, dtype=complex)
+    re, im, k = evaluate((p,), z.real, z.imag)[0]
+    out = as_complex(np.ldexp(re, k), np.ldexp(im, k))
+    return complex(out) if out.ndim == 0 else out
 
 
 def hermitian_sum(terms) -> BiPoly:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import AlgScalar
-from .g2 import cross, dot, hdot, mat_rank, scale_vec
+from .g2 import CROSS_TABLE, cross, dot, hdot, mat_rank, scale_vec
 from .poly import Poly
 
 _REL_TOL = 1e-9
@@ -71,6 +71,29 @@ def project(x):
     v = np.asarray(x, dtype=complex)
     out = 1j * np.array(cross(v.conjugate(), v)) / np.vdot(v, v).real
     return out.real
+
+
+def project_arrays(xr, xi) -> np.ndarray:
+    """``project`` of many points, each x given as 7 real and 7 imaginary
+    parts (sequences of equal-shape real arrays); returns shape (points, 7).
+
+    Component k of (i/|x|^2) * (conj(x) cross x) is -2/|x|^2 times the sum,
+    over i < j with CROSS_TABLE[i][j] = +-(k+1), of +-Im(conj(x_i) x_j) =
+    +-(re_i im_j - re_j im_i): real products and sums only, in table order.
+    """
+    sq = xr[0] * xr[0] + xi[0] * xi[0]
+    for a, b in zip(xr[1:], xi[1:]):
+        sq = sq + (a * a + b * b)
+    out = [np.zeros_like(sq) for _ in range(7)]
+    for i, row in enumerate(CROSS_TABLE):
+        for j in range(i + 1, 7):
+            t = row[j]
+            im_ij = xr[i] * xi[j] - xr[j] * xi[i]
+            if t > 0:
+                out[t - 1] -= im_ij
+            else:
+                out[-t - 1] += im_ij
+    return np.stack([2.0 * v / sq for v in out], axis=-1)
 
 
 def pushforward(x, v):
@@ -190,16 +213,6 @@ def is_superhorizontal(curve) -> bool:
 def is_quadric_curve(curve) -> bool:
     """Exact check of (f, f) = 0 as a polynomial identity."""
     return not dot(curve, curve)
-
-
-def curve_point(curve, z: complex) -> np.ndarray:
-    """Float evaluation of an exact curve at a complex parameter value."""
-    return np.array([p(z) for p in curve], dtype=complex)
-
-
-def sphere_image(curve, z: complex) -> np.ndarray:
-    """The projected surface point in S^6 for parameter z."""
-    return project(curve_point(curve, z))
 
 
 def linear_fullness_order(curve) -> int:

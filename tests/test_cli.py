@@ -118,6 +118,19 @@ def test_verify_scaled_curve_passes(curve11, seq11, tmp_path):
         assert harmonic.regular_sample_points(scaled) == want
 
 
+def test_verify_tiny_curve_measures_its_frame(curve12, tmp_path):
+    """The (1,2) member times 10^-200: its float frame once underflowed to
+    NaN, and a max() that dropped the NaN reported "max_scalar_error": "0"
+    with exit 0.  The float audit must measure a finite, non-zero error."""
+    tiny = AlgScalar.rational(1, 10**200)
+    path = tmp_path / "tiny.json"
+    path.write_text(dumps_canonical(curve_to_obj(tuple(c * tiny for c in curve12))))
+    res = run_cli("verify", str(path), timeout=120)
+    assert res.returncode == 0, res.stderr
+    err = json.loads(res.stdout)["checks"]["cross_table"]["detail"]["max_scalar_error"]
+    assert 0.0 < float(err) <= 1e-8, err
+
+
 def test_verify_missing_file_is_io_error():
     assert run_cli("verify", "/tmp/definitely-not-here.json").returncode == 3
 
@@ -235,15 +248,21 @@ def test_sample_csv(curve_file, tmp_path):
 
 
 def test_sample_guard_scales_with_the_curve(curve11, tmp_path):
-    """The (1,1) member times 10^-13 has the member's image on the sphere, so
-    sample must accept it and agree point by point; the member times z
-    vanishes at z = 0 and must still be refused there."""
+    """The (1,1) member times 10^-13 or 10^+-200 has the member's image on
+    the sphere, so sample must accept it and agree point by point; times
+    2^+-40 the floats are the member's up to an exact power of two, so the
+    bytes agree.  The member times z vanishes at z = 0 and must still be
+    refused there."""
     z = Poly.monomial(1)
-    curves = {
-        "member": curve11,
-        "small": tuple(c * AlgScalar.rational(1, 10**13) for c in curve11),
-        "times_z": tuple(z * c for c in curve11),
+    scales = {
+        "small": AlgScalar.rational(1, 10**13),
+        "huge": AlgScalar.rational(10**200),
+        "tiny": AlgScalar.rational(1, 10**200),
+        "two_up": AlgScalar.rational(2**40),
+        "two_down": AlgScalar.rational(1, 2**40),
     }
+    curves = {"member": curve11, "times_z": tuple(z * c for c in curve11)}
+    curves.update({name: tuple(c * s for c in curve11) for name, s in scales.items()})
     codes, points = {}, {}
     for name, curve in curves.items():
         src, out = tmp_path / f"{name}.json", tmp_path / f"{name}_pts.json"
@@ -251,9 +270,13 @@ def test_sample_guard_scales_with_the_curve(curve11, tmp_path):
         codes[name] = cli.main(["sample", str(src), "-n", "8", "--out", str(out)])
         if codes[name] == 0:
             points[name] = [[float(c) for c in pt] for pt in json.loads(out.read_text())["points"]]
-    assert codes == {"member": 0, "small": 0, "times_z": 1}
-    for want, got in zip(points["member"], points["small"]):
-        assert max(abs(a - b) for a, b in zip(want, got)) <= 1e-12
+    assert codes == {"member": 0, "times_z": 1, **{name: 0 for name in scales}}
+    for name in ("small", "huge", "tiny"):
+        for want, got in zip(points["member"], points[name]):
+            assert max(abs(a - b) for a, b in zip(want, got)) <= 1e-12, name
+    member = (tmp_path / "member_pts.json").read_bytes()
+    for name in ("two_up", "two_down"):
+        assert (tmp_path / f"{name}_pts.json").read_bytes() == member, name
 
 
 def test_sample_rejects_tiny_grid(curve_file):

@@ -224,14 +224,6 @@ def test_u_basis_bilinear_pairing_antidiagonal():
                 assert val.is_zero(), (i, j)
 
 
-def test_to_u_from_u_roundtrip():
-    # coordinates of the frame itself are the unit vectors
-    for j in range(7):
-        coords = g2.to_u(g2.u_basis()[j])
-        assert coords[j] == AlgScalar.one()
-        assert all(coords[m].is_zero() for m in range(7) if m != j)
-
-
 # ---------------------------------------------------------------------------
 # matrices and the symmetry group
 # ---------------------------------------------------------------------------

@@ -10,12 +10,21 @@ on (1, 2) in all three formats.  The test regenerates each output and compares i
 exit code included.  After a deliberate change of output, re-record with
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+A second test re-runs the commands whose float strings once followed the
+CPU, in a subprocess under each variable that changes numpy's or
+OpenBLAS's choice of machine code, and compares with the same files.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from supermin import catalog, cli
 from supermin.field import AlgScalar
@@ -79,6 +88,50 @@ def test_outputs_match_golden_files(tmp_path):
         if code != codes[name] or data != (GOLDEN / name).read_bytes()
     ]
     assert not moved, f"outputs differ from tests/golden: {moved}"
+
+
+# numpy's AVX2/FMA complex multiply and OpenBLAS's reductions once moved
+# these outputs; each variable below selects other machine code
+CPU_VARIABLES = {
+    "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4",
+    "OPENBLAS_CORETYPE": "Prescott",
+}
+CPU_RUNS = {
+    **{f"sample_1_2.{fmt}": ["sample", "gen_1_2.json", "-n", "16", "--format", fmt]
+       for fmt in SAMPLE_FORMATS},
+    "report_dense.json": ["report", "dense_curve.json"],
+    "report_2_1.json": ["report", "gen_2_1.json"],
+    "verify_1_2.json": ["verify", "gen_1_2.json"],
+}
+_DRIVER = (
+    "import json, sys\n"
+    "from supermin import cli\n"
+    "print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))\n"
+)
+
+
+@pytest.mark.parametrize("variable", sorted(CPU_VARIABLES))
+def test_float_outputs_do_not_depend_on_the_cpu(variable, tmp_path):
+    env = {**os.environ, variable: CPU_VARIABLES[variable]}
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                           capture_output=True, text=True)
+    if probe.returncode:
+        pytest.skip(f"numpy rejects {variable} here: {probe.stderr.strip()[-200:]}")
+    argvs = [
+        [cmd, str(GOLDEN / curve), *rest, "--out", str(tmp_path / name)]
+        for name, (cmd, curve, *rest) in CPU_RUNS.items()
+    ]
+    res = subprocess.run([sys.executable, "-c", _DRIVER, json.dumps(argvs)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    codes = dict(zip(CPU_RUNS, json.loads(res.stdout)))
+    recorded = _recorded_codes()
+    moved = [
+        name for name in CPU_RUNS
+        if codes[name] != recorded[name]
+        or (tmp_path / name).read_bytes() != (GOLDEN / name).read_bytes()
+    ]
+    assert not moved, f"outputs under {variable} differ from tests/golden: {moved}"
 
 
 if __name__ == "__main__":

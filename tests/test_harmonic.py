@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -299,6 +300,15 @@ def test_cross_table_negative_control(seq11):
         if 4 not in (i, j, harmonic.FRAME_CROSS_TABLE[i][j][1]):
             assert ok, (i, j)
     assert all(ok for (i, j), ok in rep["zero_entries_exact"].items() if 4 not in (i, j))
+
+
+def test_nan_sample_points_fail_the_float_audit(seq11):
+    """A frame that is not finite must fail part (c): the error is NaN, not
+    the largest finite error of the other points."""
+    rep = harmonic.check_cross_table(seq11, samples=[0.52 - 0.31j, complex("nan")])
+    assert math.isnan(rep["max_scalar_error"])
+    assert rep["scalars_match"] is False
+    assert rep["all_passed"] is False
 
 
 def test_second_curve_identities(seq12):

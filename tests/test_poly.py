@@ -4,12 +4,22 @@ import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supermin import catalog, harmonic, poly, twistor
 from supermin.field import AlgScalar
-from supermin.poly import BiPoly, Poly, RationalFn, poly_divmod, poly_gcd
+from supermin.poly import (
+    BiPoly,
+    Poly,
+    RationalFn,
+    evaluate,
+    one_scale,
+    poly_divmod,
+    poly_gcd,
+)
 
 
 def rand_poly(rng, deg=5, density=0.7):
@@ -278,3 +288,100 @@ def test_bipoly_integer_core_matches_scalar_reference(a, b):
     assert x.shift_down(c, d) == BiPoly({(p - c, q - d): v for (p, q), v in ref.items()})
     z = 0.7 - 0.4j
     assert close(x(z), _ref_value(a, z))
+
+
+# ---------------------------------------------------------------------------
+# the float kernel
+# ---------------------------------------------------------------------------
+
+RATIONAL_POINTS = ((Fraction(1, 2), Fraction(1, 4)), (Fraction(3, 5), 0), (0, Fraction(-2, 3)))
+
+
+def _exact_value(p, z: AlgScalar) -> AlgScalar:
+    """p(z) in exact arithmetic, zbar = conj z for a BiPoly."""
+    out = AlgScalar.zero()
+    for key, c in p.terms.items():
+        a, b = key if type(key) is tuple else (key, 0)
+        out = out + c * z**a * z.conj() ** b
+    return out
+
+
+def _kernel_points(curve, zr, zi) -> np.ndarray:
+    """Sphere points of the curve by the kernel, the components brought to
+    one scale as ``cli._sample_points`` brings them."""
+    return twistor.project_arrays(*one_scale(evaluate(curve, zr, zi)))
+
+
+def test_kernel_matches_exact_values(curve12, dense_curve):
+    """At rational z the kernel's sphere point equals the exact projection
+    of the exactly evaluated curve, and its D_p values the exact BiPoly
+    values, to 1e-15 relative."""
+    for curve in (curve12, dense_curve):
+        seq = harmonic.build_sequence(curve)
+        for re, im in RATIONAL_POINTS:
+            z = AlgScalar.rational(re) + AlgScalar.term(1, 0, im)
+            zr, zi = np.array([float(re)]), np.array([float(im)])
+            exact = twistor.project([_exact_value(c, z) for c in curve])
+            want = np.array([complex(v).real for v in exact])
+            got = _kernel_points(curve, zr, zi)[0]
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.linalg.norm(want), (re, im)
+            for p in range(7):
+                d = seq.gram_det(p)
+                want = complex(_exact_value(d, z))
+                dr, di, k = evaluate((d,), zr, zi)[0]
+                got = complex(np.ldexp(dr[0], k), np.ldexp(di[0], k))
+                assert abs(got - want) <= 1e-15 * abs(want), (re, im, p)
+
+
+def test_kernel_is_blind_to_block_boundaries(curve12, dense_curve):
+    """A grid longer than two blocks, evaluated whole or split at an odd
+    offset, gives the same bytes: curve values, sphere points, densities."""
+    rng = np.random.default_rng(7)
+    size = 2 * poly.BLOCK + 905
+    zr, zi = rng.uniform(-1.3, 1.3, size), rng.uniform(-1.3, 1.3, size)
+    cut = 1237
+    seq = harmonic.build_sequence(dense_curve)
+    dets = [seq.gram_det(p) for p in range(7)]
+    for polys in (curve12, dets):
+        whole = evaluate(polys, zr, zi)
+        head, tail = evaluate(polys, zr[:cut], zi[:cut]), evaluate(polys, zr[cut:], zi[cut:])
+        for (wr, wi, k), (hr, hi, hk), (tr, ti, tk) in zip(whole, head, tail):
+            assert k == hk == tk
+            assert wr.tobytes() == np.concatenate((hr, tr)).tobytes()
+            assert wi.tobytes() == np.concatenate((hi, ti)).tobytes()
+    whole = _kernel_points(curve12, zr, zi)
+    split = np.concatenate((_kernel_points(curve12, zr[:cut], zi[:cut]),
+                            _kernel_points(curve12, zr[cut:], zi[cut:])))
+    assert whole.tobytes() == split.tobytes()
+    z = zr + 1j * zi
+    for p in (0, 3):
+        whole = seq.density_value(p, z)
+        split = np.concatenate((seq.density_value(p, z[:cut]), seq.density_value(p, z[cut:])))
+        assert whole.tobytes() == split.tobytes()
+
+
+def test_kernel_is_python_complex_arithmetic(curve12, dense_curve):
+    """Below degree 100 the kernel computes out = out + c * z**a * zbar**b
+    of Python complex numbers, operation for operation: scaled back by 2^k
+    its values equal that loop's bit for bit."""
+    seq = harmonic.build_sequence(dense_curve)
+    polys = [*curve12, *(seq.gram_det(p) for p in range(7))]
+    points = [0.52 - 0.31j, -0.7 + 0.45j, 1.1 + 0.2j, 0j, 1j]
+    zs = np.array(points)
+    for p, (re, im, k) in zip(polys, evaluate(polys, zs.real, zs.imag)):
+        for n, z in enumerate(points):
+            want = 0j
+            for key, c in p.terms.items():
+                a, b = key if type(key) is tuple else (key, 0)
+                want = want + complex(c) * z**a * z.conjugate() ** b
+            assert complex(np.ldexp(re[n], k), np.ldexp(im[n], k)) == want, (p, z)
+
+
+def test_float_terms_follow_an_exact_power_of_two(curve12):
+    """2^j * p converts to the same floats as p, with k moved by j, even where
+    the coefficients are far outside the float range."""
+    for c in curve12:
+        k, terms = c.float_terms()
+        for j in (40, -40, 3000, -3000):
+            kj, terms_j = (c * AlgScalar.rational(Fraction(2) ** j)).float_terms()
+            assert kj == k + j and terms_j == terms

@@ -5,6 +5,7 @@ import pytest
 
 from supermin import catalog, g2, twistor
 from supermin.field import AlgScalar
+from supermin.poly import evaluate, one_scale
 
 
 def std_c(i):
@@ -211,8 +212,9 @@ def test_perturbed_curve_fails_superhorizontality(curve11):
 
 
 def test_sphere_image_is_unit(curve11):
-    for z in (0j, 0.5 + 0.25j, 2.0 - 1.0j):
-        p = twistor.sphere_image(curve11, z)
+    zs = np.array([0j, 0.5 + 0.25j, 2.0 - 1.0j])
+    points = twistor.project_arrays(*one_scale(evaluate(curve11, zs.real, zs.imag)))
+    for p in points:
         assert abs(np.linalg.norm(p) - 1) < 1e-12
 
 
