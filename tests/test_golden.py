@@ -103,7 +103,7 @@ CPU_RUNS = {
     "report_2_1.json": ["report", "gen_2_1.json"],
     "verify_1_2.json": ["verify", "gen_1_2.json"],
 }
-_DRIVER = (
+_RUNNER = (
     "import json, sys\n"
     "from supermin import cli\n"
     "print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))\n"
@@ -121,7 +121,7 @@ def test_float_outputs_do_not_depend_on_the_cpu(variable, tmp_path):
         [cmd, str(GOLDEN / curve), *rest, "--out", str(tmp_path / name)]
         for name, (cmd, curve, *rest) in CPU_RUNS.items()
     ]
-    res = subprocess.run([sys.executable, "-c", _DRIVER, json.dumps(argvs)], env=env,
+    res = subprocess.run([sys.executable, "-c", _RUNNER, json.dumps(argvs)], env=env,
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     codes = dict(zip(CPU_RUNS, json.loads(res.stdout)))
