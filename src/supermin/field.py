@@ -1,9 +1,7 @@
 """Exact arithmetic in the number field Q(i, sqrt2, sqrt3, sqrt5).
 
 Every scalar this toolkit needs lives in the degree-16 field obtained from the
-rationals by adjoining i and the square roots of 2, 3 and 5.  A scalar is kept
-as a sparse dict mapping a 3-bit radical mask to a complex-rational
-coefficient, so
+rationals by adjoining i and the square roots of 2, 3 and 5.  A value is
 
     x = sum_m (re_m + i*im_m) * sqrt(RADICAL[m])
 
@@ -12,40 +10,246 @@ RADICAL[m] is the product of the selected primes.  Multiplication of radicals
 is closed:  sqrt(a)*sqrt(b) = g * sqrt(a*b/g^2) with g the product of shared
 primes, which in mask terms is RADICAL[m1 & m2] * sqrt(RADICAL[m1 ^ m2]).
 
-AlgScalar is the public scalar: curve files, reports and the ``terms``
-view of a polynomial hold AlgScalars with Fraction parts.  Polynomials do
-not compute with it.  ``poly`` stores the same layout fraction-free, as
-Python ints (re, im) per (key, mask) over one denominator per polynomial,
-and folds radicals with the same RADICAL table.  It keeps its (key, mask)
-entries in order of first appearance, so a coefficient in a ``terms``
-view may list its masks in another order than AlgScalar arithmetic would.
+Scalars and the polynomials of ``poly`` share one layout and one ring core,
+``_SparsePoly``: Python ints (re, im) per (key, mask) over one positive
+denominator, standing for
+
+    sum  (re + i*im) / den * sqrt(RADICAL[mask]) * monomial(key).
+
+The form is reduced -- no (0, 0) pair, and the gcd of the denominator and
+all numerators is 1 -- so ``==`` and ``hash`` compare the stored data.
+``_mul_into`` is the one radical fold, and it multiplies ints only.
+Entries keep their order of first appearance in a sum or product, a
+cancelled one holding its place as (0, 0) until settled; float conversions
+sum them in that order.
+
+AlgScalar is the case with the single key 0.  Fractions appear only where a
+value crosses the boundary: the constructor and the factories take ints or
+Fractions, and ``coeff(mask)``, ``as_fraction`` and ``repr`` give them back.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from types import MappingProxyType
 
 # radicand represented by each mask: bit0 -> 2, bit1 -> 3, bit2 -> 5
 RADICAL = (1, 2, 3, 6, 5, 10, 15, 30)
+_SQRT = tuple(math.sqrt(r) for r in RADICAL)
 
 # fixed mask order used when a scalar is flattened to coefficient lists
 # (sorted by radicand value: 1, 2, 3, 5, 6, 10, 15, 30)
 MASK_ORDER = (0, 1, 2, 4, 3, 5, 6, 7)
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _by_key(num: dict) -> list:
+    """[(key, [(mask, re, im), ...])] of flat numerators, in stored order."""
+    groups: dict = {}
+    for (k, m), (re, im) in num.items():
+        groups.setdefault(k, []).append((m, re, im))
+    return list(groups.items())
 
 
-class AlgScalar:
-    """Immutable element of Q(i, sqrt2, sqrt3, sqrt5)."""
+def _mul_into(out: dict, num1: dict, num2: dict, add) -> None:
+    """out += p1 * p2, for the flat numerators of two values.
 
-    __slots__ = ("_terms",)
+    Each product enters ``out`` at (add(k1, k2), m1 ^ m2).  A sum that
+    cancels stays as a (0, 0) pair, so the entry keeps its first place;
+    ``_settled`` drops it.
+    """
+    get = out.get
+    rows2 = _by_key(num2)
+    for k1, ms1 in _by_key(num1):
+        for k2, ms2 in rows2:
+            k = add(k1, k2)
+            for m1, p, q in ms1:
+                for m2, c, d in ms2:
+                    re = p * c - q * d
+                    im = p * d + q * c
+                    g = m1 & m2
+                    if g:
+                        g = RADICAL[g]
+                        re *= g
+                        im *= g
+                    km = (k, m1 ^ m2)
+                    v = get(km)
+                    out[km] = (re, im) if v is None else (v[0] + re, v[1] + im)
 
-    def __init__(self, terms: dict[int, tuple[Fraction, Fraction]] | None = None):
-        if terms is None:
-            terms = {}
-        self._terms = {m: c for m, c in terms.items() if c[0] or c[1]}
+
+def _settled(out: dict) -> dict:
+    """``out`` without its (0, 0) entries."""
+    return {km: v for km, v in out.items() if v[0] or v[1]}
+
+
+class _SparsePoly:
+    """Integer numerators {(key, mask): (re, im)} over one denominator.
+
+    Sums, differences and equality are defined only between two values
+    of the same class; AlgScalar also lets ints and Fractions in.
+    """
+
+    __slots__ = ("_num", "_den", "_view", "_ceval")
+
+    _CONST_KEY: object  # the key of the constant term
+    _ADD: staticmethod  # the key of a product of two monomials
+
+    def __init__(self, terms: dict | None = None):
+        coeffs = []
+        for k, c in (terms or {}).items():
+            s = as_scalar(c)
+            if s is None:
+                raise TypeError(f"not a scalar: {c!r}")
+            coeffs.append((k, s))
+        # over the lcm of reduced denominators the form is already reduced
+        den = math.lcm(*(s._den for _, s in coeffs))
+        num = {}
+        for k, s in coeffs:
+            f = den // s._den
+            for (_, m), (re, im) in s._num.items():
+                num[(k, m)] = (re * f, im * f)
+        self._set(num, den)
+
+    def _set(self, num: dict, den: int) -> None:
+        self._num = num
+        self._den = den
+        self._view = self._ceval = None
+
+    @classmethod
+    def _of(cls, num: dict, den: int = 1):
+        """The value num / den, from settled numerators, reduced."""
+        if den != 1:
+            g = den
+            for re, im in num.values():
+                g = math.gcd(g, re, im)
+                if g == 1:
+                    break
+            if g != 1:
+                num = {k: (re // g, im // g) for k, (re, im) in num.items()}
+                den //= g
+        out = cls.__new__(cls)
+        out._set(num, den)
+        return out
+
+    @classmethod
+    def const(cls, c):
+        return cls({cls._CONST_KEY: c})
+
+    def float_terms(self) -> tuple[int, list]:
+        """(k, [(key, re, im)]): the coefficients times 2^-k as floats.
+
+        k is the largest numerator bit length less the denominator's, so
+        the largest coefficient lies near 1 whatever the scale.  Each part
+        is re * 2^-k / den rounded once (integer true division), times the
+        square root of its radical; masks are summed in stored order.
+        """
+        if self._ceval is None:
+            den = self._den
+            k = max((max(abs(re).bit_length(), abs(im).bit_length())
+                     for re, im in self._num.values()), default=0) - den.bit_length()
+            scaled = den << k if k >= 0 else den
+            up = max(-k, 0)
+            out: dict = {}
+            for (key, m), (re, im) in self._num.items():
+                r = _SQRT[m]
+                c = out.get(key, (0.0, 0.0))
+                out[key] = (c[0] + (re << up) / scaled * r, c[1] + (im << up) / scaled * r)
+            self._ceval = (k, [(key, re, im) for key, (re, im) in out.items()])
+        return self._ceval
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only {key: AlgScalar} view."""
+        view = self._view
+        if view is None:
+            den = self._den
+            view = self._view = MappingProxyType({
+                k: AlgScalar._of({(0, m): (re, im) for m, re, im in ms}, den)
+                for k, ms in _by_key(self._num)
+            })
+        return view
+
+    def coeff(self, key) -> AlgScalar:
+        """The coefficient of one monomial; zero when the key is absent."""
+        return AlgScalar._of(
+            {(0, m): v for (k, m), v in self._num.items() if k == key}, self._den
+        )
+
+    def __len__(self) -> int:
+        """The number of monomials."""
+        return len({k for k, _ in self._num})
+
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def __bool__(self) -> bool:
+        return bool(self._num)
+
+    def _plus(self, other, sign: int):
+        den = math.lcm(self._den, other._den)
+        f1, f2 = den // self._den, sign * (den // other._den)
+        out = {k: (re * f1, im * f1) for k, (re, im) in self._num.items()}
+        get = out.get
+        for k, (re, im) in other._num.items():
+            re, im = re * f2, im * f2
+            v = get(k)
+            out[k] = (re, im) if v is None else (v[0] + re, v[1] + im)
+        return self._of(_settled(out), den)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._plus(other, 1)
+
+    def __neg__(self):
+        return self._of({k: (-re, -im) for k, (re, im) in self._num.items()}, self._den)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._plus(other, -1)
+
+    def _times(self, other):
+        """The product with a value of the same class."""
+        out: dict = {}
+        _mul_into(out, self._num, other._num, self._ADD)
+        return self._of(_settled(out), self._den * other._den)
+
+    def _scale(self, other):
+        """The product with a scalar; NotImplemented for anything else."""
+        if type(other) is int:
+            num = {k: (re * other, im * other) for k, (re, im) in self._num.items()}
+            return self._of(num if other else {}, self._den)
+        s = as_scalar(other)
+        if s is None:
+            return NotImplemented
+        return self._times(self.const(s))
+
+    __rmul__ = _scale
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._den == other._den and self._num == other._num
+
+    def __hash__(self):
+        return hash((self._den, frozenset(self._num.items())))
+
+
+class AlgScalar(_SparsePoly):
+    """Immutable element of Q(i, sqrt2, sqrt3, sqrt5): the key-0 case of the core."""
+
+    __slots__ = ()
+    _ADD = staticmethod(operator.add)
+
+    def __init__(self, terms: dict | None = None):
+        """From {mask: (re, im)} with int or Fraction parts."""
+        parts = [(m, re, im) for m, (re, im) in (terms or {}).items() if re or im]
+        den = math.lcm(*(x.denominator for _, re, im in parts for x in (re, im)))
+        self._set({(0, m): (re.numerator * (den // re.denominator),
+                            im.numerator * (den // im.denominator))
+                   for m, re, im in parts}, den)
 
     # ---------------------------------------------------------------- factories
 
@@ -55,15 +259,15 @@ class AlgScalar:
 
     @classmethod
     def one(cls) -> AlgScalar:
-        return cls({0: (_ONE, _ZERO)})
+        return cls({0: (1, 0)})
 
     @classmethod
     def i(cls) -> AlgScalar:
-        return cls({0: (_ZERO, _ONE)})
+        return cls({0: (0, 1)})
 
     @classmethod
     def rational(cls, num, den=1) -> AlgScalar:
-        return cls({0: (Fraction(num, den), _ZERO)})
+        return cls({0: (Fraction(num, den), 0)})
 
     @classmethod
     def term(cls, radicand: int, re, im=0) -> AlgScalar:
@@ -99,29 +303,24 @@ class AlgScalar:
         kernel *= m  # leftover prime
         if 30 % kernel:
             raise ValueError(f"sqrt({n}) does not lie in Q(sqrt2, sqrt3, sqrt5)")
-        return cls({RADICAL.index(kernel): (Fraction(square), _ZERO)})
+        return cls({RADICAL.index(kernel): (square, 0)})
 
     # ------------------------------------------------------------------- state
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def is_rational(self) -> bool:
-        return all(m == 0 for m in self._terms)
+        return all(m == 0 for _, m in self._num)
 
     def as_fraction(self) -> Fraction:
         """The value as a Fraction; only valid for purely rational, real scalars."""
-        if not self._terms:
-            return _ZERO
-        if set(self._terms) != {0} or self._terms[0][1]:
+        if not self._num:
+            return Fraction(0)
+        if set(self._num) != {(0, 0)} or self._num[(0, 0)][1]:
             raise ValueError(f"{self!r} is not a real rational")
-        return self._terms[0][0]
+        return Fraction(self._num[(0, 0)][0], self._den)
 
     def coeff(self, mask: int) -> tuple[Fraction, Fraction]:
-        return self._terms.get(mask, (_ZERO, _ZERO))
+        re, im = self._num.get((0, mask), (0, 0))
+        return Fraction(re, self._den), Fraction(im, self._den)
 
     # -------------------------------------------------------------- arithmetic
 
@@ -129,61 +328,39 @@ class AlgScalar:
         o = as_scalar(other)
         if o is None:
             return NotImplemented
-        out = dict(self._terms)
-        for m, (re, im) in o._terms.items():
-            a, b = out.get(m, (_ZERO, _ZERO))
-            out[m] = (a + re, b + im)
-        return AlgScalar(out)
+        return self._plus(o, 1)
 
     __radd__ = __add__
-
-    def __neg__(self) -> AlgScalar:
-        return AlgScalar({m: (-re, -im) for m, (re, im) in self._terms.items()})
 
     def __sub__(self, other) -> AlgScalar:
         o = as_scalar(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._plus(o, -1)
 
     def __rsub__(self, other) -> AlgScalar:
         o = as_scalar(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._plus(self, -1)
 
     def __mul__(self, other) -> AlgScalar:
         o = as_scalar(other)
         if o is None:
             return NotImplemented
-        out: dict[int, tuple[Fraction, Fraction]] = {}
-        for m1, (a, b) in self._terms.items():
-            for m2, (c, d) in o._terms.items():
-                g = RADICAL[m1 & m2]
-                m = m1 ^ m2
-                re = (a * c - b * d) * g
-                im = (a * d + b * c) * g
-                if m in out:
-                    p, q = out[m]
-                    out[m] = (p + re, q + im)
-                else:
-                    out[m] = (re, im)
-        return AlgScalar(out)
+        return self._times(o)
 
     __rmul__ = __mul__
 
     def galois(self, bits: int) -> AlgScalar:
         """Field automorphism negating the radicals selected by ``bits``."""
-        out = {}
-        for m, (re, im) in self._terms.items():
-            if (m & bits).bit_count() & 1:
-                out[m] = (-re, -im)
-            else:
-                out[m] = (re, im)
-        return AlgScalar(out)
+        return AlgScalar._of({
+            km: (-re, -im) if (km[1] & bits).bit_count() & 1 else (re, im)
+            for km, (re, im) in self._num.items()
+        }, self._den)
 
     def conj(self) -> AlgScalar:
-        return AlgScalar({m: (re, -im) for m, (re, im) in self._terms.items()})
+        return AlgScalar._of({km: (re, -im) for km, (re, im) in self._num.items()}, self._den)
 
     def inverse(self) -> AlgScalar:
         """Multiplicative inverse via the Galois-conjugate cascade.
@@ -191,18 +368,18 @@ class AlgScalar:
         Multiplying by sigma(x) for each radical automorphism sigma lands the
         denominator in Q(i); one complex conjugation finishes the job.
         """
-        if not self._terms:
+        if not self._num:
             raise ZeroDivisionError("inverse of zero")
         num = AlgScalar.one()
         den = self
         for bit in (1, 2, 4):
-            if any(m & bit for m in den._terms):
+            if any(m & bit for _, m in den._num):
                 g = den.galois(bit)
                 num = num * g
                 den = den * g
-        a, b = den._terms[0]  # den is now rational complex
-        n2 = a * a + b * b
-        return num * AlgScalar({0: (a / n2, -b / n2)})
+        a, b = den._num[(0, 0)]  # den is now (a + i*b) / d, rational complex
+        d = den._den
+        return num * AlgScalar._of({(0, 0): (a * d, -b * d)}, a * a + b * b)
 
     def __truediv__(self, other) -> AlgScalar:
         o = as_scalar(other)
@@ -236,28 +413,28 @@ class AlgScalar:
         o = as_scalar(other)
         if o is None:
             return NotImplemented
-        return self._terms == o._terms
+        return _SparsePoly.__eq__(self, o)
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+    __hash__ = _SparsePoly.__hash__
 
     # ------------------------------------------------------------- conversions
 
     def __complex__(self) -> complex:
         out = 0j
-        for m, (re, im) in self._terms.items():
-            r = math.sqrt(RADICAL[m])
-            out += complex(re * r, im * r)
+        den = self._den
+        for (_, m), (re, im) in self._num.items():
+            r = _SQRT[m]
+            out += complex(re / den * r, im / den * r)
         return out
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
         for m in MASK_ORDER:
-            if m not in self._terms:
+            if (0, m) not in self._num:
                 continue
-            re, im = self._terms[m]
+            re, im = self.coeff(m)
             if im == 0:
                 body = str(re)
             elif re == 0:
@@ -276,5 +453,5 @@ def as_scalar(c) -> AlgScalar | None:
     if isinstance(c, AlgScalar):
         return c
     if isinstance(c, (int, Fraction)):
-        return AlgScalar({0: (Fraction(c), _ZERO)})
+        return AlgScalar({0: (c, 0)})
     return None

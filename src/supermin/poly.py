@@ -9,25 +9,16 @@ Three layers, all immutable by convention:
                     is cancellation of a common monomial z^c * zbar^d; genuine
                     identities are always tested by cross-multiplication.
 
-Coefficients lie in Q(i, sqrt2, sqrt3, sqrt5) (see ``field``) and are
-stored fraction-free: a polynomial maps (key, mask) to a pair of Python
-ints (re, im) over one positive denominator, standing for
-
-    sum  (re + i*im) / den * sqrt(RADICAL[mask]) * monomial(key).
-
-The form is reduced -- no (0, 0) pair, and the gcd of the denominator and
-all numerators is 1 -- so ``==`` and ``hash`` compare the stored data.
-Products fold radicals as ``AlgScalar`` does, sqrt(R[m1]) * sqrt(R[m2]) =
-R[m1 & m2] * sqrt(R[m1 ^ m2]), and multiply ints only.  Entries keep
-their order of first appearance in a sum or product, a cancelled one
-holding its place as (0, 0) until settled; float evaluation sums the
-monomials, and each one's masks, in that order.
+Coefficients lie in Q(i, sqrt2, sqrt3, sqrt5).  ``Poly`` and ``BiPoly``
+are cases of the ring core ``field._SparsePoly``, which ``AlgScalar``
+shares: Python ints (re, im) per (key, mask) over one reduced
+denominator, with entries in order of first appearance.  Float
+evaluation sums the monomials, and each one's masks, in that order.
 
 Constructors take {key: AlgScalar} dicts (ints and Fractions are accepted
 as scalars).  ``terms`` is the read-only {key: AlgScalar} view of a
 polynomial, built on first use, for readers outside the arithmetic.
-``Poly`` and ``BiPoly`` share the ring code; a Poly never meets a BiPoly
-implicitly.
+A Poly never meets a BiPoly implicitly.
 
 Every float value comes from one kernel, ``evaluate``.  ``float_terms``
 converts the coefficients once, scaled by an exact 2^-k taken from the
@@ -47,14 +38,11 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
-from types import MappingProxyType
 
 import numpy as np
 
-from .field import RADICAL, AlgScalar, as_scalar
+from .field import AlgScalar, _mul_into, _settled, _SparsePoly
 
-_SQRT = tuple(math.sqrt(r) for r in RADICAL)
 # points per power table of the float kernel; bounds its memory
 BLOCK = 2048
 
@@ -65,204 +53,6 @@ def _add_pairs(k1, k2):
 
 def _pair(a, b):
     return (a, b)
-
-
-def _by_key(num: dict) -> list:
-    """[(key, [(mask, re, im), ...])] of flat numerators, in stored order."""
-    groups: dict = {}
-    for (k, m), (re, im) in num.items():
-        groups.setdefault(k, []).append((m, re, im))
-    return list(groups.items())
-
-
-def _mul_into(out: dict, num1: dict, num2: dict, add) -> None:
-    """out += p1 * p2, for the flat numerators of two polynomials.
-
-    Each product enters ``out`` at (add(k1, k2), m1 ^ m2).  A sum that
-    cancels stays as a (0, 0) pair, so the entry keeps its first place;
-    ``_settled`` drops it.
-    """
-    get = out.get
-    rows2 = _by_key(num2)
-    for k1, ms1 in _by_key(num1):
-        for k2, ms2 in rows2:
-            k = add(k1, k2)
-            for m1, p, q in ms1:
-                for m2, c, d in ms2:
-                    re = p * c - q * d
-                    im = p * d + q * c
-                    g = m1 & m2
-                    if g:
-                        g = RADICAL[g]
-                        re *= g
-                        im *= g
-                    km = (k, m1 ^ m2)
-                    v = get(km)
-                    out[km] = (re, im) if v is None else (v[0] + re, v[1] + im)
-
-
-def _settled(out: dict) -> dict:
-    """``out`` without its (0, 0) entries."""
-    return {km: v for km, v in out.items() if v[0] or v[1]}
-
-
-class _SparsePoly:
-    """Integer numerators {(key, mask): (re, im)} over one denominator.
-
-    Sums, differences and equality are defined only between two
-    polynomials of the same class.
-    """
-
-    __slots__ = ("_num", "_den", "_view", "_ceval")
-
-    _CONST_KEY: object  # the key of the constant term
-    _ADD: staticmethod  # the key of a product of two monomials
-
-    def __init__(self, terms: dict | None = None):
-        coeffs = []
-        for k, c in (terms or {}).items():
-            s = as_scalar(c)
-            if s is None:
-                raise TypeError(f"not a scalar: {c!r}")
-            coeffs.append((k, s._terms))
-        # over the lcm of reduced denominators the form is already reduced
-        den = math.lcm(*(x.denominator for _, t in coeffs for pair in t.values() for x in pair))
-        self._set(
-            {
-                (k, m): (re.numerator * (den // re.denominator),
-                         im.numerator * (den // im.denominator))
-                for k, t in coeffs
-                for m, (re, im) in t.items()
-            },
-            den,
-        )
-
-    def _set(self, num: dict, den: int) -> None:
-        self._num = num
-        self._den = den
-        self._view = self._ceval = None
-
-    @classmethod
-    def _of(cls, num: dict, den: int = 1):
-        """The polynomial num / den, from settled numerators, reduced."""
-        if den != 1:
-            g = den
-            for re, im in num.values():
-                g = math.gcd(g, re, im)
-                if g == 1:
-                    break
-            if g != 1:
-                num = {k: (re // g, im // g) for k, (re, im) in num.items()}
-                den //= g
-        out = cls.__new__(cls)
-        out._set(num, den)
-        return out
-
-    @classmethod
-    def const(cls, c):
-        return cls({cls._CONST_KEY: c})
-
-    def float_terms(self) -> tuple[int, list]:
-        """(k, [(key, re, im)]): the coefficients times 2^-k as floats.
-
-        k is the largest numerator bit length less the denominator's, so
-        the largest coefficient lies near 1 whatever the scale.  Each part
-        is re * 2^-k / den rounded once (integer true division), times the
-        square root of its radical; masks are summed in stored order.
-        """
-        if self._ceval is None:
-            den = self._den
-            k = max((max(abs(re).bit_length(), abs(im).bit_length())
-                     for re, im in self._num.values()), default=0) - den.bit_length()
-            scaled = den << k if k >= 0 else den
-            up = max(-k, 0)
-            out: dict = {}
-            for (key, m), (re, im) in self._num.items():
-                r = _SQRT[m]
-                c = out.get(key, (0.0, 0.0))
-                out[key] = (c[0] + (re << up) / scaled * r, c[1] + (im << up) / scaled * r)
-            self._ceval = (k, [(key, re, im) for key, (re, im) in out.items()])
-        return self._ceval
-
-    @property
-    def terms(self) -> MappingProxyType:
-        """Read-only {key: AlgScalar} view, with Fraction parts."""
-        view = self._view
-        if view is None:
-            den = self._den
-            view = self._view = MappingProxyType({
-                k: AlgScalar({m: (Fraction(re, den), Fraction(im, den)) for m, re, im in ms})
-                for k, ms in _by_key(self._num)
-            })
-        return view
-
-    def coeff(self, key) -> AlgScalar:
-        """The coefficient of one monomial; zero when the key is absent."""
-        den = self._den
-        return AlgScalar({
-            m: (Fraction(re, den), Fraction(im, den))
-            for (k, m), (re, im) in self._num.items() if k == key
-        })
-
-    def __len__(self) -> int:
-        """The number of monomials."""
-        return len({k for k, _ in self._num})
-
-    def is_zero(self) -> bool:
-        return not self._num
-
-    def __bool__(self) -> bool:
-        return bool(self._num)
-
-    def _plus(self, other, sign: int):
-        den = math.lcm(self._den, other._den)
-        f1, f2 = den // self._den, sign * (den // other._den)
-        out = {k: (re * f1, im * f1) for k, (re, im) in self._num.items()}
-        get = out.get
-        for k, (re, im) in other._num.items():
-            re, im = re * f2, im * f2
-            v = get(k)
-            out[k] = (re, im) if v is None else (v[0] + re, v[1] + im)
-        return self._of(_settled(out), den)
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._plus(other, 1)
-
-    def __neg__(self):
-        return self._of({k: (-re, -im) for k, (re, im) in self._num.items()}, self._den)
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._plus(other, -1)
-
-    def _times(self, other):
-        """The product with a polynomial of the same class."""
-        out: dict = {}
-        _mul_into(out, self._num, other._num, self._ADD)
-        return self._of(_settled(out), self._den * other._den)
-
-    def _scale(self, other):
-        """The product with a scalar; NotImplemented for anything else."""
-        if type(other) is int:
-            num = {k: (re * other, im * other) for k, (re, im) in self._num.items()}
-            return self._of(num if other else {}, self._den)
-        s = as_scalar(other)
-        if s is None:
-            return NotImplemented
-        return self._times(self.const(s))
-
-    __rmul__ = _scale
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._den == other._den and self._num == other._num
-
-    def __hash__(self):
-        return hash((self._den, frozenset(self._num.items())))
 
 
 class Poly(_SparsePoly):
@@ -294,16 +84,6 @@ class Poly(_SparsePoly):
             {(e - 1, m): (re * e, im * e) for (e, m), (re, im) in self._num.items() if e},
             self._den,
         )
-
-    def scale_arg(self, r) -> Poly:
-        """The polynomial p(r*z)."""
-        s = as_scalar(r)
-        if s is None:
-            raise TypeError(f"not a scalar: {r!r}")
-        powers: dict[int, AlgScalar] = {0: AlgScalar.one()}
-        for e in range(1, self.degree() + 1):
-            powers[e] = powers[e - 1] * s
-        return Poly({e: c * powers[e] for e, c in self.terms.items()})
 
     def reverse(self, total: int) -> Poly:
         """z^total * p(1/z); ``total`` must cover the degree."""

@@ -193,3 +193,13 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != AlgScalar.root(2)
+
+
+def test_radical_fold_matches_trial_division():
+    # products fold radicals through the RADICAL[m1 & m2] table; root()
+    # factors by trial division, so it is an independent oracle
+    for a in range(8):
+        for b in range(8):
+            want = AlgScalar.root(RADICAL[a] * RADICAL[b])
+            assert AlgScalar.term(RADICAL[a], 1) * AlgScalar.term(RADICAL[b], 1) == want
+            assert AlgScalar.term(RADICAL[a], 0, 1) * AlgScalar.term(RADICAL[b], 0, 1) == -want
