@@ -248,17 +248,17 @@ def reality_check(form: NormalFormCurve):
     exactly, float vectors to a tolerance relative to the largest entry.
     """
     lam = [lambda_weights(form.spec, j) for j in range(_DIM)]
+    vectors = form.vectors
+    tol = 0.0  # unused by the exact test, which never meets a float
     if not form.is_exact():
         lam = [complex(x) for x in lam]
-    vectors = form.vectors
+        scale = max(abs(complex(c)) for v in vectors for c in v) ** 2
+        tol = _REALITY_TOL * (scale or 1.0)
     mu = dot(vectors[0], vectors[6]) / lam[0]
-    scale = max(abs(complex(c)) for v in vectors for c in v) ** 2
-    if scale == 0.0:
-        scale = 1.0
     for j in range(_DIM):
         for i in range(_DIM):
             want = (-1) ** j * mu * lam[j] if i == 6 - j else 0
-            if _nonzero(dot(vectors[j], vectors[i]) - want, _REALITY_TOL * scale):
+            if _nonzero(dot(vectors[j], vectors[i]) - want, tol):
                 return False, mu
     return True, mu
 

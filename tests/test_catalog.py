@@ -189,6 +189,20 @@ def test_reality_check_detects_breakage(curve11):
     assert not ok
 
 
+def test_reality_check_exact_survives_any_scale(curve12):
+    """An exact form far outside the float range is tested exactly; its
+    float tolerance was once squared into an OverflowError."""
+    spec = catalog.SingularityTypeSpec.from_pair(1, 2)
+    _ok, mu = catalog.reality_check(catalog.normal_form_of(curve12, spec))
+    big = 10**200
+    form = catalog.normal_form_of(tuple(Poly.const(big) * c for c in curve12), spec)
+    assert catalog.reality_check(form) == (True, mu * big**2)
+    vectors = list(form.vectors)
+    vectors[2] = tuple(c * 3 for c in vectors[2])
+    broken = catalog.NormalFormCurve(spec=spec, vectors=tuple(vectors))
+    assert not catalog.reality_check(broken)[0]
+
+
 # ---------------------------------------------------------------------------
 # the deformation family
 # ---------------------------------------------------------------------------
@@ -356,7 +370,8 @@ def test_normalizer_pipeline_chart_scale_two(curve11):
     r8 = AlgScalar.one()
     r = catalog.chart_scale(spec, r1, r8)
     curve = catalog.r_family(spec, catalog.RFamilyParams(r1=r1, r8=r8)).to_curve()
-    scaled = tuple(c.scale_arg(r) for c in curve)
+    # the substitution z -> r*z: coefficient c_e becomes c_e * r^e
+    scaled = tuple(Poly({e: c * r**e for e, c in comp.terms.items()}) for comp in curve)
     moved = catalog.transform_curve(catalog.normalizer(spec, r1, r8), scaled)
     assert curves_equal(moved, curve11)
 
