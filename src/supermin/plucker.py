@@ -288,14 +288,6 @@ def area(degrees, totals) -> Fraction:
     return by_degree
 
 
-def map_area(degrees, p: int) -> Fraction:
-    """Area of the p-th map in the chain: pi times (delta_{p-1} + delta_p)."""
-    d = (0,) + tuple(degrees) + (0,)
-    if not 0 <= p <= 6:
-        raise ValueError("map index must lie in 0..6")
-    return Fraction(d[p] + d[p + 1])
-
-
 def area_type_candidates(pi_multiple: int, *, allow_one_point: bool = False) -> list:
     """Symmetric ramification data compatible with a given total area.
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from .field import AlgScalar
 from .g2 import CROSS_TABLE, cross, dot, hdot, mat_rank, scale_vec
-from .poly import Poly
 
 _REL_TOL = 1e-9
 

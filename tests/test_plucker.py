@@ -130,15 +130,6 @@ def test_area_audit_mismatch_raises():
         plucker.area(degrees, (1, 1, 1, 1, 1, 1))
 
 
-def test_map_area_chain():
-    degrees = KNOWN[(1, 1)][0]
-    assert plucker.map_area(degrees, 0) == 6
-    assert plucker.map_area(degrees, 3) == 24
-    assert plucker.map_area(degrees, 6) == 6
-    with pytest.raises(ValueError):
-        plucker.map_area(degrees, 7)
-
-
 def test_area_candidates_enumeration():
     assert plucker.area_type_candidates(24) == [(0, (0, 0))]
     # total 28 would force exactly one ramification point -- excluded

@@ -64,14 +64,6 @@ def test_diff_product_rule():
         assert (p * q).diff() == p.diff() * q + p * q.diff()
 
 
-def test_scale_arg():
-    p = Poly.monomial(2) + Poly.const(3)
-    r = AlgScalar.rational(5)
-    q = p.scale_arg(r)
-    # q(z) = p(5z)
-    assert q == Poly.monomial(2, 25) + Poly.const(3)
-
-
 def test_reverse_swaps_ends():
     p = Poly.monomial(0, 1) + Poly.monomial(3, 2)
     rev = p.reverse(3)
