@@ -249,7 +249,7 @@ def reality_check(form: NormalFormCurve):
     """
     lam = [lambda_weights(form.spec, j) for j in range(_DIM)]
     vectors = form.vectors
-    tol = 0.0  # unused by the exact test, which never meets a float
+    tol = 0.0  # the exact zero test takes no tolerance
     if not form.is_exact():
         lam = [complex(x) for x in lam]
         scale = max(abs(complex(c)) for v in vectors for c in v) ** 2

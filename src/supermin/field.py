@@ -244,7 +244,11 @@ class AlgScalar(_SparsePoly):
     _ADD = staticmethod(operator.add)
 
     def __init__(self, terms: dict | None = None):
-        """From {mask: (re, im)} with int or Fraction parts."""
+        """From {mask: (re, im)} with int or Fraction parts.
+
+        Over the lcm of the parts' reduced denominators the form is
+        already reduced.
+        """
         parts = [(m, re, im) for m, (re, im) in (terms or {}).items() if re or im]
         den = math.lcm(*(x.denominator for _, re, im in parts for x in (re, im)))
         self._set({(0, m): (re.numerator * (den // re.denominator),
