@@ -80,42 +80,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     seq = None
     try:
         seq = harmonic.build_sequence(curve)
-        rec = harmonic.check_recursion(seq)
-        seq_ok = (
-            all(rec["derivative_rule"])
-            and all(rec["conjugate_derivative_rule"])
-            and rec["holomorphic_start"]
-            and rec["terminates"]
-        )
-        checks["harmonic_sequence"] = {"passed": seq_ok, "detail": rec}
+        checks["harmonic_sequence"] = harmonic.check_recursion(seq)
     except ValueError as exc:
         checks["harmonic_sequence"] = {"passed": False, "error": str(exc)}
 
-    if seq is not None and horizontal:
-        reality = harmonic.check_reality(seq)
-        norms = harmonic.check_norm_products(seq)
-        cross = harmonic.check_cross_table(seq)
-        checks["reality"] = {
-            "passed": reality["all_proportional"],
-            "detail": reality,
-        }
-        checks["norm_products"] = {
-            "passed": norms["all_passed"],
-            "detail": {"constants": norms["constants"]},
-        }
-        checks["cross_table"] = {
-            "passed": cross["all_passed"],
-            "detail": {
-                "zero_entries_exact": cross["zero_entries_exact"],
-                "proportional_entries_exact": cross["proportional_entries_exact"],
-                "max_scalar_error": cross["max_scalar_error"],
-            },
-        }
-    else:
-        reason = "skipped: superhorizontality failed" if seq is not None else \
-            "skipped: no harmonic sequence"
-        for name in ("reality", "norm_products", "cross_table"):
-            checks[name] = {"passed": False, "skipped": True, "error": reason}
+    skip = ("skipped: no harmonic sequence" if seq is None
+            else None if horizontal else "skipped: superhorizontality failed")
+    for name, check in (("reality", harmonic.check_reality),
+                        ("norm_products", harmonic.check_norm_products),
+                        ("cross_table", harmonic.check_cross_table)):
+        checks[name] = check(seq) if skip is None else \
+            {"passed": False, "skipped": True, "error": skip}
 
     checks["coefficient_reality"] = _coefficient_reality(curve, k)
 

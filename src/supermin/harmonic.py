@@ -23,7 +23,9 @@ top degree of W_p, and its D_p is this chain's reversed by e_p; nothing else
 of that chart is formed.
 
 Identity checks are done on the polynomial level by cross-multiplication
-(never by rational-function division), which keeps everything exact.
+(never by rational-function division), which keeps everything exact.  Each
+``check_*`` owns its pass rule and returns the record ``verify`` prints:
+{"passed": the verdict, "detail": what it measured}.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from .field import AlgScalar
 # wedge_pair is re-exported: perfbench/tracer.py wraps it under this name.
 from .g2 import CROSS_TABLE, cross, proportional, wedge_pair  # noqa: F401
-from .poly import BiPoly, Poly, RationalFn, as_complex, evaluate, hermitian_sum
+from .poly import BiPoly, Poly, RationalFn, as_complex, evaluate, hermitian_sum, primitive_parts
 
 _DIM = 7
 # the float part of the cross-table check: a fixed, seeded set of points
@@ -101,7 +103,8 @@ class HarmonicSequence:
 
     Attributes
     ----------
-    curve : the defining 7-vector of Poly.
+    curve : the defining 7-vector of Poly, divided by the gcd of its integer
+        numerators (``poly.primitive_parts``); every verdict is projective.
     derivatives : tower of z-derivatives, orders 0..6.
     minors : the osculating minors W_0..W_6 (``wedge_table`` of the tower).
     raw_sections : unnormalized sections E_0..E_7 (7-vectors of BiPoly).
@@ -110,7 +113,7 @@ class HarmonicSequence:
     """
 
     def __init__(self, curve):
-        self.curve = _curve_tuple(curve)
+        self.curve = primitive_parts(_curve_tuple(curve))
         self.derivatives = derivative_tower(self.curve, _DIM - 1)
         self.minors = wedge_table(self.derivatives)
         for p, stage in enumerate(self.minors):
@@ -244,7 +247,8 @@ def check_recursion(seq: HarmonicSequence) -> dict:
     differentiating f_p and removing its f_p component lands exactly on
     f_{p+1}.  Ascending: dzbar E_{p+1} * D_p - E_{p+1} * dzbar D_p
     + D_{p+1} * E_p = 0 says the conjugate derivative of f_{p+1} falls back
-    onto f_p with density -a_{p+1}/a_p.
+    onto f_p with density -a_{p+1}/a_p.  Passes when all of them hold, the
+    curve has no zbar term and the chain terminates.
     """
     down = []
     for p in range(_DIM):
@@ -272,13 +276,14 @@ def check_recursion(seq: HarmonicSequence) -> dict:
                 ok = False
                 break
         up.append(ok)
-    holo = all(c.to_bipoly().diff_zbar().is_zero() for c in seq.curve)
-    return {
+    detail = {
         "derivative_rule": down,
         "conjugate_derivative_rule": up,
-        "holomorphic_start": holo,
+        "holomorphic_start": all(c.to_bipoly().diff_zbar().is_zero() for c in seq.curve),
         "terminates": seq.terminates(),
     }
+    passed = all(down) and all(up) and detail["holomorphic_start"] and detail["terminates"]
+    return {"passed": passed, "detail": detail}
 
 
 def orthogonality_residuals(seq: HarmonicSequence) -> dict:
@@ -308,14 +313,14 @@ def check_reality(seq: HarmonicSequence) -> dict:
     identically 0, each other component a must satisfy
     conj(E_{3+k})[a] * E_{3-k}[c] == conj(E_{3+k})[c] * E_{3-k}[a]
     (``g2.proportional``).  BiPolys form an integral domain, so this is
-    the vanishing of every 2x2 minor.
+    the vanishing of every 2x2 minor.  Passes when all three pairings hold.
     """
-    report = {}
+    detail = {}
     for k in (1, 2, 3):
         upper = tuple(c.conj() for c in seq.raw_sections[3 + k])
-        report[k] = proportional(upper, seq.raw_sections[3 - k])
-    report["all_proportional"] = all(report[k] for k in (1, 2, 3))
-    return report
+        detail[k] = proportional(upper, seq.raw_sections[3 - k])
+    detail["all_proportional"] = all(detail[k] for k in (1, 2, 3))
+    return {"passed": detail["all_proportional"], "detail": detail}
 
 
 def check_norm_products(seq: HarmonicSequence) -> dict:
@@ -324,37 +329,24 @@ def check_norm_products(seq: HarmonicSequence) -> dict:
     a_{3+k} * a_{3-k} / a_3^2 must be the constant 1 for k = 1, 2, 3, and
     a_4 * a_5 / (a_3 * a_6) must be the constant 2.  Each ratio is formed
     from the Gram determinants directly and tested for constancy exactly.
-    The report carries the measured constants so an unexpected value is
-    visible rather than silently compared.
+    The detail carries the measured constants (None for a ratio that is not
+    constant), so an unexpected value is visible rather than silently compared.
     """
     d = seq.gram_det
-    ratios = {
-        "product_1_5_over_3sq": (d(1) * d(5) * d(2) * d(2), d(0) * d(4) * d(3) * d(3)),
-        "product_2_4_over_3sq": (d(2) * d(2) * d(2) * d(4), d(1) * d(3) * d(3) * d(3)),
-        "product_0_6_over_3sq": (d(0) * d(6) * d(2) * d(2), d(5) * d(3) * d(3)),
-        "product_4_5_over_3_6": (d(5) * d(5) * d(2), d(3) * d(3) * d(6)),
-    }
-    expected = {
-        "product_1_5_over_3sq": AlgScalar.one(),
-        "product_2_4_over_3sq": AlgScalar.one(),
-        "product_0_6_over_3sq": AlgScalar.one(),
-        "product_4_5_over_3_6": AlgScalar.rational(2),
+    ratios = {  # name: (numerator, denominator, the constant it must be)
+        "product_1_5_over_3sq": (d(1) * d(5) * d(2) * d(2), d(0) * d(4) * d(3) * d(3), 1),
+        "product_2_4_over_3sq": (d(2) * d(2) * d(2) * d(4), d(1) * d(3) * d(3) * d(3), 1),
+        "product_0_6_over_3sq": (d(0) * d(6) * d(2) * d(2), d(5) * d(3) * d(3), 1),
+        "product_4_5_over_3_6": (d(5) * d(5) * d(2), d(3) * d(3) * d(6), 2),
     }
     constants: dict[str, AlgScalar | None] = {}
-    passed: dict[str, bool] = {}
-    for name, (num, den) in ratios.items():
+    for name, (num, den, _) in ratios.items():
         try:
-            c = RationalFn(num, den).constant_value()
+            constants[name] = RationalFn(num, den).constant_value()
         except ValueError:
-            c = None
-        constants[name] = c
-        passed[name] = c == expected[name]
-    return {
-        "constants": constants,
-        "expected": expected,
-        "passed": passed,
-        "all_passed": all(passed.values()),
-    }
+            constants[name] = None
+    passed = all(constants[name] == want for name, (_, _, want) in ratios.items())
+    return {"passed": passed, "detail": {"constants": constants}}
 
 
 # The cross-product multiplication table of the normalized chain: entry
@@ -398,9 +390,11 @@ def _sum_rows(v):
     return acc
 
 
+@np.errstate(all="ignore")
 def _frame_parts(seq: HarmonicSequence, zr, zi):
     """The unit-gauge frame at the points zr + i*zi (1-d arrays), as (re, im)
-    arrays of shape (7, 7, points): row p holds f_p = E_p / D_{p-1}."""
+    arrays of shape (7, 7, points): row p holds f_p = E_p / D_{p-1}; values
+    that are not finite come out NaN, with no warning, for the audit to see."""
     sections = [c for p in range(_DIM) for c in seq.raw_sections[p]]
     dets = evaluate([seq.gram_det(p - 1) for p in range(_DIM)], zr, zi)
     vals = evaluate(sections, zr, zi)
@@ -480,11 +474,12 @@ def regular_sample_points(seq: HarmonicSequence) -> list[complex]:
     """Sample points where no Gram determinant comes near zero.
 
     |D_p(z)| must be at least _MIN_NORM * sum |c_ab| |z|^(a+b) over the terms
-    of D_p.  Both sides scale alike, so f and lambda * f get the same points.
+    of D_p, both divided by the content |z|^(2 c_p) of D_p as in ``density_value``.
+    Both sides scale alike, so f and lambda * f get the same points.
     Candidates are drawn from the seeded generator in batches and tested in
     draw order, each batch by one ``poly.evaluate`` call.
     """
-    dets = [seq.gram_det(p) for p in range(_DIM)]
+    dets = [d for d, _ in seq._content_free[1:_DIM + 1]]
     sizes = [[(a + b, math.hypot(re, im)) for (a, b), re, im in d.float_terms()[1]]
              for d in dets]
     rng = np.random.default_rng(_SAMPLE_SEED)
@@ -509,7 +504,7 @@ def regular_sample_points(seq: HarmonicSequence) -> list[complex]:
 def check_cross_table(
     seq: HarmonicSequence, *, samples: list[complex] | None = None
 ) -> dict:
-    """Verify the frame multiplication table at all three levels.
+    """The frame multiplication table, passed when all three levels hold.
 
     (a) zero entries: the cross product of the unnormalized sections
         vanishes identically (exact);
@@ -545,11 +540,10 @@ def check_cross_table(
     # np.max carries a NaN forward, so a frame that is not finite fails
     worst = float(np.max(np.concatenate(errors), initial=0.0))
     return {
-        "zero_entries_exact": zero_ok,
-        "proportional_entries_exact": prop_ok,
-        "max_scalar_error": worst,
-        "scalars_match": worst <= _SCALAR_TOL,
-        "all_passed": bool(
-            all(zero_ok.values()) and all(prop_ok.values()) and worst <= _SCALAR_TOL
-        ),
+        "passed": bool(all(zero_ok.values()) and all(prop_ok.values()) and worst <= _SCALAR_TOL),
+        "detail": {
+            "zero_entries_exact": zero_ok,
+            "proportional_entries_exact": prop_ok,
+            "max_scalar_error": worst,
+        },
     }

@@ -284,6 +284,14 @@ def hermitian_sum(terms) -> BiPoly:
     return BiPoly._of(_settled(out), den)
 
 
+def primitive_parts(polys) -> tuple:
+    """``polys`` divided by the gcd of all their integer numerators: one
+    exact scalar, so every projective quantity of the tuple is kept."""
+    g = math.gcd(*(x for p in polys for pair in p._num.values() for x in pair)) or 1
+    return tuple(type(p)._of({k: (re // g, im // g) for k, (re, im) in p._num.items()}, p._den)
+                 for p in polys)
+
+
 class RationalFn:
     """Quotient of two BiPolys, reduced only by common monomial content.
 

@@ -6,10 +6,10 @@ import sys
 
 import pytest
 
-from supermin import cli, harmonic
+from supermin import catalog, cli, g2, harmonic
 from supermin.field import AlgScalar
 from supermin.poly import Poly
-from supermin.serialize import curve_to_obj, dumps_canonical
+from supermin.serialize import curve_to_obj, dumps_canonical, jsonable
 
 CLI = [sys.executable, "-m", "supermin.cli"]
 
@@ -129,6 +129,96 @@ def test_verify_tiny_curve_measures_its_frame(curve12, tmp_path):
     assert res.returncode == 0, res.stderr
     err = json.loads(res.stdout)["checks"]["cross_table"]["detail"]["max_scalar_error"]
     assert 0.0 < float(err) <= 1e-8, err
+
+
+# the (1,2) member at scales that once broke its float paths
+SCALED_12 = {
+    "huge": lambda c: c * AlgScalar.rational(10**200),
+    "tiny": lambda c: c * AlgScalar.rational(1, 10**200),
+    "z_power": lambda c: Poly.monomial(10**9) * c,
+}
+# the raw frame of the z^(10^9) multiple is not finite at any sample point,
+# and it vanishes at z = 0 to an order no sample guard accepts
+SCALED_12_FAILS = {("z_power", "verify"), ("z_power", "sample")}
+
+
+@pytest.fixture(scope="module")
+def scaled_12_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("scaled")
+    member = catalog.example_family(1, 2)
+    for name, scale in SCALED_12.items():
+        curve = tuple(scale(c) for c in member)
+        (root / f"{name}.json").write_text(dumps_canonical(curve_to_obj(curve, (1, 2))))
+    return root
+
+
+@pytest.mark.parametrize("command", ["verify", "report", "integrate", "sample"])
+@pytest.mark.parametrize("name", sorted(SCALED_12))
+def test_scaled_member_exits_cleanly(scaled_12_files, name, command, capsys, tmp_path):
+    """Every command on the (1,2) member times 10^200, 10^-200 or z^(10^9)
+    either succeeds or fails with one line: no traceback, and no warning
+    (pyproject.toml turns warnings into errors)."""
+    argv = [command, str(scaled_12_files / f"{name}.json")]
+    argv += {"verify": ["--out", str(tmp_path / "v.json")],
+             "integrate": ["--p", "0"],
+             "sample": ["-n", "8", "--out", str(tmp_path / "s.json")]}.get(command, [])
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == (1 if (name, command) in SCALED_12_FAILS else 0), err
+    assert len(err.splitlines()) <= 1, err
+    assert "Traceback" not in out + err
+
+
+def off_horizontal_curve():
+    """Null and linearly full but not superhorizontal: the (1,1) ladder
+    sum_j c_j u_j z^(K_j) with c_3 = sqrt 2 and every other c_j = 1."""
+    spec = catalog.SingularityTypeSpec.from_pair(1, 1)
+    comps = [Poly() for _ in range(7)]
+    for j, exp in enumerate(spec.exponents()):
+        c = AlgScalar.root(2) if j == 3 else AlgScalar.one()
+        vec = g2.scale_vec(c, g2.u_basis()[j])
+        for a in range(7):
+            if vec[a]:
+                comps[a] = comps[a] + Poly.monomial(exp, vec[a])
+    return tuple(comps)
+
+
+CHAIN_CHECKS = {
+    "harmonic_sequence": harmonic.check_recursion,
+    "reality": harmonic.check_reality,
+    "norm_products": harmonic.check_norm_products,
+    "cross_table": harmonic.check_cross_table,
+}
+RECORD_SHAPES = (
+    {"passed"}, {"passed", "detail"}, {"passed", "error"},
+    {"passed", "skipped", "error"}, {"passed", "mu"},
+)
+
+
+@pytest.mark.parametrize(
+    "name", ["member", "perturbed", "not_superhorizontal", "not_linearly_full"]
+)
+def test_verify_prints_each_check_as_returned(name, curve_file, perturbed_file, tmp_path):
+    """``verify`` derives no verdict of its own: each chain check's record
+    is ``jsonable`` of what the check returned, and every record has one of
+    five shapes."""
+    path = {"member": curve_file, "perturbed": perturbed_file}.get(name)
+    if path is None:
+        path = tmp_path / "control.json"
+        flat = (Poly.const(1), Poly.monomial(1), Poly.monomial(2),
+                Poly.monomial(1) + Poly.const(1), Poly(), Poly(), Poly())
+        control = off_horizontal_curve() if name == "not_superhorizontal" else flat
+        path.write_text(dumps_canonical(curve_to_obj(control)))
+    out = tmp_path / "report.json"
+    cli.main(["verify", str(path), "--out", str(out)])
+    checks = json.loads(out.read_text())["checks"]
+    assert all(set(rec) in RECORD_SHAPES for rec in checks.values()), checks
+    ran = [check for check in CHAIN_CHECKS if "detail" in checks[check]]
+    assert len(ran) == {"member": 4, "not_linearly_full": 0}.get(name, 1)
+    if ran:
+        seq = harmonic.build_sequence(cli._load_curve(str(path))[0])
+    for check in ran:
+        assert checks[check] == jsonable(CHAIN_CHECKS[check](seq)), check
 
 
 def test_verify_missing_file_is_io_error():

@@ -109,10 +109,12 @@ def test_first_section_is_the_curve(seq11):
 
 def test_recursion_identities(seq11):
     rec = harmonic.check_recursion(seq11)
-    assert all(rec["derivative_rule"])
-    assert all(rec["conjugate_derivative_rule"])
-    assert rec["holomorphic_start"]
-    assert rec["terminates"]
+    detail = rec["detail"]
+    assert all(detail["derivative_rule"])
+    assert all(detail["conjugate_derivative_rule"])
+    assert detail["holomorphic_start"]
+    assert detail["terminates"]
+    assert rec["passed"]
 
 
 def test_orthogonality_all_pairs(seq11):
@@ -212,26 +214,30 @@ def test_density_near_zero_matches_exact_quotient(family_curves):
 
 def test_reality_proportionality(seq11):
     rep = harmonic.check_reality(seq11)
-    assert rep[1] and rep[2] and rep[3]
-    assert rep["all_proportional"]
+    detail = rep["detail"]
+    assert detail[1] and detail[2] and detail[3]
+    assert detail["all_proportional"]
+    assert rep["passed"]
 
 
 def test_norm_products_exact(seq11):
     rep = harmonic.check_norm_products(seq11)
-    assert rep["all_passed"]
-    assert rep["constants"]["product_1_5_over_3sq"] == AlgScalar.one()
-    assert rep["constants"]["product_2_4_over_3sq"] == AlgScalar.one()
-    assert rep["constants"]["product_0_6_over_3sq"] == AlgScalar.one()
-    assert rep["constants"]["product_4_5_over_3_6"] == AlgScalar.rational(2)
+    assert rep["passed"]
+    constants = rep["detail"]["constants"]
+    assert constants["product_1_5_over_3sq"] == AlgScalar.one()
+    assert constants["product_2_4_over_3sq"] == AlgScalar.one()
+    assert constants["product_0_6_over_3sq"] == AlgScalar.one()
+    assert constants["product_4_5_over_3_6"] == AlgScalar.rational(2)
 
 
 def test_cross_table_exact_and_measured(seq11):
     rep = harmonic.check_cross_table(seq11)
-    assert all(rep["zero_entries_exact"].values())
-    assert all(rep["proportional_entries_exact"].values())
-    assert rep["scalars_match"]
-    assert rep["max_scalar_error"] < 1e-8
-    assert rep["all_passed"]
+    detail = rep["detail"]
+    assert all(detail["zero_entries_exact"].values())
+    assert all(detail["proportional_entries_exact"].values())
+    assert detail["max_scalar_error"] <= harmonic._SCALAR_TOL
+    assert detail["max_scalar_error"] < 1e-8
+    assert rep["passed"]
 
 
 def with_section(seq, p, change):
@@ -264,7 +270,7 @@ def test_recursion_negative_controls(seq11):
     in E_6, so it stands."""
     for p in range(7):
         a = next(c for c in range(7) if seq11.raw_sections[p][c])
-        rec = harmonic.check_recursion(with_section(seq11, p, doubled(a)))
+        rec = harmonic.check_recursion(with_section(seq11, p, doubled(a)))["detail"]
         broken = {q for q in (p - 1, p) if 0 <= q <= 5}
         assert rec["derivative_rule"] == [q not in broken for q in range(7)], p
         assert rec["conjugate_derivative_rule"] == [q not in broken for q in range(6)], p
@@ -279,10 +285,12 @@ def test_reality_negative_controls(seq11):
         for a in range(7):
             assert seq11.raw_sections[3 - k][a], (k, a)
             rep = harmonic.check_reality(with_section(seq11, 3 - k, doubled(a)))
-            assert not rep[k] and not rep["all_proportional"], (k, a, pivot)
-            assert all(rep[j] for j in (1, 2, 3) if j != k), (k, a)
+            detail = rep["detail"]
+            assert not detail[k] and not detail["all_proportional"], (k, a, pivot)
+            assert not rep["passed"], (k, a)
+            assert all(detail[j] for j in (1, 2, 3) if j != k), (k, a)
         rep = harmonic.check_reality(with_section(seq11, 3 + k, swapped(pivot, (pivot + 1) % 7)))
-        assert not rep[k], k
+        assert not rep["detail"][k], k
 
 
 def test_cross_table_negative_control(seq11):
@@ -293,29 +301,42 @@ def test_cross_table_negative_control(seq11):
     a = 0
     assert g2._pivot(w, sections[4]) != a and sections[4][a]
     rep = harmonic.check_cross_table(with_section(seq11, 4, doubled(a)), samples=[])
-    prop = rep["proportional_entries_exact"]
+    prop = rep["detail"]["proportional_entries_exact"]
     assert prop[(1, 6)] is False
-    assert not rep["all_passed"]
+    assert not rep["passed"]
     for (i, j), ok in prop.items():
         if 4 not in (i, j, harmonic.FRAME_CROSS_TABLE[i][j][1]):
             assert ok, (i, j)
-    assert all(ok for (i, j), ok in rep["zero_entries_exact"].items() if 4 not in (i, j))
+    zero = rep["detail"]["zero_entries_exact"]
+    assert all(ok for (i, j), ok in zero.items() if 4 not in (i, j))
 
 
 def test_nan_sample_points_fail_the_float_audit(seq11):
     """A frame that is not finite must fail part (c): the error is NaN, not
     the largest finite error of the other points."""
     rep = harmonic.check_cross_table(seq11, samples=[0.52 - 0.31j, complex("nan")])
-    assert math.isnan(rep["max_scalar_error"])
-    assert rep["scalars_match"] is False
-    assert rep["all_passed"] is False
+    worst = rep["detail"]["max_scalar_error"]
+    assert math.isnan(worst)
+    assert not worst <= harmonic._SCALAR_TOL
+    assert rep["passed"] is False
 
 
 def test_second_curve_identities(seq12):
     # the degree-8 member satisfies the same exact identities
-    assert harmonic.check_reality(seq12)["all_proportional"]
-    assert harmonic.check_norm_products(seq12)["all_passed"]
+    reality = harmonic.check_reality(seq12)
+    assert reality["detail"]["all_proportional"] and reality["passed"]
+    assert harmonic.check_norm_products(seq12)["passed"]
     assert all(harmonic.orthogonality_residuals(seq12).values())
+
+
+def test_chain_drops_the_scalar_content(curve12, seq12):
+    """The (1,2) member times 10^200 is built from its primitive parts: the
+    chain's integer numerators share no factor, and the norm-product
+    constants are the member's."""
+    big = AlgScalar.rational(10**200)
+    seq = harmonic.build_sequence(tuple(c * big for c in curve12))
+    assert math.gcd(*(x for c in seq.curve for pair in c._num.values() for x in pair)) == 1
+    assert harmonic.check_norm_products(seq) == harmonic.check_norm_products(seq12)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +397,8 @@ def test_counterexample_quadric_but_not_superhorizontal():
 
     seq = harmonic.build_sequence(curve)
     rep = harmonic.check_norm_products(seq)
-    assert not rep["passed"]["product_4_5_over_3_6"]
-    assert not rep["all_passed"]
+    assert rep["detail"]["constants"]["product_4_5_over_3_6"] != AlgScalar.rational(2)
+    assert not rep["passed"]
 
 
 # ---------------------------------------------------------------------------

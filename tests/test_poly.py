@@ -377,3 +377,13 @@ def test_float_terms_follow_an_exact_power_of_two(curve12):
         for j in (40, -40, 3000, -3000):
             kj, terms_j = (c * AlgScalar.rational(Fraction(2) ** j)).float_terms()
             assert kj == k + j and terms_j == terms
+
+
+def test_primitive_parts_divide_one_scalar():
+    """The gcd of every numerator, across the whole tuple, is divided out:
+    6z and 4 + 10i/3 share 2, and the zero polynomial stays zero."""
+    third = AlgScalar.rational(10, 3) * AlgScalar.i()
+    parts = poly.primitive_parts((Poly({1: 6}), Poly({0: AlgScalar.rational(4) + third}), Poly()))
+    half = AlgScalar.rational(1, 2)
+    assert parts == (Poly({1: 3}), Poly({0: (AlgScalar.rational(4) + third) * half}), Poly())
+    assert poly.primitive_parts(parts) == parts
