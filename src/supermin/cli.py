@@ -190,8 +190,8 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 _VANISH_REL = 1e-24
 
 
-def _sample_points(curve, n: int) -> list[list[float]]:
-    """2n^2 unit 7-vectors: an n-by-n polar grid on each of two charts.
+def _sample_points(curve, n: int) -> np.ndarray:
+    """A (2n^2, 7) array of unit 7-vectors: an n-by-n polar grid per chart.
 
     The first chart covers |z| <= 1 including the boundary circle; the
     second works in the w = 1/z coordinate with radii strictly below 1, so
@@ -204,7 +204,7 @@ def _sample_points(curve, n: int) -> list[list[float]]:
     angles = [2.0 * math.pi * j / n for j in range(n)]
     cos = np.array([math.cos(t) for t in angles] * n)
     sin = np.array([math.sin(t) for t in angles] * n)
-    points: list[list[float]] = []
+    blocks = []
     for chart, radii in (
         (curve, [i / (n - 1) for i in range(n)]),
         (reversed_curve, [i / n for i in range(n)]),
@@ -228,14 +228,17 @@ def _sample_points(curve, n: int) -> list[list[float]]:
             if bad.any():
                 i = int(np.argmax(bad))
                 raise RuntimeError(f"curve vanishes near sample point z={complex(zr[i], zi[i])}")
-            points += twistor.project_arrays(xr, xi).tolist()
-    return points
+            blocks.append(twistor.project_arrays(xr, xi))
+    return np.concatenate(blocks)
 
 
-def _obj_mesh(points: list[list[float]], n: int) -> str:
-    lines = []
-    for pt in points:
-        lines.append("v " + " ".join(format_float(c) for c in pt[:3]))
+def _rows(row: str, sep: str, points: np.ndarray) -> str:
+    """The %-template ``row`` filled once per point, by one ``%``; "%.17g" is format_float."""
+    return sep.join([row] * len(points)) % tuple(points.ravel().tolist())
+
+
+def _obj_mesh(points: np.ndarray, n: int) -> str:
+    lines = [_rows("v %.17g %.17g %.17g", "\n", points[:, :3])]
     for chart in range(2):
         off = chart * n * n
         for i in range(n - 1):
@@ -255,16 +258,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
     curve, _k = _load_curve(args.curve)
     points = _sample_points(curve, args.n)
     if args.format == "json":
-        body = {
-            "n": args.n,
-            "charts": 2,
-            "points": [[format_float(c) for c in pt] for pt in points],
-        }
-        text = dumps_canonical(body)
+        # dumps_canonical of {"n", "charts", "points": strings}, written directly
+        point = "    [\n" + ",\n".join(['      "%.17g"'] * 7) + "\n    ]"
+        text = (f'{{\n  "charts": 2,\n  "n": {args.n},\n  "points": [\n'
+                + _rows(point, ",\n", points) + "\n  ]\n}\n")
     elif args.format == "csv":
-        rows = ["x1,x2,x3,x4,x5,x6,x7"]
-        rows += [",".join(format_float(c) for c in pt) for pt in points]
-        text = "\n".join(rows) + "\n"
+        text = "x1,x2,x3,x4,x5,x6,x7\n" + _rows(",".join(["%.17g"] * 7), "\n", points) + "\n"
     else:
         text = _obj_mesh(points, args.n)
     _write_text(args.out, text)

@@ -30,6 +30,7 @@ Fractions, and ``coeff(mask)``, ``as_fraction`` and ``repr`` give them back.
 
 from __future__ import annotations
 
+import decimal
 import math
 import operator
 from fractions import Fraction
@@ -440,16 +441,23 @@ class AlgScalar(_SparsePoly):
                 continue
             re, im = self.coeff(m)
             if im == 0:
-                body = str(re)
+                body = frac_str(re)
             elif re == 0:
-                body = f"{im}i"
+                body = f"{frac_str(im)}i"
             else:
                 sign = "+" if im > 0 else "-"
-                body = f"({re}{sign}{abs(im)}i)"
+                body = f"({frac_str(re)}{sign}{frac_str(abs(im))}i)"
             if m:
                 body += f"*sqrt{RADICAL[m]}"
             parts.append(body)
         return " + ".join(parts)
+
+
+def frac_str(f: Fraction) -> str:
+    """``str(f)`` with no digit limit: ``str`` of an int over 4300 digits
+    raises ValueError, while ``Decimal`` of an int is exact and prints all."""
+    num, den = (str(decimal.Decimal(v)) for v in (f.numerator, f.denominator))
+    return num if den == "1" else f"{num}/{den}"
 
 
 def as_scalar(c) -> AlgScalar | None:

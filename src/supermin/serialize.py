@@ -14,23 +14,17 @@ import json
 import re
 from fractions import Fraction
 
-from .field import AlgScalar, MASK_ORDER
+from .field import AlgScalar, MASK_ORDER, frac_str
 from .poly import Poly
-
-
-def _frac_str(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def scalar_to_strings(c: AlgScalar) -> list[str]:
     """16 rational strings: real parts then imaginary parts, radical order."""
     out = []
     for m in MASK_ORDER:
-        out.append(_frac_str(c.coeff(m)[0]))
+        out.append(frac_str(c.coeff(m)[0]))
     for m in MASK_ORDER:
-        out.append(_frac_str(c.coeff(m)[1]))
+        out.append(frac_str(c.coeff(m)[1]))
     return out
 
 
@@ -127,7 +121,7 @@ def jsonable(value):
     if isinstance(value, AlgScalar):
         return repr(value)
     if isinstance(value, Fraction):
-        return _frac_str(value)
+        return frac_str(value)
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, float):

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from supermin import catalog, cli, g2, harmonic
 from supermin.field import AlgScalar
 from supermin.poly import Poly
-from supermin.serialize import curve_to_obj, dumps_canonical, jsonable
+from supermin.serialize import curve_to_obj, dumps_canonical, format_float, jsonable
 
 CLI = [sys.executable, "-m", "supermin.cli"]
 
@@ -166,6 +168,42 @@ def test_scaled_member_exits_cleanly(scaled_12_files, name, command, capsys, tmp
     out, err = capsys.readouterr()
     assert code == (1 if (name, command) in SCALED_12_FAILS else 0), err
     assert len(err.splitlines()) <= 1, err
+    assert "Traceback" not in out + err
+
+
+def test_verify_prints_a_mu_beyond_the_int_digit_limit(curve12, capsys, tmp_path):
+    """The (1,2) member times 10^3999 + 7 is the member up to scale, and its
+    reality constant mu, (10^3999 + 7)^2 times the member's, has about 8000
+    digits: more than ``str`` of an int prints.  verify must pass and print
+    it in full.  A 5000-digit coefficient in a curve file is still refused
+    at the input boundary, with one line."""
+    scale = 10**3999 + 7
+    path = tmp_path / "big.json"
+    obj = curve_to_obj(tuple(c * AlgScalar.rational(scale) for c in curve12), (1, 2))
+    path.write_text(dumps_canonical(obj))
+    assert cli.main(["verify", str(path), "--out", str(tmp_path / "v.json")]) == 0
+    report = json.loads((tmp_path / "v.json").read_text())
+    assert report["passed"] and report["failed"] == []
+    assert all(rec["passed"] for rec in report["checks"].values())
+    spec = catalog.SingularityTypeSpec.from_pair(1, 2)
+    _ok, mu = catalog.reality_check(catalog.normal_form_of(curve12, spec))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(mu.as_fraction() * scale**2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert report["checks"]["coefficient_reality"]["mu"] == want
+    assert len(want) > 7990
+
+    comps = obj["components"]
+    comps[0][0][1][0] = "1" + "0" * 4999
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("invalid input: not a rational"), err[:80]
     assert "Traceback" not in out + err
 
 
@@ -367,6 +405,68 @@ def test_sample_guard_scales_with_the_curve(curve11, tmp_path):
     member = (tmp_path / "member_pts.json").read_bytes()
     for name in ("two_up", "two_down"):
         assert (tmp_path / f"{name}_pts.json").read_bytes() == member, name
+
+
+def per_coordinate_sample_text(points: np.ndarray, n: int, fmt: str) -> str:
+    """The reference writer for ``sample``: one ``format_float`` per
+    coordinate, ``dumps_canonical`` of the point dict, the csv join, and an
+    obj mesh built line by line from lists."""
+    points = points.tolist()
+    if fmt == "json":
+        return dumps_canonical({"n": n, "charts": 2,
+                                "points": [[format_float(c) for c in pt] for pt in points]})
+    if fmt == "csv":
+        rows = ["x1,x2,x3,x4,x5,x6,x7"] + [",".join(format_float(c) for c in pt) for pt in points]
+        return "\n".join(rows) + "\n"
+    lines = ["v " + " ".join(format_float(c) for c in pt[:3]) for pt in points]
+    for chart in range(2):
+        off = chart * n * n
+        for i in range(n - 1):
+            for j in range(n):
+                a = off + i * n + j
+                b = off + i * n + (j + 1) % n
+                c = off + (i + 1) * n + (j + 1) % n
+                d = off + (i + 1) * n + j
+                lines.append(f"f {a + 1} {b + 1} {c + 1}")
+                lines.append(f"f {a + 1} {c + 1} {d + 1}")
+    return "\n".join(lines) + "\n"
+
+
+SAMPLE_CASES = [(name, n, fmt) for name in ("curve12", "member_3_2", "dense_curve")
+                for n in (8, 33) for fmt in ("json", "csv", "obj")]
+
+
+@pytest.mark.parametrize("name, n, fmt", SAMPLE_CASES + [("curve12", 128, "json")])
+def test_sample_bytes_match_the_per_coordinate_writer(
+        name, n, fmt, curve12, family_curves, dense_curve, tmp_path):
+    """``sample`` fills one %-template over the point array; its bytes must
+    equal those of the per-coordinate writer, in all three formats."""
+    curve = {"curve12": curve12, "member_3_2": family_curves[(3, 2)],
+             "dense_curve": dense_curve}[name]
+    src, out = tmp_path / "c.json", tmp_path / f"s.{fmt}"
+    src.write_text(dumps_canonical(curve_to_obj(curve)))
+    assert cli.main(["sample", str(src), "-n", str(n), "--format", fmt, "--out", str(out)]) == 0
+    text = out.read_text()
+    want = per_coordinate_sample_text(cli._sample_points(curve, n), n, fmt)
+    if text != want:  # name the first differing line; a full diff of megabytes takes minutes
+        got_lines, want_lines = text.splitlines(), want.splitlines()
+        i = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+                 min(len(got_lines), len(want_lines)))
+        pytest.fail(f"line {i + 1}: {got_lines[i:i + 1]} != {want_lines[i:i + 1]}")
+    if fmt == "json":
+        body = json.loads(text)
+        assert (body["n"], body["charts"], len(body["points"])) == (n, 2, 2 * n * n)
+        for pt in body["points"]:
+            assert len(pt) == 7
+            assert all(isinstance(s, str) and s == format_float(float(s)) for s in pt)
+
+
+def test_rows_formats_like_format_float():
+    """``"%.17g" % x`` is ``format_float(x)`` for signed zeros, non-finite
+    values, subnormals and the extremes of float64."""
+    xs = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1.7976931348623157e308,
+          0.1, 1 / 3, 1e16, 123456789012345678.0]
+    assert cli._rows("%.17g", ",", np.array(xs)[:, None]) == ",".join(map(format_float, xs))
 
 
 def test_sample_rejects_tiny_grid(curve_file):
