@@ -5,10 +5,21 @@ pushes them down the twistor fibration, builds their harmonic sequences in
 exact arithmetic over Q(i, sqrt2, sqrt3, sqrt5), and verifies the classical
 invariants: cross-product tables, reality and norm-product identities,
 singularity types, osculating-curve degrees and areas.
+
+Importing the package asks OpenBLAS for one thread unless
+``OPENBLAS_NUM_THREADS`` is already set: supermin makes no BLAS call, and
+an idle OpenBLAS worker spins on a second CPU.  A caller who wants
+threaded BLAS for their own work sets the variable, or imports numpy
+before supermin.
 """
 
-from .field import AlgScalar
-from .poly import BiPoly, Poly, RationalFn
+import os
+
+# supermin makes no BLAS call; an OpenBLAS worker thread would only spin
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .field import AlgScalar  # noqa: E402
+from .poly import BiPoly, Poly, RationalFn  # noqa: E402
 
 __all__ = ["AlgScalar", "Poly", "BiPoly", "RationalFn"]
 

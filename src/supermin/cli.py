@@ -238,18 +238,14 @@ def _rows(row: str, sep: str, points: np.ndarray) -> str:
 
 
 def _obj_mesh(points: np.ndarray, n: int) -> str:
-    lines = [_rows("v %.17g %.17g %.17g", "\n", points[:, :3])]
-    for chart in range(2):
-        off = chart * n * n
-        for i in range(n - 1):
-            for j in range(n):
-                a = off + i * n + j
-                b = off + i * n + (j + 1) % n
-                c = off + (i + 1) * n + (j + 1) % n
-                d = off + (i + 1) * n + j
-                lines.append(f"f {a + 1} {b + 1} {c + 1}")
-                lines.append(f"f {a + 1} {c + 1} {d + 1}")
-    return "\n".join(lines) + "\n"
+    """obj vertices, then two triangles (a, b, c), (a, c, d) per grid quad, 1-based."""
+    i, j = np.divmod(np.arange((n - 1) * n), n)
+    a = i * n + j + 1
+    b = i * n + (j + 1) % n + 1
+    quads = np.stack([a, b, b + n, a, b + n, a + n], axis=1).reshape(-1, 3)
+    faces = np.concatenate([quads, quads + n * n])
+    return (_rows("v %.17g %.17g %.17g", "\n", points[:, :3]) + "\n"
+            + _rows("f %d %d %d", "\n", faces) + "\n")
 
 
 def cmd_sample(args: argparse.Namespace) -> int:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -471,3 +472,36 @@ def test_rows_formats_like_format_float():
 
 def test_sample_rejects_tiny_grid(curve_file):
     assert run_cli("sample", str(curve_file), "-n", "4", "--out", "/tmp/x").returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# no BLAS
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+BLAS_ENTRY_POINTS = {
+    np: ("dot", "vdot", "matmul", "inner", "einsum", "tensordot"),
+    np.linalg: ("norm", "det", "svd", "solve", "eig", "eigh", "qr", "lstsq", "matrix_rank"),
+}
+
+
+def test_commands_make_no_blas_call(monkeypatch, tmp_path):
+    """``verify``, ``report`` and ``sample`` give their golden bytes and exit
+    codes with every numpy entry point that can reach BLAS made to raise:
+    the one-thread OpenBLAS default of ``supermin/__init__.py`` rests on
+    this.  The ``@`` operator calls no attribute of numpy, so it cannot be
+    caught this way."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a BLAS entry point was called")
+
+    for module, names in BLAS_ENTRY_POINTS.items():
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+    curve = str(GOLDEN / "gen_1_2.json")
+    codes = dict(line.split() for line in (GOLDEN / "exit_codes.txt").read_text().splitlines())
+    for name, argv in (("verify_1_2.json", ["verify", curve]),
+                       ("report_1_2.json", ["report", curve]),
+                       ("sample_1_2.csv", ["sample", curve, "-n", "16", "--format", "csv"])):
+        out = tmp_path / name
+        assert cli.main([*argv, "--out", str(out)]) == int(codes[name]), name
+        assert out.read_bytes() == (GOLDEN / name).read_bytes(), name

@@ -13,7 +13,8 @@ exit code included.  After a deliberate change of output, re-record with
 
 A second test re-runs the commands whose float strings once followed the
 CPU, in a subprocess under each variable that changes numpy's or
-OpenBLAS's choice of machine code, and compares with the same files.
+OpenBLAS's choice of machine code or OpenBLAS's thread count, and
+compares with the same files.
 """
 
 from __future__ import annotations
@@ -91,10 +92,13 @@ def test_outputs_match_golden_files(tmp_path):
 
 
 # numpy's AVX2/FMA complex multiply and OpenBLAS's reductions once moved
-# these outputs; each variable below selects other machine code
+# these outputs; each variable below selects other machine code or, for
+# OPENBLAS_NUM_THREADS, a caller's BLAS thread count in place of
+# supermin's default of one
 CPU_VARIABLES = {
     "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4",
     "OPENBLAS_CORETYPE": "Prescott",
+    "OPENBLAS_NUM_THREADS": "2",
 }
 CPU_RUNS = {
     **{f"sample_1_2.{fmt}": ["sample", "gen_1_2.json", "-n", "16", "--format", fmt]
