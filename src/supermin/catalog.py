@@ -18,13 +18,12 @@ from fractions import Fraction
 import numpy as np
 
 from .field import AlgScalar, as_scalar
-from .g2 import _conj, add_vec, dot, hdot, scale_vec, u_basis
+from .g2 import _conj, add_vec, dot, scale_vec, u_basis
 from .poly import Poly
 
 _DIM = 7
-# float tolerances of reality_check (relative) and is_circle_symmetric
+# the relative float tolerance of reality_check
 _REALITY_TOL = 1e-9
-_CIRCLE_TOL = 1e-12
 
 
 def _nonzero(x, tol: float) -> bool:
@@ -177,22 +176,6 @@ class NormalFormCurve:
         for exp, v in zip(self.exponents, self.vectors):
             out += z**exp * np.array([complex(c) for c in v])
         return out
-
-    def derivative_value(self, z: complex) -> np.ndarray:
-        out = np.zeros(_DIM, dtype=complex)
-        for exp, v in zip(self.exponents, self.vectors):
-            if exp:
-                out += exp * z ** (exp - 1) * np.array([complex(c) for c in v])
-        return out
-
-    def is_circle_symmetric(self) -> bool:
-        """True when the direction vectors are mutually hermitian-orthogonal,
-        which makes the curve invariant under rotations of z up to symmetry."""
-        return not any(
-            _nonzero(hdot(self.vectors[i], self.vectors[j]), _CIRCLE_TOL)
-            for i in range(_DIM)
-            for j in range(i + 1, _DIM)
-        )
 
 
 def normal_form_of(curve, spec: SingularityTypeSpec) -> NormalFormCurve:

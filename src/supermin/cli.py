@@ -211,7 +211,10 @@ def _sample_points(curve, n: int) -> np.ndarray:
     ):
         conv = [c.float_terms() for c in chart]
         top = max(k for k, _ in conv)
-        sizes = [(e, math.ldexp(math.hypot(re, im), k - top))
+        # radii lie in [0, 1] and a float below 1 is at most 1 - 2^-53, so
+        # rad**e is the same 0.0 or 1.0 for every e past 2^64; an e past
+        # about 2^1024 would not convert to a float
+        sizes = [(min(e, 1 << 64), math.ldexp(math.hypot(re, im), k - top))
                  for k, terms in conv for e, re, im in terms]
         r = np.repeat(radii, n)
         floor = np.repeat(
@@ -220,10 +223,13 @@ def _sample_points(curve, n: int) -> np.ndarray:
         for lo in range(0, n * n, BLOCK):
             at = slice(lo, lo + BLOCK)
             zr, zi = r[at] * cos[at], r[at] * sin[at]
-            xr, xi = one_scale(evaluate(chart, zr, zi))
-            sq = xr[0] * xr[0] + xi[0] * xi[0]
-            for a, b in zip(xr[1:], xi[1:]):
-                sq += a * a + b * b
+            # a power of huge degree overflows near |z| = 1 to a NaN |f|^2,
+            # which the guard refuses like a zero
+            with np.errstate(over="ignore", invalid="ignore"):
+                xr, xi = one_scale(evaluate(chart, zr, zi))
+                sq = xr[0] * xr[0] + xi[0] * xi[0]
+                for a, b in zip(xr[1:], xi[1:]):
+                    sq += a * a + b * b
             bad = ~(sq > floor[at])
             if bad.any():
                 i = int(np.argmax(bad))

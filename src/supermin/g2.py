@@ -137,19 +137,6 @@ def sub_vec(x, y) -> tuple:
     return tuple(a - b for a, b in zip(x, y))
 
 
-def double_cross_residual(u, v, w) -> tuple:
-    """Residual of u x (v x w) + (u x v) x w = 2(u,w)v - (u,v)w - (v,w)u.
-
-    Zero for every triple exactly when the table is a genuine cross product.
-    """
-    lhs = add_vec(cross(u, cross(v, w)), cross(cross(u, v), w))
-    rhs = add_vec(
-        scale_vec(2 * dot(u, w), v),
-        add_vec(scale_vec(-dot(u, v), w), scale_vec(-dot(v, w), u)),
-    )
-    return sub_vec(lhs, rhs)
-
-
 # ------------------------------------------------------------- isotropic basis
 
 # The isotropic frame u_0..u_6 diagonalizing the weight-space picture.  Each
@@ -197,9 +184,6 @@ def u_table_entry(i: int, j: int) -> tuple[AlgScalar, int] | None:
 
 
 # ------------------------------------------------------------------- matrices
-
-def mat_from_cols(cols) -> tuple:
-    return tuple(tuple(cols[j][i] for j in range(7)) for i in range(7))
 
 def mat_col(m, j) -> tuple:
     return tuple(m[i][j] for i in range(7))

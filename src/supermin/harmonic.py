@@ -177,11 +177,6 @@ class HarmonicSequence:
 
     # ------------------------------------------------------------- evaluation
 
-    def section_value(self, p: int, z: complex) -> np.ndarray:
-        """Float value of f_p at z (denominator must not vanish there)."""
-        den = complex(self.gram_det(p - 1)(z))
-        return np.array([comp(z) for comp in self.raw_sections[p]]) / den
-
     def norm_value(self, p: int, z: complex) -> complex:
         """Float value of a_p = D_p / D_{p-1} at z."""
         return self.gram_det(p)(z) / self.gram_det(p - 1)(z)
@@ -423,21 +418,6 @@ def _frame_parts(seq: HarmonicSequence, zr, zi):
     flip = _sum_rows(fr[4] * wi - fi[4] * wr) < 0
     sign = np.where(flip, -1.0, 1.0)
     return fr * sign, fi * sign
-
-
-def unit_gauge_frame(seq: HarmonicSequence, z) -> np.ndarray:
-    """The float frame at z rescaled so the middle section is real and unit.
-
-    All seven sections get the same scalar (the gauge acts on the whole
-    chain at once).  The scalar is a square root, so its sign is pinned by
-    asking the cross product of sections 3 and 4 to measure +i on section 4
-    -- the convention the multiplication table is written in.  ``z`` is a
-    point or an array of them; the result has shape (7, 7) + shape of z,
-    rows the sections.
-    """
-    z = np.asarray(z, dtype=complex)
-    fr, fi = _frame_parts(seq, z.real.ravel(), z.imag.ravel())
-    return as_complex(fr, fi).reshape((_DIM, _DIM) + z.shape)
 
 
 def measured_cross_constants(seq: HarmonicSequence, z) -> dict:

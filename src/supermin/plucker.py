@@ -35,6 +35,7 @@ def _sequence(curve) -> HarmonicSequence:
     return curve if isinstance(curve, HarmonicSequence) else build_sequence(curve)
 
 
+# nothing in src/ calls it: perfbench/tracer.py wraps it by name.
 def wedge_curves(curve) -> tuple:
     """Stages 0..6 of the osculating minors of the curve.
 

@@ -335,6 +335,7 @@ class RationalFn:
             raise ValueError("rational function is not constant")
         return n / d
 
+    # nothing in src/ calls it: perfbench/tracer.py wraps it by name.
     def __call__(self, z):
         return self.num(z) / self.den(z)
 

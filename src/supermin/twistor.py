@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import AlgScalar
-from .g2 import CROSS_TABLE, cross, dot, hdot, mat_rank, scale_vec
+from .g2 import CROSS_TABLE, cross, dot, hdot, scale_vec
 
 _REL_TOL = 1e-9
 
@@ -212,9 +212,3 @@ def is_superhorizontal(curve) -> bool:
 def is_quadric_curve(curve) -> bool:
     """Exact check of (f, f) = 0 as a polynomial identity."""
     return not dot(curve, curve)
-
-
-def linear_fullness_order(curve) -> int:
-    """Exact rank of the coefficient span; 7 means linearly full."""
-    exps = sorted({e for p in curve for e in p.terms})
-    return mat_rank([[p.terms.get(e, AlgScalar.zero()) for e in exps] for p in curve])

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from supermin import catalog, g2, twistor
+from supermin import catalog, g2, harmonic, twistor
 from supermin.field import AlgScalar
 from supermin.poly import Poly
 
@@ -57,7 +57,7 @@ def test_lowest_curve_geometry():
     low = catalog.lowest_curve()
     assert twistor.is_quadric_curve(low)
     assert twistor.is_superhorizontal(low)
-    assert twistor.linear_fullness_order(low) == 7
+    harmonic.HarmonicSequence(low)  # raises unless linearly full
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,9 @@ def test_normal_form_roundtrip(curve11):
     form = catalog.normal_form_of(curve11, spec)
     assert form.is_exact()
     assert curves_equal(form.to_curve(), curve11)
-    assert form.is_circle_symmetric()
+    # circle symmetric: the directions are pairwise hermitian-orthogonal
+    v = form.vectors
+    assert not any(g2.hdot(v[i], v[j]) for i in range(7) for j in range(i + 1, 7))
 
 
 def test_normal_form_rejects_off_ladder_support(curve11):
@@ -229,7 +231,7 @@ def test_rfamily_generic_exact_stays_superhorizontal():
     curve = catalog.r_family(spec, params).to_curve()
     assert twistor.is_quadric_curve(curve)
     assert twistor.is_superhorizontal(curve)
-    assert twistor.linear_fullness_order(curve) == 7
+    harmonic.HarmonicSequence(curve)  # raises unless linearly full
 
 
 def test_rfamily_second_pair_exact():
@@ -249,7 +251,9 @@ def test_rfamily_diagonal_is_circle_symmetric():
     spec = catalog.SingularityTypeSpec.from_pair(1, 1)
     params = catalog.RFamilyParams(r1=AlgScalar.term(10, 3))
     form = catalog.r_family(spec, params)
-    assert form.is_circle_symmetric()
+    assert form.is_exact()
+    v = form.vectors
+    assert not any(g2.hdot(v[i], v[j]) for i in range(7) for j in range(i + 1, 7))
     ok, _mu = catalog.reality_check(form)
     assert ok
 
@@ -262,7 +266,8 @@ def test_rfamily_float_path():
     # superhorizontality in float: f x f' vanishes at sample points
     for z in (0.4 + 0.2j, -0.9 + 0.6j, 1.3 - 0.5j):
         f = form.evaluate(z)
-        df = form.derivative_value(z)
+        df = sum(e * z ** (e - 1) * np.array([complex(c) for c in v])
+                 for e, v in zip(form.exponents, form.vectors) if e)
         resid = np.linalg.norm(np.array(g2.cross(f, df), dtype=complex))
         scale = np.linalg.norm(f) * np.linalg.norm(df)
         assert resid < 1e-12 * max(scale, 1.0)

@@ -75,7 +75,8 @@ def test_oracle_cross_scalars_at_10_points(seq11):
 
 def test_oracle_frame_gauge_properties(seq11):
     z = 0.41 + 0.33j
-    frame = harmonic.unit_gauge_frame(seq11, z)
+    fr, fi = harmonic._frame_parts(seq11, np.array([z.real]), np.array([z.imag]))
+    frame = (fr + 1j * fi)[:, :, 0]
     # rows stay mutually orthogonal (one common scalar cannot break that)
     gram = frame @ frame.conj().T
     off = gram - np.diag(np.diag(gram))
@@ -171,7 +172,7 @@ def test_chain_matches_float_reference(curve11, dense_curve):
                 gram, section = float_gram_schmidt(curve, p, z)
                 want = np.linalg.det(gram)
                 assert abs(seq.gram_det(p)(z) - want) <= 1e-9 * abs(want), (p, z)
-                got = seq.section_value(p, z)
+                got = np.array([c(z) for c in seq.raw_sections[p]]) / seq.gram_det(p - 1)(z)
                 assert np.linalg.norm(got - section) <= 1e-9 * np.linalg.norm(section), (p, z)
 
 
@@ -392,10 +393,9 @@ def test_counterexample_quadric_but_not_superhorizontal():
     coeffs = (one, one, one, AlgScalar.root(2), one, one, one)
     curve = ladder_curve(spec, coeffs)
     assert twistor.is_quadric_curve(curve)
-    assert twistor.linear_fullness_order(curve) == 7
+    seq = harmonic.build_sequence(curve)  # raises unless linearly full
     assert not twistor.is_superhorizontal(curve)
 
-    seq = harmonic.build_sequence(curve)
     rep = harmonic.check_norm_products(seq)
     assert rep["detail"]["constants"]["product_4_5_over_3_6"] != AlgScalar.rational(2)
     assert not rep["passed"]
@@ -428,13 +428,3 @@ def test_sample_points_reject_a_zero_of_the_chain(curve11, seq11):
     got = harmonic.regular_sample_points(seq)
     assert z0 not in got
     assert got[:9] == want[1:]
-
-
-def test_section_value_matches_rationalfn(seq11):
-    z = 0.52 - 0.31j
-    for p in range(4):
-        direct = seq11.section_value(p, z)
-        via_fn = np.array(
-            [RationalFn(c, seq11.gram_det(p - 1))(z) for c in seq11.raw_sections[p]]
-        )
-        assert np.allclose(direct, via_fn, atol=1e-10)

@@ -3,6 +3,11 @@
 An import kept on purpose (a re-export that nothing in its own module
 reads) carries ``# noqa: F401`` on its line.
 
+Every function, class and method that src/supermin defines is read by the
+program: by src/, by perfbench/ or by the acceptance tests.  A helper that
+only its own tests call is dead code and fails here; a name kept on purpose
+goes in ``UNREAD_ALLOWED`` with its reason.
+
 Importing supermin leaves a process with one thread: the package asks
 OpenBLAS for one unless the caller has set ``OPENBLAS_NUM_THREADS``.
 """
@@ -11,13 +16,16 @@ from __future__ import annotations
 
 import ast
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "supermin"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "supermin"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -46,6 +54,71 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+# {"module.name": "why it stays though nothing reads it"}; an entry the
+# program reads, or that names nothing, fails the test as stale
+UNREAD_ALLOWED: dict[str, str] = {}
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def read_names(paths) -> set[str]:
+    """Every name the .py files under ``paths`` read: an ``ast.Name``, the
+    attribute of an ``ast.Attribute``, or a part of a string that is a
+    dotted name, such as perfbench/tracer.py's ``TARGETS`` or ``__all__``."""
+    names = set()
+    for path in paths:
+        for file in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+            for node in ast.walk(ast.parse(file.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                        and _DOTTED.fullmatch(node.value):
+                    names.update(node.value.split("."))
+    return names
+
+
+def unread_definitions(package: Path, readers) -> list[str]:
+    """"module.name" of each top-level function or class of ``package``, and
+    "module.Class.name" of each method of its classes that is not a dunder,
+    whose name nothing in ``readers`` reads."""
+    names = read_names(readers)
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m.name) for m in node.body
+                         if isinstance(m, ast.FunctionDef)
+                         and not (m.name.startswith("__") and m.name.endswith("__"))]
+            unread += [f"{path.stem}.{qual}" for qual, name in defs if name not in names]
+    return unread
+
+
+def readers_of(package: Path) -> tuple[Path, ...]:
+    return (package, ROOT / "perfbench", ROOT / "tests" / "test_acceptance.py")
+
+
+def test_every_definition_is_read_by_the_program():
+    assert sorted(unread_definitions(SRC, readers_of(SRC))) == sorted(UNREAD_ALLOWED)
+
+
+def test_the_scan_names_a_dead_function(tmp_path):
+    """Negative control: a copy of the package with one helper nothing
+    calls, and one method nothing calls, fails the scan by those names."""
+    copy = tmp_path / "supermin"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    with (copy / "g2.py").open("a") as f:
+        f.write("\n\ndef dead_helper(x):\n    return x\n")
+    with (copy / "poly.py").open("a") as f:
+        f.write("\n\nclass Dead:\n    def method_nobody_calls(self):\n        return 0\n")
+    unread = unread_definitions(copy, readers_of(copy))
+    assert unread == ["g2.dead_helper", "poly.Dead", "poly.Dead.method_nobody_calls"]
 
 
 _THREADS = ("import os, supermin\n"

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from supermin import catalog, g2, twistor
+from supermin import catalog, g2, harmonic, twistor
 from supermin.field import AlgScalar
 from supermin.poly import evaluate, one_scale
 
@@ -186,7 +186,7 @@ def test_family_curves_are_superhorizontal_quadric(family_curves):
     for pair, curve in family_curves.items():
         assert twistor.is_quadric_curve(curve), pair
         assert twistor.is_superhorizontal(curve), pair
-        assert twistor.linear_fullness_order(curve) == 7, pair
+        harmonic.HarmonicSequence(curve)  # raises unless linearly full
 
 
 def test_linear_fullness_is_exact_at_any_scale(curve11):
@@ -196,8 +196,9 @@ def test_linear_fullness_is_exact_at_any_scale(curve11):
 
     tiny = Poly.const(AlgScalar.rational(1, 10**12))
     scaled = tuple(tiny * c for c in curve11)
-    assert twistor.linear_fullness_order(scaled) == 7
-    assert twistor.linear_fullness_order((*curve11[:3], *(Poly(),) * 4)) == 3
+    harmonic.HarmonicSequence(scaled)  # raises unless linearly full
+    with pytest.raises(ValueError, match="failing order 3"):
+        harmonic.HarmonicSequence((*curve11[:3], *(Poly(),) * 4))
 
 
 def test_perturbed_curve_fails_superhorizontality(curve11):
