@@ -162,20 +162,13 @@ class NormalFormCurve:
     def to_curve(self) -> tuple[Poly, ...]:
         """Assemble the polynomial curve (exact entries required)."""
         if not self.is_exact():
-            raise TypeError("normal form has float entries; use evaluate() instead")
+            raise TypeError("normal form has float entries")
         comps = [Poly() for _ in range(_DIM)]
         for exp, v in zip(self.exponents, self.vectors):
             term = Poly.monomial(exp)
             for c in range(_DIM):
                 comps[c] = comps[c] + term * Poly.const(v[c])
         return tuple(comps)
-
-    def evaluate(self, z: complex) -> np.ndarray:
-        """Float value of the curve at z (works for float parameter data)."""
-        out = np.zeros(_DIM, dtype=complex)
-        for exp, v in zip(self.exponents, self.vectors):
-            out += z**exp * np.array([complex(c) for c in v])
-        return out
 
 
 def normal_form_of(curve, spec: SingularityTypeSpec) -> NormalFormCurve:

@@ -9,6 +9,8 @@ Subcommands:
   sample     evaluate the projected surface on two chart grids
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+Each command imports the modules it runs when it runs, so ``sample``
+never loads ``catalog``, ``harmonic`` or ``plucker``.
 All JSON output is deterministic: sorted keys, rationals as strings,
 floats with 17 significant digits.
 """
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import catalog, harmonic, plucker, twistor
+from . import twistor
 from .poly import BLOCK, evaluate, one_scale
 from .serialize import (
     curve_from_obj,
@@ -61,6 +63,7 @@ def _load_curve(path: str):
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from . import catalog
     if args.k1 < 1 or args.k2 < 1:
         raise UsageError("--k1 and --k2 must be integers >= 1")
     curve = catalog.example_family(args.k1, args.k2)
@@ -70,6 +73,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import harmonic
     curve, k = _load_curve(args.curve)
     checks: dict[str, dict] = {}  # inserted in the order "failed" lists them
 
@@ -111,6 +115,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _coefficient_reality(curve, k) -> dict:
+    from . import catalog
     if k is None:
         return {"passed": True, "skipped": True,
                 "error": "skipped: curve file carries no exponent pair"}
@@ -133,6 +138,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def _report_body(out: str | None, curve) -> int:
+    from . import harmonic, plucker
     seq = harmonic.build_sequence(curve)
     rep = plucker.full_report(seq)
     body = rep.to_json_dict()
@@ -154,6 +160,7 @@ def _report_body(out: str | None, curve) -> int:
 
 
 def cmd_integrate(args: argparse.Namespace) -> int:
+    from . import harmonic, plucker
     if not 0 < args.tol < math.inf:
         raise UsageError("--tol must be finite and positive")
     if args.grid < 8:

@@ -18,10 +18,17 @@ denominator, standing for
 
 The form is reduced -- no (0, 0) pair, and the gcd of the denominator and
 all numerators is 1 -- so ``==`` and ``hash`` compare the stored data.
-``_mul_into`` is the one radical fold, and it multiplies ints only.
-Entries keep their order of first appearance in a sum or product, a
-cancelled one holding its place as (0, 0) until settled; float conversions
-sum them in that order.
+Two radical folds multiply ints only, each with its own contract:
+
+* ``_mul_into`` makes every value that floats read.  Entries keep their
+  order of first appearance in a sum or product, a cancelled one holding
+  its place as (0, 0) until settled; float conversions sum them in that
+  order.
+* ``_fold`` answers zero and equality tests (``products_vanish``,
+  ``product_sum``) on BiPoly sums of signed products.  It groups each
+  operand by radical mask and keys a monomial by one int, so its entries
+  come in no particular order, and none of its results may reach float
+  evaluation.
 
 AlgScalar is the case with the single key 0.  Fractions appear only where a
 value crosses the boundary: the constructor and the factories take ints or
@@ -31,6 +38,7 @@ Fractions, and ``coeff(mask)``, ``as_fraction`` and ``repr`` give them back.
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -82,6 +90,92 @@ def _mul_into(out: dict, num1: dict, num2: dict, add) -> None:
 def _settled(out: dict) -> dict:
     """``out`` without its (0, 0) entries."""
     return {km: v for km, v in out.items() if v[0] or v[1]}
+
+
+def _by_mask(num: dict, s: int, t: int, f: int) -> list:
+    """[(mask, [(key, value)])] of flat BiPoly numerators: z^a*zbar^b keyed
+    (a << s) | (b << 3), and (re, im) held as the one int f*(re + im*2^t)."""
+    rows: dict = {}
+    for ((a, b), m), (re, im) in num.items():
+        rows.setdefault(m, []).append(((a << s) | (b << 3), (re + (im << t)) * f))
+    return list(rows.items())
+
+
+def _bits(num: dict) -> int:
+    """The largest bit length of the flat numerators' parts."""
+    return max(map(abs, itertools.chain.from_iterable(num.values())), default=0).bit_length()
+
+
+def _fold(terms) -> tuple[dict, int, int, int]:
+    """Sum of sign * x * y over the list of (sign, x, y) ``terms``, x and y BiPolys.
+
+    Returns (sums, den, s, t): the sum is sums / den, and each monomial
+    z^a*zbar^b with mask m is keyed by the int (a << s) | (b << 3) | m,
+    s set by the largest zbar exponent so that a product's b fits below
+    a.  A part pair (re, im) is the int re + im*2^t, and every product
+    goes into one dict unreduced.  Reduced modulo 2^(2t) + 1, where 2^t
+    squares to -1, the packed ints multiply as complex numbers, and t is
+    large enough that each sum's parts lie strictly within +-2^(t-1): so
+    a sum is zero exactly when its residue is, and the residue gives back
+    both parts.  Each operand is grouped by mask, and each pair of masks
+    applies RADICAL[m1 & m2] and m1 ^ m2 once, outside the inner loop.
+    """
+    den = math.lcm(*(x._den * y._den for _, x, y in terms))
+    top = max((b for _, x, y in terms for p in (x, y) for (_, b), _ in p._num), default=0)
+    s = 3 + (2 * top).bit_length()
+    factors = [sign * (den // (x._den * y._den)) for sign, x, y in terms]
+    # a product's parts are below 2 * 30 * |f| * 2^(bits x + bits y) <= 2^(bound - 1),
+    # so those of a sum of fewer than 2^(t - bound) products are below 2^(t - 1)
+    bound = max((abs(f).bit_length() + _bits(x._num) + _bits(y._num) + 7
+                 for f, (_, x, y) in zip(factors, terms)), default=0)
+    t = bound + sum(len(x._num) * len(y._num) for _, x, y in terms).bit_length()
+    out: dict = {}
+    get = out.get
+    for f, (_, x, y) in zip(factors, terms):
+        rows2 = _by_mask(y._num, s, t, 1)
+        for m1, row1 in _by_mask(x._num, s, t, f):
+            for m2, row2 in rows2:
+                g = RADICAL[m1 & m2]
+                m = m1 ^ m2
+                for k1, u in row1:
+                    k1 |= m
+                    u *= g
+                    for k2, v in row2:
+                        k = k1 + k2
+                        out[k] = get(k, 0) + u * v
+    return out, den, s, t
+
+
+def products_vanish(terms) -> bool:
+    """Whether the sum of sign * x * y over the (sign, x, y) in ``terms`` is zero.
+
+    ``_fold`` keeps no entry order, so it only answers "is this zero" or,
+    through ``product_sum``, "are these equal"; none of its results may
+    reach float evaluation, which sums entries in stored order.
+    """
+    out, _, _, t = _fold(terms)
+    n = (1 << 2 * t) + 1
+    return not any(v % n for v in out.values())
+
+
+def product_sum(terms):
+    """The sum of sign * x * y over the (sign, x, y) in ``terms``, for
+    equality and zero tests only: its entries are not in the order of first
+    appearance that float evaluation reads (see ``products_vanish``).
+    ``terms`` is not empty, and the sum has the class of its operands."""
+    out, den, s, t = _fold(terms)
+    n = (1 << 2 * t) + 1
+    half = 1 << t - 1
+    low = (1 << s - 3) - 1
+    num = {}
+    for k, v in out.items():
+        v %= n
+        if v:
+            if v > n >> 1:
+                v -= n
+            re = ((v + half) & ((1 << t) - 1)) - half
+            num[((k >> s, k >> 3 & low), k & 7)] = (re, (v - re) >> t)
+    return type(terms[0][1])._of(num, den)
 
 
 class _SparsePoly:

@@ -36,9 +36,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .field import AlgScalar
-# wedge_pair is re-exported: perfbench/tracer.py wraps it under this name.
-from .g2 import CROSS_TABLE, cross, proportional, wedge_pair  # noqa: F401
+from .field import AlgScalar, product_sum, products_vanish
+# cross and wedge_pair are re-exported: perfbench/tracer.py wraps them under these names.
+from .g2 import CROSS_TABLE, cross, wedge_pair  # noqa: F401
 from .poly import BiPoly, Poly, RationalFn, as_complex, evaluate, hermitian_sum, primitive_parts
 
 _DIM = 7
@@ -242,35 +242,28 @@ def check_recursion(seq: HarmonicSequence) -> dict:
     differentiating f_p and removing its f_p component lands exactly on
     f_{p+1}.  Ascending: dzbar E_{p+1} * D_p - E_{p+1} * dzbar D_p
     + D_{p+1} * E_p = 0 says the conjugate derivative of f_{p+1} falls back
-    onto f_p with density -a_{p+1}/a_p.  Passes when all of them hold, the
-    curve has no zbar term and the chain terminates.
+    onto f_p with density -a_{p+1}/a_p.  Each equation is one zero test of
+    three products per component (``field.products_vanish``), and a stage
+    stops at its first failing component.  Passes when all of them hold,
+    the curve has no zbar term and the chain terminates.
     """
+    sections = seq.raw_sections
     down = []
     for p in range(_DIM):
-        dp = seq.gram_det(p)
-        dprev = seq.gram_det(p - 1)
-        ok = True
-        for c in range(_DIM):
-            e = seq.raw_sections[p][c]
-            enext = seq.raw_sections[p + 1][c]
-            lhs = e.diff_z() * dp - e * dp.diff_z()
-            if not (lhs - enext * dprev).is_zero():
-                ok = False
-                break
-        down.append(ok)
+        dp, dprev = seq.gram_det(p), seq.gram_det(p - 1)
+        ddp = dp.diff_z()
+        down.append(all(
+            products_vanish([(1, e.diff_z(), dp), (-1, e, ddp), (-1, enext, dprev)])
+            for e, enext in zip(sections[p], sections[p + 1])
+        ))
     up = []
     for p in range(_DIM - 1):
-        dp = seq.gram_det(p)
-        dnext = seq.gram_det(p + 1)
-        ok = True
-        for c in range(_DIM):
-            e = seq.raw_sections[p][c]
-            enext = seq.raw_sections[p + 1][c]
-            lhs = enext.diff_zbar() * dp - enext * dp.diff_zbar() + dnext * e
-            if not lhs.is_zero():
-                ok = False
-                break
-        up.append(ok)
+        dp, dnext = seq.gram_det(p), seq.gram_det(p + 1)
+        ddp = dp.diff_zbar()
+        up.append(all(
+            products_vanish([(1, enext.diff_zbar(), dp), (-1, enext, ddp), (1, dnext, e)])
+            for e, enext in zip(sections[p], sections[p + 1])
+        ))
     detail = {
         "derivative_rule": down,
         "conjugate_derivative_rule": up,
@@ -300,20 +293,43 @@ def orthogonality_residuals(seq: HarmonicSequence) -> dict:
     return out
 
 
+def _pivot(x, y) -> int | None:
+    """The component c with y[c] != 0 whose minors x[a]*y[c] - x[c]*y[a]
+    take the fewest products (term counts multiplied); None when y == 0."""
+    sx, sy = sum(map(len, x)), sum(map(len, y))
+    live = [c for c in range(_DIM) if y[c]]
+    return min(live, key=lambda c: len(y[c]) * sx + len(x[c]) * sy, default=None)
+
+
+def _proportional(x, y) -> bool:
+    """Whether x wedge y == 0 for 7-vectors of BiPoly: x and y pointwise
+    proportional.
+
+    With the pivot y[c] != 0 it suffices that x[a]*y[c] - x[c]*y[a] vanish
+    for the other six a, each one zero test of two products: multiplying
+    any minor x[a]*y[b] - x[b]*y[a] by y[c] turns it into
+    x[c]*(y[a]*y[b] - y[b]*y[a]) = 0, and BiPolys form an integral domain.
+    """
+    c = _pivot(x, y)
+    return c is None or all(
+        products_vanish([(1, x[a], y[c]), (-1, x[c], y[a])]) for a in range(_DIM) if a != c
+    )
+
+
 def check_reality(seq: HarmonicSequence) -> dict:
     """Pointwise proportionality conj(f_{3+k}) ~ f_{3-k} for k = 1, 2, 3.
 
     Tested projectively on the pair of unnormalized sections, which is
     gauge-free: against one pivot component c where f_{3-k} is not
     identically 0, each other component a must satisfy
-    conj(E_{3+k})[a] * E_{3-k}[c] == conj(E_{3+k})[c] * E_{3-k}[a]
-    (``g2.proportional``).  BiPolys form an integral domain, so this is
-    the vanishing of every 2x2 minor.  Passes when all three pairings hold.
+    conj(E_{3+k})[a] * E_{3-k}[c] == conj(E_{3+k})[c] * E_{3-k}[a], one
+    zero test of two products (``_proportional``); this is the vanishing
+    of every 2x2 minor.  Passes when all three pairings hold.
     """
     detail = {}
     for k in (1, 2, 3):
         upper = tuple(c.conj() for c in seq.raw_sections[3 + k])
-        detail[k] = proportional(upper, seq.raw_sections[3 - k])
+        detail[k] = _proportional(upper, seq.raw_sections[3 - k])
     detail["all_proportional"] = all(detail[k] for k in (1, 2, 3))
     return {"passed": detail["all_proportional"], "detail": detail}
 
@@ -357,6 +373,15 @@ FRAME_CROSS_TABLE = (
     ((2, 1), 0, (-1, 3), (-1, 4), 0, (2, 6), 0),
     ((2, 2), (1, 3), 0, (-1, 5), (-2, 6), 0, 0),
     ((1, 3), (1, 4), (1, 5), (1, 6), 0, 0, 0),
+)
+
+
+# component k of x cross y is the sum of sign * x[i] * y[j] over the six
+# (sign, i, j) of _CROSS_TERMS[k]
+_CROSS_TERMS = tuple(
+    tuple((1 if t > 0 else -1, i, j) for i, row in enumerate(CROSS_TABLE)
+          for j, t in enumerate(row) if abs(t) == k + 1)
+    for k in range(_DIM)
 )
 
 
@@ -486,27 +511,31 @@ def check_cross_table(
 ) -> dict:
     """The frame multiplication table, passed when all three levels hold.
 
-    (a) zero entries: the cross product of the unnormalized sections
-        vanishes identically (exact);
+    Each component of a cross product of two unnormalized sections is one
+    sum of six products (``_CROSS_TERMS``), folded by ``field.product_sum``.
+    (a) zero entries: every component sum vanishes identically (exact,
+        ``field.products_vanish``);
     (b) nonzero entries: the cross product is pointwise proportional to the
         target section, tested against one pivot component of the target
-        (``g2.proportional``; exact, equivalent to every 2x2 minor
+        (``_proportional``; exact, equivalent to every 2x2 minor
         vanishing since BiPolys form an integral domain);
     (c) the proportionality scalars, read off in the unit gauge at sample
         points, match the table's integer multiples of i within
         ``_SCALAR_TOL``.
     """
+    sections = seq.raw_sections
     zero_ok: dict[tuple[int, int], bool] = {}
     prop_ok: dict[tuple[int, int], bool] = {}
     for i in range(_DIM):
         for j in range(i + 1, _DIM):
-            w = cross(seq.raw_sections[i], seq.raw_sections[j])
+            terms = [[(sign, sections[i][a], sections[j][b]) for sign, a, b in comp]
+                     for comp in _CROSS_TERMS]
             entry = FRAME_CROSS_TABLE[i][j]
             if entry == 0:
-                zero_ok[(i, j)] = all(c.is_zero() for c in w)
+                zero_ok[(i, j)] = all(products_vanish(t) for t in terms)
             else:
-                _, k = entry
-                prop_ok[(i, j)] = proportional(w, seq.raw_sections[k])
+                w = [product_sum(t) for t in terms]
+                prop_ok[(i, j)] = _proportional(w, sections[entry[1]])
     if samples is None:
         samples = regular_sample_points(seq)
     errors = []

@@ -478,6 +478,29 @@ def test_sample_rejects_tiny_grid(curve_file):
     assert run_cli("sample", str(curve_file), "-n", "4", "--out", "/tmp/x").returncode == 2
 
 
+_SAMPLE_MODULES = ("import sys\n"
+                   "from supermin import cli\n"
+                   "code = cli.main(sys.argv[1:])\n"
+                   "print(code, *sorted(m for m in ('supermin.catalog', 'supermin.harmonic',\n"
+                   "                               'supermin.plucker') if m in sys.modules))")
+
+
+def test_sample_imports_no_chain_module(curve_file, tmp_path):
+    """``sample`` runs none of ``catalog``, ``harmonic`` and ``plucker``, and
+    a fresh process that runs it has loaded none of them; ``verify`` in
+    the same harness loads the two it runs, so the probe sees imports."""
+    def loaded(*argv):
+        res = subprocess.run([sys.executable, "-c", _SAMPLE_MODULES, *argv],
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        return res.stdout.split()
+
+    out = str(tmp_path / "s.csv")
+    assert loaded("sample", str(curve_file), "-n", "8", "--format", "csv", "--out", out) == ["0"]
+    assert loaded("verify", str(curve_file), "--out", str(tmp_path / "v.json")) == [
+        "0", "supermin.catalog", "supermin.harmonic"]
+
+
 # ---------------------------------------------------------------------------
 # no BLAS
 # ---------------------------------------------------------------------------

@@ -5,8 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from supermin.field import MASK_ORDER, RADICAL, AlgScalar
+from supermin.field import (
+    MASK_ORDER, RADICAL, AlgScalar, _settled, product_sum, products_vanish,
+)
+from supermin.poly import BiPoly
 
 
 # ---------------------------------------------------------------------------
@@ -203,3 +207,68 @@ def test_radical_fold_matches_trial_division():
             want = AlgScalar.root(RADICAL[a] * RADICAL[b])
             assert AlgScalar.term(RADICAL[a], 1) * AlgScalar.term(RADICAL[b], 1) == want
             assert AlgScalar.term(RADICAL[a], 0, 1) * AlgScalar.term(RADICAL[b], 0, 1) == -want
+
+
+# ---------------------------------------------------------------------------
+# the product fold for zero and equality tests, against BiPoly arithmetic
+# ---------------------------------------------------------------------------
+
+_fold_part = st.builds(Fraction, st.integers(-9, 9) | st.integers(-2**70, 2**70),
+                       st.sampled_from([1, 2, 3, 7, 10**20]))
+# several masks per monomial, mixed denominators
+_fold_scalar = st.dictionaries(
+    st.integers(0, 7), st.tuples(_fold_part, _fold_part), min_size=1, max_size=4
+).map(AlgScalar)
+_exponent = st.integers(0, 2) | st.integers(2**64, 2**64 + 2)
+_fold_bipoly = st.dictionaries(
+    st.tuples(_exponent, _exponent), _fold_scalar, max_size=4
+).map(BiPoly)
+_signed = st.tuples(st.sampled_from((1, -1)), _fold_bipoly, _fold_bipoly)
+
+
+@st.composite
+def product_terms(draw):
+    """(terms, cancels): signed products, and when ``cancels`` each one
+    again with the sign flipped and the factors swapped, shuffled in."""
+    terms = draw(st.lists(_signed, min_size=1, max_size=4))
+    cancels = draw(st.booleans())
+    if cancels:
+        terms = draw(st.permutations(terms + [(-sign, y, x) for sign, x, y in terms]))
+    return terms, cancels
+
+
+def built(terms) -> BiPoly:
+    """The sum of sign * x * y by BiPoly ``*``, ``+`` and ``-``."""
+    acc = BiPoly()
+    for sign, x, y in terms:
+        acc = acc + x * y if sign > 0 else acc - x * y
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_terms())
+def test_product_fold_matches_bipoly_arithmetic(case):
+    terms, cancels = case
+    want = built(terms)
+    got = product_sum(terms)
+    assert type(got) is BiPoly
+    assert dict(got._num) == dict(want._num) and got._den == want._den
+    assert products_vanish(terms) == want.is_zero()
+    if cancels:
+        assert want.is_zero()
+
+
+@settings(max_examples=50, deadline=None)
+@given(_fold_bipoly.filter(bool), _fold_bipoly.filter(bool), st.data())
+def test_product_fold_sees_one_numerator_moved_by_one(x, y, data):
+    """Negative control: x*y - x*y vanishes, and stops vanishing when one
+    numerator part of the first x is moved by 1."""
+    assert products_vanish([(1, x, y), (-1, x, y)])
+    key = data.draw(st.sampled_from(sorted(x._num, key=repr)))
+    re, im = x._num[key]
+    num = dict(x._num)
+    num[key] = (re + 1, im) if data.draw(st.booleans()) else (re, im + 1)
+    moved = BiPoly._of(_settled(num), x._den)
+    terms = [(1, moved, y), (-1, x, y)]
+    assert not products_vanish(terms)
+    assert product_sum(terms) == built(terms) != BiPoly()

@@ -5,11 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from supermin.field import AlgScalar
 from supermin import g2
-from supermin.poly import BiPoly, Poly
 
 
 def rand_vec(rng, imag=True):
@@ -107,86 +105,6 @@ def test_wedge_pair_minors():
     lam = AlgScalar.root(3) + AlgScalar.i()
     z = g2.scale_vec(lam, x)
     assert all(m.is_zero() for m in g2.wedge_pair(x, z).values())
-
-
-# ---------------------------------------------------------------------------
-# proportionality against a pivot
-# ---------------------------------------------------------------------------
-
-def wedge_vanishes(x, y) -> bool:
-    return all(m.is_zero() for m in g2.wedge_pair(x, y).values())
-
-
-@st.composite
-def scalars(draw):
-    c = AlgScalar.rational(draw(st.integers(-3, 3)))
-    c = c + AlgScalar.i() * draw(st.integers(-3, 3))
-    if draw(st.booleans()):
-        c = c * AlgScalar.root(draw(st.sampled_from((2, 3, 5, 6))))
-    return c
-
-
-def entries(kind, nonzero=False):
-    """Sparse Poly or BiPoly entries with at most three terms."""
-    keys = st.integers(0, 3) if kind == "poly" else st.tuples(st.integers(0, 2), st.integers(0, 2))
-    terms = st.dictionaries(keys, scalars(), min_size=int(nonzero), max_size=3)
-    cls = Poly if kind == "poly" else BiPoly
-    built = terms.map(cls)
-    return built.filter(bool) if nonzero else built
-
-
-def zero_vec(kind):
-    return tuple((Poly() if kind == "poly" else BiPoly()) for _ in range(7))
-
-
-@st.composite
-def vector_pairs(draw):
-    """(x, y) of one entry kind: independent, proportional (y = s x), with an
-    all-zero side, with a single non-zero component of y, or proportional
-    but for one component of x."""
-    kind = draw(st.sampled_from(("poly", "bipoly")))
-    vec = st.lists(entries(kind), min_size=7, max_size=7).map(tuple)
-    x = draw(vec)
-    shape = draw(st.sampled_from(("free", "scaled", "zero_x", "zero_y", "single", "broken")))
-    if shape == "free":
-        return x, draw(vec)
-    if shape == "zero_x":
-        return zero_vec(kind), draw(vec)
-    if shape == "zero_y":
-        return x, zero_vec(kind)
-    s = draw(entries(kind, nonzero=True))
-    if shape == "single":
-        c = draw(st.integers(0, 6))
-        y = tuple(v if a == c else v * 0 for a, v in enumerate(x))
-        return (g2.scale_vec(s, y) if draw(st.booleans()) else x), y
-    y = g2.scale_vec(s, x)
-    if shape == "broken":
-        a = draw(st.integers(0, 6))
-        bump = draw(entries(kind, nonzero=True))
-        x = tuple(v + bump if b == a else v for b, v in enumerate(x))
-    return x, y
-
-
-@settings(max_examples=300, deadline=None)
-@given(vector_pairs())
-def test_proportional_matches_all_minors(pair):
-    x, y = pair
-    assert g2.proportional(x, y) == wedge_vanishes(x, y)
-
-
-def test_proportional_catches_a_break_off_the_pivot():
-    z = Poly.monomial(1)
-    one = Poly.const(1)
-    # x[0] has one term and every other component two, so 0 is the cheapest
-    # pivot; doubling a component keeps every term count, hence the pivot
-    x = (one, z + one, z * z + z, z * z * z + one, z + z * z, one + z * z, z * z * z + z)
-    y = g2.scale_vec(z * z + Poly.const(AlgScalar.root(2)), x)
-    assert g2.proportional(x, y)
-    for a in range(7):
-        broken = tuple(v * 2 if b == a else v for b, v in enumerate(x))
-        assert g2._pivot(broken, y) == 0
-        assert not g2.proportional(broken, y), a
-        assert not g2.proportional(y, broken), a
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from supermin import catalog, g2, harmonic, plucker, twistor
 from supermin.field import AlgScalar
@@ -241,6 +242,86 @@ def test_cross_table_exact_and_measured(seq11):
     assert rep["passed"]
 
 
+# ---------------------------------------------------------------------------
+# proportionality against a pivot
+# ---------------------------------------------------------------------------
+
+def wedge_vanishes(x, y) -> bool:
+    return all(m.is_zero() for m in g2.wedge_pair(x, y).values())
+
+
+@st.composite
+def scalars(draw):
+    c = AlgScalar.rational(draw(st.integers(-3, 3)))
+    c = c + AlgScalar.i() * draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        c = c * AlgScalar.root(draw(st.sampled_from((2, 3, 5, 6))))
+    return c
+
+
+def entries(kind, nonzero=False):
+    """Sparse BiPoly entries with at most three terms, holomorphic for
+    ``kind`` "poly"."""
+    keys = st.integers(0, 3) if kind == "poly" else st.tuples(st.integers(0, 2), st.integers(0, 2))
+    terms = st.dictionaries(keys, scalars(), min_size=int(nonzero), max_size=3)
+    built = terms.map(Poly).map(Poly.to_bipoly) if kind == "poly" else terms.map(BiPoly)
+    return built.filter(bool) if nonzero else built
+
+
+def zero_vec():
+    return tuple(BiPoly() for _ in range(7))
+
+
+@st.composite
+def vector_pairs(draw):
+    """(x, y) of one entry kind: independent, proportional (y = s x), with an
+    all-zero side, with a single non-zero component of y, or proportional
+    but for one component of x."""
+    kind = draw(st.sampled_from(("poly", "bipoly")))
+    vec = st.lists(entries(kind), min_size=7, max_size=7).map(tuple)
+    x = draw(vec)
+    shape = draw(st.sampled_from(("free", "scaled", "zero_x", "zero_y", "single", "broken")))
+    if shape == "free":
+        return x, draw(vec)
+    if shape == "zero_x":
+        return zero_vec(), draw(vec)
+    if shape == "zero_y":
+        return x, zero_vec()
+    s = draw(entries(kind, nonzero=True))
+    if shape == "single":
+        c = draw(st.integers(0, 6))
+        y = tuple(v if a == c else v * 0 for a, v in enumerate(x))
+        return (g2.scale_vec(s, y) if draw(st.booleans()) else x), y
+    y = g2.scale_vec(s, x)
+    if shape == "broken":
+        a = draw(st.integers(0, 6))
+        bump = draw(entries(kind, nonzero=True))
+        x = tuple(v + bump if b == a else v for b, v in enumerate(x))
+    return x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_pairs())
+def test_proportional_matches_all_minors(pair):
+    x, y = pair
+    assert harmonic._proportional(x, y) == wedge_vanishes(x, y)
+
+
+def test_proportional_catches_a_break_off_the_pivot():
+    z = BiPoly({(1, 0): 1})
+    one = BiPoly.one()
+    # x[0] has one term and every other component two, so 0 is the cheapest
+    # pivot; doubling a component keeps every term count, hence the pivot
+    x = (one, z + one, z * z + z, z * z * z + one, z + z * z, one + z * z, z * z * z + z)
+    y = g2.scale_vec(z * z + BiPoly.const(AlgScalar.root(2)), x)
+    assert harmonic._proportional(x, y)
+    for a in range(7):
+        broken = tuple(v * 2 if b == a else v for b, v in enumerate(x))
+        assert harmonic._pivot(broken, y) == 0
+        assert not harmonic._proportional(broken, y), a
+        assert not harmonic._proportional(y, broken), a
+
+
 def with_section(seq, p, change):
     """A copy of seq whose section E_p is replaced by change(E_p)."""
     mutant = copy.copy(seq)
@@ -282,7 +363,7 @@ def test_reality_negative_controls(seq11):
     two components of f_{3+k}, breaks exactly the k-th pairing."""
     for k in (1, 2, 3):
         upper = tuple(c.conj() for c in seq11.raw_sections[3 + k])
-        pivot = g2._pivot(upper, seq11.raw_sections[3 - k])
+        pivot = harmonic._pivot(upper, seq11.raw_sections[3 - k])
         for a in range(7):
             assert seq11.raw_sections[3 - k][a], (k, a)
             rep = harmonic.check_reality(with_section(seq11, 3 - k, doubled(a)))
@@ -300,7 +381,7 @@ def test_cross_table_negative_control(seq11):
     sections = seq11.raw_sections
     w = g2.cross(sections[1], sections[6])
     a = 0
-    assert g2._pivot(w, sections[4]) != a and sections[4][a]
+    assert harmonic._pivot(w, sections[4]) != a and sections[4][a]
     rep = harmonic.check_cross_table(with_section(seq11, 4, doubled(a)), samples=[])
     prop = rep["detail"]["proportional_entries_exact"]
     assert prop[(1, 6)] is False

@@ -4,9 +4,10 @@ An import kept on purpose (a re-export that nothing in its own module
 reads) carries ``# noqa: F401`` on its line.
 
 Every function, class and method that src/supermin defines is read by the
-program: by src/, by perfbench/ or by the acceptance tests.  A helper that
-only its own tests call is dead code and fails here; a name kept on purpose
-goes in ``UNREAD_ALLOWED`` with its reason.
+program: by src/, by perfbench/ or by the acceptance tests, a top-level
+definition through its own module and a method through an attribute
+access.  A helper that only its own tests call is dead code and fails
+here; a name kept on purpose goes in ``UNREAD_ALLOWED`` with its reason.
 
 Importing supermin leaves a process with one thread: the package asks
 OpenBLAS for one unless the caller has set ``OPENBLAS_NUM_THREADS``.
@@ -63,40 +64,56 @@ UNREAD_ALLOWED: dict[str, str] = {}
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
-def read_names(paths) -> set[str]:
-    """Every name the .py files under ``paths`` read: an ``ast.Name``, the
-    attribute of an ``ast.Attribute``, or a part of a string that is a
-    dotted name, such as perfbench/tracer.py's ``TARGETS`` or ``__all__``."""
-    names = set()
+def reads(paths) -> set[tuple]:
+    """What the .py files under ``paths`` read, as tuples:
+    ("name", file stem, id) for an ``ast.Name``; ("attr", name) for an
+    attribute access; ("attr", module, name) when that attribute is taken
+    of the bare name ``module``; ("import", module, name) for
+    ``from module import name`` (a "supermin." or relative prefix
+    dropped); and ("string", part) for a part of a string that is a dotted
+    name, such as perfbench/tracer.py's ``TARGETS`` or ``__all__``."""
+    out = set()
     for path in paths:
         for file in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
             for node in ast.walk(ast.parse(file.read_text())):
                 if isinstance(node, ast.Name):
-                    names.add(node.id)
+                    out.add(("name", file.stem, node.id))
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
+                    out.add(("attr", node.attr))
+                    if isinstance(node.value, ast.Name):
+                        out.add(("attr", node.value.id, node.attr))
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    module = node.module.removeprefix("supermin.")
+                    out.update(("import", module, alias.name) for alias in node.names)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                         and _DOTTED.fullmatch(node.value):
-                    names.update(node.value.split("."))
-    return names
+                    out.update(("string", part) for part in node.value.split("."))
+    return out
 
 
 def unread_definitions(package: Path, readers) -> list[str]:
     """"module.name" of each top-level function or class of ``package``, and
     "module.Class.name" of each method of its classes that is not a dunder,
-    whose name nothing in ``readers`` reads."""
-    names = read_names(readers)
+    that nothing in ``readers`` reads.  A top-level definition is read
+    through its own module: a name there, an import from it, or
+    ``module.name``.  A method is read only through an attribute access.
+    A dotted-name string reads every definition its parts name."""
+    seen = reads(readers)
     unread = []
     for path in sorted(package.glob("*.py")):
+        module = path.stem
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            defs = [(node.name, node.name)]
+            name = node.name
+            if not seen & {("name", module, name), ("import", module, name),
+                           ("attr", module, name), ("string", name)}:
+                unread.append(f"{module}.{name}")
             if isinstance(node, ast.ClassDef):
-                defs += [(f"{node.name}.{m.name}", m.name) for m in node.body
-                         if isinstance(m, ast.FunctionDef)
-                         and not (m.name.startswith("__") and m.name.endswith("__"))]
-            unread += [f"{path.stem}.{qual}" for qual, name in defs if name not in names]
+                unread += [f"{module}.{name}.{m.name}" for m in node.body
+                           if isinstance(m, ast.FunctionDef)
+                           and not (m.name.startswith("__") and m.name.endswith("__"))
+                           and not seen & {("attr", m.name), ("string", m.name)}]
     return unread
 
 
@@ -119,6 +136,22 @@ def test_the_scan_names_a_dead_function(tmp_path):
         f.write("\n\nclass Dead:\n    def method_nobody_calls(self):\n        return 0\n")
     unread = unread_definitions(copy, readers_of(copy))
     assert unread == ["g2.dead_helper", "poly.Dead", "poly.Dead.method_nobody_calls"]
+
+
+def test_the_scan_reads_a_name_only_through_its_module(tmp_path):
+    """Negative control: ``poly.evaluate`` is read by that name in cli,
+    harmonic and plucker, and a name read there reads no other definition
+    called ``evaluate``.  A copy of the package with a top-level
+    ``evaluate`` in g2 and a class in twistor with an ``evaluate`` method
+    fails the scan by those names."""
+    copy = tmp_path / "supermin"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    with (copy / "g2.py").open("a") as f:
+        f.write("\n\ndef evaluate(x):\n    return x\n")
+    with (copy / "twistor.py").open("a") as f:
+        f.write("\n\nclass Shape:\n    def evaluate(self):\n        return 0\n")
+    unread = unread_definitions(copy, readers_of(copy))
+    assert unread == ["g2.evaluate", "twistor.Shape", "twistor.Shape.evaluate"]
 
 
 _THREADS = ("import os, supermin\n"
