@@ -204,18 +204,19 @@ def _sample_points(curve, n: int) -> np.ndarray:
     second works in the w = 1/z coordinate with radii strictly below 1, so
     the shared circle is emitted once (it belongs to the first chart).
     Each block of ``poly.BLOCK`` grid points is evaluated by one
-    ``poly.evaluate`` call and projected by ``twistor.project_arrays``.
+    ``poly.evaluate`` call and projected by ``twistor.project_arrays``
+    straight into the one output array, so no block outlives its turn.
     """
     total = max(max(c.degree() for c in curve), 0)
     reversed_curve = tuple(c.reverse(total) for c in curve)
     angles = [2.0 * math.pi * j / n for j in range(n)]
     cos = np.array([math.cos(t) for t in angles] * n)
     sin = np.array([math.sin(t) for t in angles] * n)
-    blocks = []
-    for chart, radii in (
+    points = np.empty((2, n * n, 7))
+    for half, (chart, radii) in zip(points, (
         (curve, [i / (n - 1) for i in range(n)]),
         (reversed_curve, [i / n for i in range(n)]),
-    ):
+    )):
         conv = [c.float_terms() for c in chart]
         top = max(k for k, _ in conv)
         # radii lie in [0, 1] and a float below 1 is at most 1 - 2^-53, so
@@ -241,8 +242,8 @@ def _sample_points(curve, n: int) -> np.ndarray:
             if bad.any():
                 i = int(np.argmax(bad))
                 raise RuntimeError(f"curve vanishes near sample point z={complex(zr[i], zi[i])}")
-            blocks.append(twistor.project_arrays(xr, xi))
-    return np.concatenate(blocks)
+            half[at] = twistor.project_arrays(xr, xi)
+    return points.reshape(-1, 7)
 
 
 def _rows(row: str, sep: str, points: np.ndarray) -> str:

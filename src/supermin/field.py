@@ -388,21 +388,19 @@ class AlgScalar(_SparsePoly):
             raise ValueError("root expects a non-negative integer")
         if n == 0:
             return cls.zero()
-        square, kernel = 1, 1
-        m = n
-        p = 2
-        while p * p <= m:
+        # only 2, 3 and 5 may stay under the root; the rest must be a square
+        square, kernel, m = 1, 1, n
+        for p in (2, 3, 5):
             while m % (p * p) == 0:
                 square *= p
                 m //= p * p
             if m % p == 0:
                 kernel *= p
                 m //= p
-            p += 1
-        kernel *= m  # leftover prime
-        if 30 % kernel:
+        rest = math.isqrt(m)
+        if rest * rest != m:
             raise ValueError(f"sqrt({n}) does not lie in Q(sqrt2, sqrt3, sqrt5)")
-        return cls({RADICAL.index(kernel): (square, 0)})
+        return cls({RADICAL.index(kernel): (square * rest, 0)})
 
     # ------------------------------------------------------------------- state
 

@@ -33,32 +33,25 @@ def _conj(v):
     return f() if callable(f) else v.conjugate()
 
 
+# component k of x cross y is the sum of sign * x[i] * y[j] over the six
+# (sign, i, j) of CROSS_TERMS[k], in table order: the one reading of CROSS_TABLE
+CROSS_TERMS = tuple(
+    tuple((1 if t > 0 else -1, i, j) for i, row in enumerate(CROSS_TABLE)
+          for j, t in enumerate(row) if abs(t) == k + 1)
+    for k in range(7)
+)
+
+
 def cross(x, y) -> list:
     """Cross product of two 7-vectors with entries in any common scalar ring."""
-    out = [None] * 7
-    for i in range(7):
-        xi = x[i]
-        if not xi:
-            continue
-        row = CROSS_TABLE[i]
-        for j in range(7):
-            yj = y[j]
-            if not yj:
-                continue
-            t = row[j]
-            if not t:
-                continue
-            v = xi * yj
-            if t < 0:
-                v = -v
-            k = abs(t) - 1
-            out[k] = v if out[k] is None else out[k] + v
-    zero = None
-    for k in range(7):
-        if out[k] is None:
-            if zero is None:
-                zero = x[0] * 0
-            out[k] = zero
+    out = []
+    for comp in CROSS_TERMS:
+        acc = None
+        for sign, i, j in comp:
+            if x[i] and y[j]:
+                v = x[i] * y[j] if sign > 0 else -(x[i] * y[j])
+                acc = v if acc is None else acc + v
+        out.append(x[0] * 0 if acc is None else acc)
     return out
 
 
@@ -181,16 +174,11 @@ def g2c_membership(m, tol: float | None = None) -> bool:
     with a float tolerance the matrix may have complex entries.
     """
     cols = [mat_col(m, j) for j in range(7)]
-    for i in range(7):
-        for j in range(i + 1, 7):
-            lhs = cross(cols[i], cols[j])
-            t = CROSS_TABLE[i][j]
-            if t:
-                target = cols[abs(t) - 1]
-                rhs = scale_vec(-1, target) if t < 0 else target
-                resid = sub_vec(lhs, rhs)
-            else:
-                resid = lhs
+    for k, comp in enumerate(CROSS_TERMS):
+        for sign, i, j in comp:
+            if i > j:
+                continue
+            resid = sub_vec(cross(cols[i], cols[j]), scale_vec(sign, cols[k]))
             if tol is None:
                 if any(resid):
                     return False

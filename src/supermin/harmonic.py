@@ -38,8 +38,8 @@ import numpy as np
 
 from .field import AlgScalar, product_sum, products_vanish
 # cross and wedge_pair are re-exported: perfbench/tracer.py wraps them under these names.
-from .g2 import CROSS_TABLE, cross, wedge_pair  # noqa: F401
-from .poly import BiPoly, Poly, RationalFn, as_complex, evaluate, hermitian_sum, primitive_parts
+from .g2 import CROSS_TERMS, cross, wedge_pair  # noqa: F401
+from .poly import BiPoly, Poly, as_complex, evaluate, hermitian_sum, primitive_parts
 
 _DIM = 7
 # the float part of the cross-table check: a fixed, seeded set of points
@@ -104,7 +104,8 @@ class HarmonicSequence:
     Attributes
     ----------
     curve : the defining 7-vector of Poly, divided by the gcd of its integer
-        numerators (``poly.primitive_parts``); every verdict is projective.
+        numerators and by its monomial content z^c (``poly.primitive_parts``);
+        every verdict is projective.
     derivatives : tower of z-derivatives, orders 0..6.
     minors : the osculating minors W_0..W_6 (``wedge_table`` of the tower).
     raw_sections : unnormalized sections E_0..E_7 (7-vectors of BiPoly).
@@ -279,18 +280,12 @@ def orthogonality_residuals(seq: HarmonicSequence) -> dict:
 
     Since each earlier section is a combination of the derivatives F_0..F_p
     with p < q, this is equivalent to mutual orthogonality of the sections.
+    Each pairing is one zero test of seven products
+    (``field.products_vanish``); for q = 7 the section is 0 and so is the sum.
     """
-    out = {}
-    for q in range(1, _DIM + 1):
-        for i in range(q):
-            val = BiPoly()
-            for c in range(_DIM):
-                f = seq.derivatives[i][c]
-                e = seq.raw_sections[q][c]
-                if f and e:
-                    val = val + e * f.conj_factor()
-            out[(q, i)] = val.is_zero()
-    return out
+    return {(q, i): products_vanish([(1, e, f.conj_factor()) for e, f in
+                                     zip(seq.raw_sections[q], seq.derivatives[i])])
+            for q in range(1, _DIM + 1) for i in range(q)}
 
 
 def _pivot(x, y) -> int | None:
@@ -334,29 +329,44 @@ def check_reality(seq: HarmonicSequence) -> dict:
     return {"passed": detail["all_proportional"], "detail": detail}
 
 
+# name: (num, den, c).  With a_p = D_p / D_{p-1}, a_p * a_q / (a_r * a_s) is
+# D_p D_q D_{r-1} D_{s-1} / (D_{p-1} D_{q-1} D_r D_s); num and den hold those
+# D's as two pairs (a, b) each, and c is the constant the ratio must be
+_NORM_PRODUCTS = {
+    "product_1_5_over_3sq": (((1, 5), (2, 2)), ((0, 4), (3, 3)), 1),
+    "product_2_4_over_3sq": (((2, 4), (2, 2)), ((1, 3), (3, 3)), 1),
+    "product_0_6_over_3sq": (((0, 6), (2, 2)), ((-1, 5), (3, 3)), 1),
+    "product_4_5_over_3_6": (((4, 5), (2, 5)), ((3, 4), (3, 6)), 2),
+}
+
+
 def check_norm_products(seq: HarmonicSequence) -> dict:
     """Scale-invariant norm identities of the chain.
 
     a_{3+k} * a_{3-k} / a_3^2 must be the constant 1 for k = 1, 2, 3, and
-    a_4 * a_5 / (a_3 * a_6) must be the constant 2.  Each ratio is formed
-    from the Gram determinants directly and tested for constancy exactly.
-    The detail carries the measured constants (None for a ratio that is not
-    constant), so an unexpected value is visible rather than silently compared.
+    a_4 * a_5 / (a_3 * a_6) must be the constant 2.  Each ratio is a
+    product of four Gram determinants over four (D_{-1} = 1), taken as two
+    pair products D_a * D_b each (``field.product_sum``, each pair formed
+    once).  Its only possible constant is the ratio of leading coefficients,
+    those of the lexicographically largest monomial: lex order on (a, b) is
+    a monomial order and the field has no zero divisors, so a product's
+    leading coefficient is its factors'.  Constancy is then one zero test
+    of two products, lead(den) * num - lead(num) * den
+    (``field.products_vanish``).  The detail carries the measured constants
+    (None for a ratio that is not constant), so an unexpected value is
+    visible rather than silently compared.
     """
     d = seq.gram_det
-    ratios = {  # name: (numerator, denominator, the constant it must be)
-        "product_1_5_over_3sq": (d(1) * d(5) * d(2) * d(2), d(0) * d(4) * d(3) * d(3), 1),
-        "product_2_4_over_3sq": (d(2) * d(2) * d(2) * d(4), d(1) * d(3) * d(3) * d(3), 1),
-        "product_0_6_over_3sq": (d(0) * d(6) * d(2) * d(2), d(5) * d(3) * d(3), 1),
-        "product_4_5_over_3_6": (d(5) * d(5) * d(2), d(3) * d(3) * d(6), 2),
-    }
+    lead = {p: d(p).terms[max(d(p).terms)] for p in range(-1, _DIM)}
+    keys = {k for num, den, _ in _NORM_PRODUCTS.values() for k in num + den}
+    pair = {(a, b): product_sum([(1, d(a), d(b))]) for a, b in keys}
     constants: dict[str, AlgScalar | None] = {}
-    for name, (num, den, _) in ratios.items():
-        try:
-            constants[name] = RationalFn(num, den).constant_value()
-        except ValueError:
-            constants[name] = None
-    passed = all(constants[name] == want for name, (_, _, want) in ratios.items())
+    for name, (num, den, _) in _NORM_PRODUCTS.items():
+        n, m = (math.prod(lead[p] for k in four for p in k) for four in (num, den))
+        constant = products_vanish([(1, pair[num[0]] * m, pair[num[1]]),
+                                    (-1, pair[den[0]] * n, pair[den[1]])])
+        constants[name] = n / m if constant else None
+    passed = all(constants[name] == c for name, (_, _, c) in _NORM_PRODUCTS.items())
     return {"passed": passed, "detail": {"constants": constants}}
 
 
@@ -376,29 +386,20 @@ FRAME_CROSS_TABLE = (
 )
 
 
-# component k of x cross y is the sum of sign * x[i] * y[j] over the six
-# (sign, i, j) of _CROSS_TERMS[k]
-_CROSS_TERMS = tuple(
-    tuple((1 if t > 0 else -1, i, j) for i, row in enumerate(CROSS_TABLE)
-          for j, t in enumerate(row) if abs(t) == k + 1)
-    for k in range(_DIM)
-)
-
-
 def _cross_parts(xr, xi, yr, yi):
     """x cross y for 7 rows of (re, im) arrays, summed in table order."""
-    outr = [0.0] * _DIM
-    outi = [0.0] * _DIM
-    for i, row in enumerate(CROSS_TABLE):
-        for j, t in enumerate(row):
-            if t:
-                pr = xr[i] * yr[j] - xi[i] * yi[j]
-                pi = xr[i] * yi[j] + xi[i] * yr[j]
-                k = abs(t) - 1
-                if t > 0:
-                    outr[k], outi[k] = outr[k] + pr, outi[k] + pi
-                else:
-                    outr[k], outi[k] = outr[k] - pr, outi[k] - pi
+    outr, outi = [], []
+    for comp in CROSS_TERMS:
+        accr = acci = 0.0
+        for sign, i, j in comp:
+            pr = xr[i] * yr[j] - xi[i] * yi[j]
+            pi = xr[i] * yi[j] + xi[i] * yr[j]
+            if sign > 0:
+                accr, acci = accr + pr, acci + pi
+            else:
+                accr, acci = accr - pr, acci - pi
+        outr.append(accr)
+        outi.append(acci)
     return np.array(outr), np.array(outi)
 
 
@@ -512,9 +513,8 @@ def check_cross_table(
     """The frame multiplication table, passed when all three levels hold.
 
     Each component of a cross product of two unnormalized sections is one
-    sum of six products (``_CROSS_TERMS``), folded by ``field.product_sum``.
-    (a) zero entries: every component sum vanishes identically (exact,
-        ``field.products_vanish``);
+    sum of six products (``g2.CROSS_TERMS``), folded by ``field.product_sum``.
+    (a) zero entries: every component sum vanishes identically (exact);
     (b) nonzero entries: the cross product is pointwise proportional to the
         target section, tested against one pivot component of the target
         (``_proportional``; exact, equivalent to every 2x2 minor
@@ -528,13 +528,12 @@ def check_cross_table(
     prop_ok: dict[tuple[int, int], bool] = {}
     for i in range(_DIM):
         for j in range(i + 1, _DIM):
-            terms = [[(sign, sections[i][a], sections[j][b]) for sign, a, b in comp]
-                     for comp in _CROSS_TERMS]
+            w = [product_sum([(sign, sections[i][a], sections[j][b]) for sign, a, b in comp])
+                 for comp in CROSS_TERMS]
             entry = FRAME_CROSS_TABLE[i][j]
             if entry == 0:
-                zero_ok[(i, j)] = all(products_vanish(t) for t in terms)
+                zero_ok[(i, j)] = not any(w)
             else:
-                w = [product_sum(t) for t in terms]
                 prop_ok[(i, j)] = _proportional(w, sections[entry[1]])
     if samples is None:
         samples = regular_sample_points(seq)

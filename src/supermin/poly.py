@@ -6,8 +6,8 @@ Three layers, all immutable by convention:
 * ``BiPoly``     -- polynomials in z and zbar; a key (a, b) stands for
                     z^a * zbar^b;
 * ``RationalFn`` -- quotients of BiPolys.  The only automatic simplification
-                    is cancellation of a common monomial z^c * zbar^d; genuine
-                    identities are always tested by cross-multiplication.
+                    is cancellation of a common monomial z^c * zbar^d; equality
+                    is one zero test of the cross products (``products_vanish``).
 
 Coefficients lie in Q(i, sqrt2, sqrt3, sqrt5).  ``Poly`` and ``BiPoly``
 are cases of the ring core ``field._SparsePoly``, which ``AlgScalar``
@@ -41,7 +41,7 @@ import operator
 
 import numpy as np
 
-from .field import AlgScalar, _mul_into, _settled, _SparsePoly
+from .field import AlgScalar, _mul_into, _settled, _SparsePoly, products_vanish
 
 # points per power table of the float kernel; bounds its memory
 BLOCK = 2048
@@ -284,12 +284,14 @@ def hermitian_sum(terms) -> BiPoly:
     return BiPoly._of(_settled(out), den)
 
 
-def primitive_parts(polys) -> tuple:
-    """``polys`` divided by the gcd of all their integer numerators: one
-    exact scalar, so every projective quantity of the tuple is kept."""
+def primitive_parts(polys: tuple[Poly, ...]) -> tuple[Poly, ...]:
+    """``polys`` divided by the gcd of all their integer numerators and by
+    z^c, c the least order at z = 0 among them: one exact scalar and one
+    monomial, so every projective quantity of the tuple is kept."""
     g = math.gcd(*(x for p in polys for pair in p._num.values() for x in pair)) or 1
-    return tuple(type(p)._of({k: (re // g, im // g) for k, (re, im) in p._num.items()}, p._den)
-                 for p in polys)
+    c = min((e for p in polys for e, _ in p._num), default=0)
+    return tuple(Poly._of({(e - c, m): (re // g, im // g) for (e, m), (re, im) in p._num.items()},
+                          p._den) for p in polys)
 
 
 class RationalFn:
@@ -319,21 +321,7 @@ class RationalFn:
     def __eq__(self, other) -> bool:
         if type(other) is not RationalFn:
             return NotImplemented
-        return (self.num * other.den - other.num * self.den).is_zero()
-
-    def constant_value(self) -> AlgScalar:
-        """The scalar c with num = c * den, when the function is constant.
-
-        Constancy is num * den[k] == den * num[k] at the first key k of den;
-        then c = num[k] / den[k].  Raises ValueError when no such scalar exists.
-        """
-        if self.num.is_zero():
-            return AlgScalar.zero()
-        key = next(iter(self.den._num))[0]
-        n, d = self.num.coeff(key), self.den.coeff(key)
-        if self.num * d != self.den * n:
-            raise ValueError("rational function is not constant")
-        return n / d
+        return products_vanish([(1, self.num, other.den), (-1, other.num, self.den)])
 
     # nothing in src/ calls it: perfbench/tracer.py wraps it by name.
     def __call__(self, z):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import AlgScalar
-from .g2 import CROSS_TABLE, cross, dot, hdot, scale_vec
+from .g2 import CROSS_TERMS, cross, dot, hdot, scale_vec
 
 _REL_TOL = 1e-9
 
@@ -68,8 +68,7 @@ def project(x):
         scale = AlgScalar.i() * hdot(x, x).inverse()
         return scale_vec(scale, cross(xbar, x))
     v = np.asarray(x, dtype=complex)
-    out = 1j * np.array(cross(v.conjugate(), v)) / np.vdot(v, v).real
-    return out.real
+    return project_arrays(v.real, v.imag)
 
 
 def project_arrays(xr, xi) -> np.ndarray:
@@ -77,21 +76,22 @@ def project_arrays(xr, xi) -> np.ndarray:
     parts (sequences of equal-shape real arrays); returns shape (points, 7).
 
     Component k of (i/|x|^2) * (conj(x) cross x) is -2/|x|^2 times the sum,
-    over i < j with CROSS_TABLE[i][j] = +-(k+1), of +-Im(conj(x_i) x_j) =
-    +-(re_i im_j - re_j im_i): real products and sums only, in table order.
+    over the (sign, i, j) of CROSS_TERMS[k] with i < j, of
+    sign * Im(conj(x_i) x_j) = sign * (re_i im_j - re_j im_i): real products
+    and sums only, in table order.
     """
     sq = xr[0] * xr[0] + xi[0] * xi[0]
     for a, b in zip(xr[1:], xi[1:]):
         sq = sq + (a * a + b * b)
     out = [np.zeros_like(sq) for _ in range(7)]
-    for i, row in enumerate(CROSS_TABLE):
-        for j in range(i + 1, 7):
-            t = row[j]
-            im_ij = xr[i] * xi[j] - xr[j] * xi[i]
-            if t > 0:
-                out[t - 1] -= im_ij
-            else:
-                out[-t - 1] += im_ij
+    for acc, comp in zip(out, CROSS_TERMS):
+        for sign, i, j in comp:
+            if i < j:
+                im_ij = xr[i] * xi[j] - xr[j] * xi[i]
+                if sign > 0:
+                    acc -= im_ij
+                else:
+                    acc += im_ij
     return np.stack([2.0 * v / sq for v in out], axis=-1)
 
 

@@ -142,11 +142,11 @@ SCALED_12 = {
     "z_power_30": lambda c: Poly.monomial(10**30) * c,
     "z_power_400": lambda c: Poly.monomial(10**400) * c,
 }
-# the raw frame of each z^N multiple is not finite at any sample point, and
-# it vanishes at z = 0 to an order no sample guard accepts; at N = 10^30 its
-# float powers overflow at |z| = 1, and 10^400 does not convert to a float
-SCALED_12_FAILS = {(name, command) for name in ("z_power", "z_power_30", "z_power_400")
-                   for command in ("verify", "sample")}
+# the chain divides out z^N, so verify passes on each z^N multiple; sample
+# reads the file's curve, which vanishes at z = 0 to an order no sample guard
+# accepts: at N = 10^30 its float powers overflow at |z| = 1, and 10^400
+# does not convert to a float
+SCALED_12_FAILS = {(name, "sample") for name in ("z_power", "z_power_30", "z_power_400")}
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +174,37 @@ def test_scaled_member_exits_cleanly(scaled_12_files, name, command, capsys, tmp
     assert code == (1 if (name, command) in SCALED_12_FAILS else 0), err
     assert len(err.splitlines()) <= 1, err
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("name", ["z_power", "z_power_30", "z_power_400"])
+def test_z_power_multiple_verifies_as_the_member(scaled_12_files, name, tmp_path):
+    """The (1,2) member times z^N is the member in CP^6, and the chain is
+    built with z^N divided out: verify prints the member's chain records.
+    coefficient_reality is skipped, as the file's support is off the ladder."""
+    member = tmp_path / "member.json"
+    member.write_text(dumps_canonical(curve_to_obj(catalog.example_family(1, 2), (1, 2))))
+    checks = []
+    for path in (member, scaled_12_files / f"{name}.json"):
+        out = tmp_path / f"{path.stem}.verify.json"
+        assert cli.main(["verify", str(path), "--out", str(out)]) == 0
+        checks.append(json.loads(out.read_text())["checks"])
+    assert "mu" in checks[0].pop("coefficient_reality")
+    skipped = checks[1].pop("coefficient_reality")
+    assert skipped["skipped"] and "not on the ladder" in skipped["error"]
+    assert checks[1] == checks[0]
+
+
+def test_report_ignores_monomial_content(scaled_12_files, tmp_path):
+    """report on the (1,2) member times z^(10^9) or z^(10^400) writes the
+    member's bytes."""
+    member = tmp_path / "member.json"
+    member.write_text(dumps_canonical(curve_to_obj(catalog.example_family(1, 2), (1, 2))))
+    outputs = []
+    for path in (member, scaled_12_files / "z_power.json", scaled_12_files / "z_power_400.json"):
+        out = tmp_path / f"{path.stem}.report.json"
+        assert cli.main(["report", str(path), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_verify_prints_a_mu_beyond_the_int_digit_limit(curve12, capsys, tmp_path):

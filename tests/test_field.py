@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -57,6 +59,26 @@ def test_root_factors_out_squares():
 def test_root_rejects_unsupported_radicand():
     with pytest.raises(ValueError):
         AlgScalar.root(7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**30), st.sampled_from(RADICAL))
+def test_root_of_a_square_times_a_divisor_of_30(k, d):
+    r = AlgScalar.root(k * k * d)
+    assert r == AlgScalar.rational(k) * AlgScalar.root(d)
+    assert r * r == AlgScalar.rational(k * k * d)
+    with pytest.raises(ValueError):
+        AlgScalar.root(7 * k * k * d)
+
+
+def test_root_does_not_trial_divide():
+    """6 (2^61 - 1)^2 has a prime factor near 2.3e18; trial division up to
+    its square root would not finish."""
+    code = ("from supermin.field import AlgScalar\n"
+            "p = 2**61 - 1\n"
+            "assert AlgScalar.root(6 * p * p) == AlgScalar.rational(p) * AlgScalar.root(6)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
+    assert res.returncode == 0, res.stderr
 
 
 def test_term_places_coefficients():

@@ -482,6 +482,58 @@ def test_counterexample_quadric_but_not_superhorizontal():
     assert not rep["passed"]
 
 
+def with_gram_det(seq, p, factor):
+    """A copy of seq whose D_p is multiplied by the scalar ``factor``."""
+    mutant = copy.copy(seq)
+    mutant._dets = tuple(d * factor if q == p else d for q, d in enumerate(seq._dets))
+    return mutant
+
+
+def test_norm_products_report_a_constant_but_wrong_ratio(seq12):
+    """With D_6 doubled every ratio is still constant, as a_6 doubles:
+    a_0 a_6 / a_3^2 reads 2, a_4 a_5 / (a_3 a_6) reads 1, and the check
+    fails on those values."""
+    rep = harmonic.check_norm_products(with_gram_det(seq12, 6, 2))
+    constants = rep["detail"]["constants"]
+    assert constants["product_0_6_over_3sq"] == AlgScalar.rational(2)
+    assert constants["product_4_5_over_3_6"] == AlgScalar.one()
+    assert constants["product_1_5_over_3sq"] == constants["product_2_4_over_3sq"] == 1
+    assert not rep["passed"]
+
+
+def cross_multiplied_constants(seq) -> dict:
+    """Each norm-product ratio num / den formed in full; its constant is
+    num[k] / den[k] at the first key k of den when num * den[k] == den * num[k]."""
+    d = seq.gram_det
+    ratios = {
+        "product_1_5_over_3sq": (d(1) * d(5) * d(2) * d(2), d(0) * d(4) * d(3) * d(3)),
+        "product_2_4_over_3sq": (d(2) * d(2) * d(2) * d(4), d(1) * d(3) * d(3) * d(3)),
+        "product_0_6_over_3sq": (d(0) * d(6) * d(2) * d(2), d(5) * d(3) * d(3)),
+        "product_4_5_over_3_6": (d(5) * d(5) * d(2), d(3) * d(3) * d(6)),
+    }
+    out = {}
+    for name, (num, den) in ratios.items():
+        k = next(iter(den.terms))
+        n, m = num.coeff(k), den.coeff(k)
+        out[name] = n / m if num * m == den * n else None
+    return out
+
+
+def test_norm_constants_match_the_cross_multiplied_ratios(family_curves, dense_curve):
+    """The leading-coefficient constants equal the full cross-multiplied
+    ratios on the five pairs, the dense curve and the multi-radical curve,
+    and on chains with D_6 scaled by 2 or by 1 + sqrt2 + i sqrt3."""
+    lam = AlgScalar.one() + AlgScalar.term(2, 1) + AlgScalar.term(3, 0, 1)
+    curves = [*family_curves.values(), dense_curve,
+              tuple(c * lam for c in family_curves[(1, 2)])]
+    seqs = [harmonic.build_sequence(c) for c in curves]
+    seqs += [with_gram_det(seqs[1], 6, 2), with_gram_det(seqs[1], 6, lam)]
+    for seq in seqs:
+        constants = harmonic.check_norm_products(seq)["detail"]["constants"]
+        assert constants == cross_multiplied_constants(seq)
+        assert all(c is not None for c in constants.values())
+
+
 # ---------------------------------------------------------------------------
 # sampling helpers
 # ---------------------------------------------------------------------------

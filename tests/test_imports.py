@@ -9,6 +9,9 @@ definition through its own module and a method through an attribute
 access.  A helper that only its own tests call is dead code and fails
 here; a name kept on purpose goes in ``UNREAD_ALLOWED`` with its reason.
 
+Only g2 reads ``CROSS_TABLE``; every other module reads its one decoding,
+``g2.CROSS_TERMS``.
+
 Importing supermin leaves a process with one thread: the package asks
 OpenBLAS for one unless the caller has set ``OPENBLAS_NUM_THREADS``.
 """
@@ -152,6 +155,33 @@ def test_the_scan_reads_a_name_only_through_its_module(tmp_path):
         f.write("\n\nclass Shape:\n    def evaluate(self):\n        return 0\n")
     unread = unread_definitions(copy, readers_of(copy))
     assert unread == ["g2.evaluate", "twistor.Shape", "twistor.Shape.evaluate"]
+
+
+def cross_table_readers(package: Path) -> list[str]:
+    """The modules of ``package`` other than g2 that read ``CROSS_TABLE``,
+    by import, as a name or as an attribute."""
+    return [path.stem for path in sorted(package.glob("*.py")) if path.stem != "g2"
+            and any(r[0] != "string" and r[-1] == "CROSS_TABLE" for r in reads([path]))]
+
+
+def test_only_g2_reads_the_cross_table():
+    """g2 decodes CROSS_TABLE's signed entries once, as CROSS_TERMS, and
+    every other module reads that."""
+    assert cross_table_readers(SRC) == []
+
+
+def test_the_cross_table_scan_names_its_readers(tmp_path):
+    """Negative control: a copy of the package that reads CROSS_TABLE by
+    import in plucker, as an attribute in twistor and as a bare name in
+    catalog fails the scan by those modules."""
+    copy = tmp_path / "supermin"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    for module, line in (("plucker", "from .g2 import CROSS_TABLE  # noqa: F401"),
+                         ("twistor", "_T = g2.CROSS_TABLE"),
+                         ("catalog", "_T = CROSS_TABLE")):
+        with (copy / f"{module}.py").open("a") as f:
+            f.write(f"\n{line}\n")
+    assert cross_table_readers(copy) == ["catalog", "plucker", "twistor"]
 
 
 _THREADS = ("import os, supermin\n"

@@ -180,15 +180,6 @@ def test_rationalfn_zero_denominator_rejected():
         RationalFn(BiPoly.one(), BiPoly())
 
 
-def test_constant_value():
-    p = Poly.monomial(3) + Poly.const(2)
-    h = p.to_bipoly() * p.conj_factor()
-    two_h = h + h
-    assert RationalFn(two_h, h).constant_value() == AlgScalar.rational(2)
-    with pytest.raises(ValueError):
-        RationalFn(p.to_bipoly(), BiPoly.one()).constant_value()
-
-
 def test_rationalfn_evaluate():
     p = Poly.monomial(2) + Poly.const(1)
     f = RationalFn(p.to_bipoly(), BiPoly.const(AlgScalar.rational(2)))
@@ -387,3 +378,11 @@ def test_primitive_parts_divide_one_scalar():
     half = AlgScalar.rational(1, 2)
     assert parts == (Poly({1: 3}), Poly({0: (AlgScalar.rational(4) + third) * half}), Poly())
     assert poly.primitive_parts(parts) == parts
+
+
+def test_primitive_parts_divide_the_monomial_content():
+    """z^c, c the least order among the components, is divided out too."""
+    parts = poly.primitive_parts((Poly({3: 2, 5: 4}), Poly({4: 6}), Poly()))
+    assert parts == (Poly({0: 1, 2: 2}), Poly({1: 3}), Poly())
+    big = poly.primitive_parts(tuple(Poly.monomial(10**400) * c for c in parts))
+    assert big == parts
