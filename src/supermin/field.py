@@ -30,7 +30,9 @@ Two radical folds multiply ints only, each with its own contract:
   come in no particular order, and none of its results may reach float
   evaluation.
 
-AlgScalar is the case with the single key 0.  Fractions appear only where a
+AlgScalar is the case with the single key 0.  Every operator is defined on
+the core and takes its other operand through one hook, ``_coerce``, which
+AlgScalar widens to ints and Fractions.  Fractions appear only where a
 value crosses the boundary: the constructor and the factories take ints or
 Fractions, and ``coeff(mask)``, ``as_fraction`` and ``repr`` give them back.
 """
@@ -181,8 +183,8 @@ def product_sum(terms):
 class _SparsePoly:
     """Integer numerators {(key, mask): (re, im)} over one denominator.
 
-    Sums, differences and equality are defined only between two values
-    of the same class; AlgScalar also lets ints and Fractions in.
+    Sums, differences and equality take the other operand through
+    ``_coerce``; products also take a scalar the hook refuses.
     """
 
     __slots__ = ("_num", "_den", "_view", "_ceval")
@@ -265,12 +267,6 @@ class _SparsePoly:
             })
         return view
 
-    def coeff(self, key) -> AlgScalar:
-        """The coefficient of one monomial; zero when the key is absent."""
-        return AlgScalar._of(
-            {(0, m): v for (k, m), v in self._num.items() if k == key}, self._den
-        )
-
     def __len__(self) -> int:
         """The number of monomials."""
         return len({k for k, _ in self._num})
@@ -292,18 +288,36 @@ class _SparsePoly:
             out[k] = (re, im) if v is None else (v[0] + re, v[1] + im)
         return self._of(_settled(out), den)
 
+    def _coerce(self, other):
+        """``other`` as a value of this class, or None."""
+        return other if type(other) is type(self) else None
+
     def __add__(self, other):
-        if type(other) is not type(self):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self._plus(other, 1)
+        return self._plus(o, 1)
+
+    def __radd__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o._plus(self, 1)
 
     def __neg__(self):
         return self._of({k: (-re, -im) for k, (re, im) in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        if type(other) is not type(self):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self._plus(other, -1)
+        return self._plus(o, -1)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o._plus(self, -1)
 
     def _times(self, other):
         """The product with a value of the same class."""
@@ -311,8 +325,10 @@ class _SparsePoly:
         _mul_into(out, self._num, other._num, self._ADD)
         return self._of(_settled(out), self._den * other._den)
 
-    def _scale(self, other):
-        """The product with a scalar; NotImplemented for anything else."""
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is not None:
+            return self._times(o)
         if type(other) is int:
             num = {k: (re * other, im * other) for k, (re, im) in self._num.items()}
             return self._of(num if other else {}, self._den)
@@ -321,15 +337,25 @@ class _SparsePoly:
             return NotImplemented
         return self._times(self.const(s))
 
-    __rmul__ = _scale
+    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self._den == other._den and self._num == other._num
+        return self._den == o._den and self._num == o._num
 
     def __hash__(self):
         return hash((self._den, frozenset(self._num.items())))
+
+
+def as_scalar(c) -> AlgScalar | None:
+    """``c`` as an AlgScalar when it is one, an int or a Fraction; else None."""
+    if isinstance(c, AlgScalar):
+        return c
+    if isinstance(c, (int, Fraction)):
+        return AlgScalar({0: (c, 0)})
+    return None
 
 
 class AlgScalar(_SparsePoly):
@@ -337,6 +363,7 @@ class AlgScalar(_SparsePoly):
 
     __slots__ = ()
     _ADD = staticmethod(operator.add)
+    _coerce = staticmethod(as_scalar)
 
     def __init__(self, terms: dict | None = None):
         """From {mask: (re, im)} with int or Fraction parts.
@@ -421,33 +448,11 @@ class AlgScalar(_SparsePoly):
 
     # -------------------------------------------------------------- arithmetic
 
-    def __add__(self, other) -> AlgScalar:
-        o = as_scalar(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(o, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> AlgScalar:
-        o = as_scalar(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(o, -1)
-
-    def __rsub__(self, other) -> AlgScalar:
-        o = as_scalar(other)
-        if o is None:
-            return NotImplemented
-        return o._plus(self, -1)
-
-    def __mul__(self, other) -> AlgScalar:
-        o = as_scalar(other)
-        if o is None:
-            return NotImplemented
-        return self._times(o)
-
-    __rmul__ = __mul__
+    # the core's operators: perfbench/tracer.py wraps them by name in this class
+    __add__ = _SparsePoly.__add__
+    __radd__ = _SparsePoly.__radd__
+    __mul__ = _SparsePoly.__mul__
+    __rmul__ = _SparsePoly.__rmul__
 
     def galois(self, bits: int) -> AlgScalar:
         """Field automorphism negating the radicals selected by ``bits``."""
@@ -504,25 +509,12 @@ class AlgScalar(_SparsePoly):
             n >>= 1
         return out
 
-    # ------------------------------------------------------------- comparisons
-
-    def __eq__(self, other) -> bool:
-        o = as_scalar(other)
-        if o is None:
-            return NotImplemented
-        return _SparsePoly.__eq__(self, o)
-
-    __hash__ = _SparsePoly.__hash__
-
     # ------------------------------------------------------------- conversions
 
     def __complex__(self) -> complex:
-        out = 0j
-        den = self._den
-        for (_, m), (re, im) in self._num.items():
-            r = _SQRT[m]
-            out += complex(re / den * r, im / den * r)
-        return out
+        k, terms = self.float_terms()
+        re, im = terms[0][1:] if terms else (0.0, 0.0)
+        return complex(math.ldexp(re, k), math.ldexp(im, k))
 
     def __repr__(self) -> str:
         if not self._num:
@@ -550,12 +542,3 @@ def frac_str(f: Fraction) -> str:
     raises ValueError, while ``Decimal`` of an int is exact and prints all."""
     num, den = (str(decimal.Decimal(v)) for v in (f.numerator, f.denominator))
     return num if den == "1" else f"{num}/{den}"
-
-
-def as_scalar(c) -> AlgScalar | None:
-    """``c`` as an AlgScalar when it is one, an int or a Fraction; else None."""
-    if isinstance(c, AlgScalar):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return AlgScalar({0: (c, 0)})
-    return None

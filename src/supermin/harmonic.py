@@ -446,6 +446,7 @@ def _frame_parts(seq: HarmonicSequence, zr, zi):
     return fr * sign, fi * sign
 
 
+@np.errstate(all="ignore")
 def measured_cross_constants(seq: HarmonicSequence, z) -> dict:
     """All 7x7 cross products of the unit-gauge frame at z, resolved against
     the table's target section; zero entries report a residual instead.

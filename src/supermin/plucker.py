@@ -27,7 +27,7 @@ import numpy as np
 
 # wedge_table is re-exported: perfbench/tracer.py wraps it under this name.
 from .harmonic import HarmonicSequence, build_sequence, wedge_table  # noqa: F401
-from .poly import Poly, as_complex, poly_gcd
+from .poly import Poly, as_complex, poly_gcd, primitive_parts
 
 
 def _sequence(curve) -> HarmonicSequence:
@@ -83,20 +83,21 @@ def degrees_exact(curve) -> tuple[int, ...]:
 
     The degree is the top exponent minus the vanishing order at 0, which is
     the correct projective degree when the minors share no zero away from
-    the origin; a shared interior zero is detected through the component
-    gcd and reported, since it would mean ramification at a third point.
+    the origin.  They share one exactly when their z-free parts do, whose
+    gcd is folded smallest first until it is constant; a shared interior
+    zero is reported, since it would mean ramification at a third point.
     """
     stages = _sequence(curve).minors
     out = []
     for p in range(6):
         stage = stages[p]
+        parts = [primitive_parts((q,))[0] for q in stage.values() if q]
         common = Poly()
-        for q in stage.values():
-            if q:
-                common = poly_gcd(common, q) if common else q
+        for q in sorted(parts, key=Poly.degree):
+            common = poly_gcd(q, common) if common else q
             if common.degree() == 0:
                 break
-        if common.degree() != common.ord():
+        if common.degree() > 0:
             raise ValueError(
                 f"unexpected interior singularity: stage-{p} osculating minors "
                 "share a zero away from the origin"

@@ -17,8 +17,10 @@ evaluation sums the monomials, and each one's masks, in that order.
 
 Constructors take {key: AlgScalar} dicts (ints and Fractions are accepted
 as scalars).  ``terms`` is the read-only {key: AlgScalar} view of a
-polynomial, built on first use, for readers outside the arithmetic.
-A Poly never meets a BiPoly implicitly.
+polynomial, built on first use, and the one way to read a coefficient.
+Sums and equality take the same class only; a product also takes an int,
+a Fraction or an AlgScalar, from either side.  A Poly never meets a
+BiPoly implicitly.
 
 Every float value comes from one kernel, ``evaluate``.  ``float_terms``
 converts the coefficients once, scaled by an exact 2^-k taken from the
@@ -74,11 +76,6 @@ class Poly(_SparsePoly):
         """Order of vanishing at z = 0; zero polynomial gives -1."""
         return min(e for e, _ in self._num) if self._num else -1
 
-    def __mul__(self, other) -> Poly:
-        if type(other) is not Poly:
-            return self._scale(other)
-        return self._times(other)
-
     def diff(self) -> Poly:
         return Poly._of(
             {(e - 1, m): (re * e, im * e) for (e, m), (re, im) in self._num.items() if e},
@@ -122,10 +119,8 @@ class BiPoly(_SparsePoly):
     def one(cls) -> BiPoly:
         return cls.const(1)
 
-    def __mul__(self, other) -> BiPoly:
-        if type(other) is not BiPoly:
-            return self._scale(other)
-        return self._times(other)
+    # the core's operator: perfbench/tracer.py wraps it by name in this class
+    __mul__ = _SparsePoly.__mul__
 
     def conj(self) -> BiPoly:
         return BiPoly._of(
@@ -341,10 +336,10 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     q: dict[int, AlgScalar] = {}
     r = a
     db = b.degree()
-    lead = b.coeff(db).inverse()
+    lead = b.terms[db].inverse()
     while r and r.degree() >= db:
         dr = r.degree()
-        c = r.coeff(dr) * lead
+        c = r.terms[dr] * lead
         q[dr - db] = c
         r = r - b * Poly({dr - db: c})
     return Poly(q), r
@@ -355,5 +350,5 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while b:
         a, b = b, poly_divmod(a, b)[1]
     if a:
-        a = a * a.coeff(a.degree()).inverse()
+        a = a * a.terms[a.degree()].inverse()
     return a

@@ -207,6 +207,42 @@ def test_report_ignores_monomial_content(scaled_12_files, tmp_path):
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
+def test_report_on_high_degree_members_finishes(tmp_path):
+    """report on the (1, 200) member, whose minors all share a power of z,
+    and on the (1,2) member with component 0 replaced by one term of degree
+    10^30 returns in a subprocess with a timeout: the degrees take the gcd
+    of the minors' z-free parts, smallest first.  The second file is not a
+    superminimal curve, so its report fails an audit, in one line."""
+    member = tmp_path / "m1_200.json"
+    member.write_text(dumps_canonical(curve_to_obj(catalog.example_family(1, 200), (1, 200))))
+    res = run_cli("report", str(member), timeout=30)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["delta"] == [404, 806, 808, 808, 806, 404]
+    curve = list(catalog.example_family(1, 2))
+    curve[0] = Poly.monomial(10**30)
+    lopsided = tmp_path / "lopsided.json"
+    lopsided.write_text(dumps_canonical(curve_to_obj(tuple(curve))))
+    res = run_cli("report", str(lopsided), timeout=30)
+    assert res.returncode == 1 and len(res.stderr.splitlines()) == 1, res.stderr
+
+
+def test_verify_high_degree_member_fails_in_one_line(capsys, tmp_path):
+    """verify on the (50, 50) member: every exact check passes, but D_5 and
+    D_6 (degree about 1000) underflow to 0.0 at the sample points of least
+    radius, so the frame's max_scalar_error is NaN and cross_table fails,
+    with one stderr line and no warning (pyproject.toml turns warnings into
+    errors).  The exit should become 0 once the frame divides by the
+    content-free D_p, as ``density_value`` does."""
+    path = tmp_path / "m50_50.json"
+    path.write_text(dumps_canonical(curve_to_obj(catalog.example_family(50, 50), (50, 50))))
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["verification failed: cross_table"]
+    checks = json.loads(out.read_text())["checks"]
+    assert checks["cross_table"]["detail"]["max_scalar_error"] == "nan"
+    assert all(rec["passed"] for name, rec in checks.items() if name != "cross_table")
+
+
 def test_verify_prints_a_mu_beyond_the_int_digit_limit(curve12, capsys, tmp_path):
     """The (1,2) member times 10^3999 + 7 is the member up to scale, and its
     reality constant mu, (10^3999 + 7)^2 times the member's, has about 8000

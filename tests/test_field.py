@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 import subprocess
 import sys
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supermin.field import (
-    MASK_ORDER, RADICAL, AlgScalar, _settled, product_sum, products_vanish,
+    MASK_ORDER, RADICAL, AlgScalar, _settled, _SparsePoly, as_scalar, product_sum,
+    products_vanish,
 )
-from supermin.poly import BiPoly
+from supermin.poly import BiPoly, Poly
 
 
 # ---------------------------------------------------------------------------
@@ -294,3 +296,83 @@ def test_product_fold_sees_one_numerator_moved_by_one(x, y, data):
     terms = [(1, moved, y), (-1, x, y)]
     assert not products_vanish(terms)
     assert product_sum(terms) == built(terms) != BiPoly()
+
+
+# ---------------------------------------------------------------------------
+# the ring core: one set of operators behind one coercion hook
+# ---------------------------------------------------------------------------
+
+OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__",
+             "__mul__", "__rmul__", "__eq__", "__hash__")
+
+
+def test_operators_are_defined_once():
+    """Scalars and polynomials take every operator from the ring core,
+    which reads the other operand through ``_coerce``; ``coeff`` has one
+    meaning, AlgScalar's ``coeff(mask)``, and the core has none."""
+    for cls in (AlgScalar, Poly, BiPoly):
+        for name in OPERATORS:
+            assert getattr(cls, name) is getattr(_SparsePoly, name), f"{cls.__name__}.{name}"
+    assert not any(hasattr(cls, "coeff") for cls in (_SparsePoly, Poly, BiPoly))
+
+
+def same(x, y) -> bool:
+    """Equal values with their entries in the same order, which is what
+    float conversions read."""
+    return (type(x) is type(y) and x._den == y._den
+            and list(x._num.items()) == list(y._num.items()))
+
+
+_plain = st.integers(-9, 9) | st.integers(-2**70, 2**70) | _fold_part
+_any_scalar = st.dictionaries(
+    st.integers(0, 7), st.tuples(_fold_part, _fold_part), max_size=4
+).map(AlgScalar)
+_poly = st.dictionaries(st.integers(0, 4) | st.integers(2**64, 2**64 + 2),
+                        _any_scalar, max_size=4).map(Poly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_poly, _plain | _any_scalar)
+def test_a_scalar_times_a_poly_from_either_side(p, c):
+    assert same(c * p, p * c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_any_scalar, _plain)
+def test_ints_and_fractions_meet_a_scalar_as_scalars(a, x):
+    s = as_scalar(x)
+    for op in (operator.add, operator.sub, operator.mul):
+        assert same(op(a, x), op(a, s)), op
+        assert same(op(x, a), op(s, a)), op
+
+
+def per_mask_complex(x: AlgScalar) -> complex:
+    """The float value of a scalar formed mask by mask, each part divided
+    by the denominator before its radical is applied."""
+    out = 0j
+    for (_, m), (re, im) in x._num.items():
+        r = math.sqrt(RADICAL[m])
+        out += complex(re / x._den * r, im / x._den * r)
+    return out
+
+
+def float_bits(z: complex) -> tuple[str, str]:
+    """The exact real and imaginary parts, signed zeros told apart."""
+    return z.real.hex(), z.imag.hex()
+
+
+# parts from 2^-60 to 10^100 in size; zero parts, and zero scalars, for signed zeros
+_wide_part = st.just(Fraction(0)) | st.builds(
+    Fraction, st.integers(-10**100, 10**100), st.integers(1, 2**60))
+_wide_scalar = st.dictionaries(
+    st.integers(0, 7), st.tuples(_wide_part, _wide_part), min_size=1, max_size=8
+).map(AlgScalar)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_scalar)
+def test_complex_is_the_per_mask_sum_bit_for_bit(x):
+    """``complex`` reads ``float_terms``, which scales by an exact 2^-k
+    first, and gives the bits of the unscaled per-mask formula."""
+    assert float_bits(complex(x)) == float_bits(per_mask_complex(x))
+

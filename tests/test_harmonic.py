@@ -514,7 +514,7 @@ def cross_multiplied_constants(seq) -> dict:
     out = {}
     for name, (num, den) in ratios.items():
         k = next(iter(den.terms))
-        n, m = num.coeff(k), den.coeff(k)
+        n, m = num.terms.get(k, AlgScalar.zero()), den.terms.get(k, AlgScalar.zero())
         out[name] = n / m if num * m == den * n else None
     return out
 

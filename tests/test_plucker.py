@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from supermin import catalog, harmonic, plucker
+from supermin import catalog, harmonic, plucker, twistor
 from supermin.field import AlgScalar
 from supermin.poly import Poly
 
@@ -146,6 +146,37 @@ def test_interior_singularity_detected(curve11):
     pinched = tuple((Poly.monomial(1) - Poly.const(1)) * c for c in curve11)
     with pytest.raises(ValueError, match="interior"):
         plucker.degrees_exact(pinched)
+
+
+def compose(p: Poly, g: Poly) -> Poly:
+    """p(g(z)), by Horner's rule."""
+    out = Poly()
+    for e in range(p.degree(), -1, -1):
+        out = out * g + Poly.const(p.terms.get(e, 0))
+    return out
+
+
+def test_stage_one_interior_singularity_detected(curve12):
+    """Negative control for stage 1: the (1,2) member composed with
+    (z - 1)^2 is still null and superhorizontal, and its components share
+    no zero, but its derivative vanishes at z = 1, so every stage-1 minor
+    does."""
+    g = Poly({0: 1, 1: -2, 2: 1})
+    composed = tuple(compose(c, g) for c in curve12)
+    assert twistor.is_quadric_curve(composed) and twistor.is_superhorizontal(composed)
+    with pytest.raises(ValueError, match="stage-1 .* share a zero away from the origin"):
+        plucker.degrees_exact(composed)
+
+
+@pytest.mark.parametrize("pair, degrees", [
+    ((1, 50), (104, 206, 208, 208, 206, 104)),
+    ((50, 1), (202, 304, 404, 404, 304, 202)),
+])
+def test_lopsided_member_degrees(pair, degrees):
+    """Every minor of a stage of these members shares a power of z, so the
+    gcd of the minors themselves is never constant; that of their z-free
+    parts is, after a few small ones."""
+    assert plucker.degrees_exact(catalog.example_family(*pair)) == degrees
 
 
 def test_wedge_curves_requires_linear_fullness():
