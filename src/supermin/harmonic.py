@@ -124,6 +124,8 @@ class HarmonicSequence:
                     f"0..{p} are linearly dependent (failing order {p})"
                 )
         self._reversed: _ChartAtInfinity | None = None
+        # the quadrature's memo, filled by ``grid_densities``
+        self._grid_values: dict = {}
 
     @cached_property
     def _dets(self) -> tuple[BiPoly, ...]:
@@ -192,22 +194,62 @@ class HarmonicSequence:
             out.append((d.shift_down(c, c), c))
         return tuple(out)
 
+    def _density_factors(self, p: int) -> tuple[tuple, ...]:
+        """(key, BiPoly) for the four real factors of the density a_{p+1}/a_p.
+
+        They are D_{p-1}, D_p and D_{p+1}, each divided by its content
+        |z|^(2 c_q) (keys p-1, p, p+1), and the monomial z^k zbar^k left
+        over, k = c_{p+1} - 2 c_p + c_{p-1} the ramification index (key
+        ("|z|^2k", k)).
+        """
+        (lo, c0), (mid, c1), (hi, c2) = self._content_free[p:p + 3]
+        k = c2 - 2 * c1 + c0
+        return ((p - 1, lo), (p, mid), (p + 1, hi), (("|z|^2k", k), BiPoly({(k, k): 1})))
+
     def density_value(self, p: int, z):
         """Float a_{p+1}/a_p = D_{p+1} D_{p-1} / D_p^2 at z, a point or an array.
 
         Each D_q is divided by its content |z|^(2 c_q) before it is evaluated,
         which keeps small |z| from underflowing; the factor |z|^(2k) left over
-        (k = c_{p+1} - 2 c_p + c_{p-1}, the ramification index) is applied once,
-        as the monomial z^k zbar^k.  The D_q are real, so only the real parts
-        of the kernel's values are read; each comes scaled by its own 2^-k_q,
-        and one exact ldexp puts the scales back.
+        (k the ramification index) is applied once, as the monomial
+        z^k zbar^k (``_density_factors``).  The D_q are real, so the kernel
+        evaluates real parts only; each comes scaled by its own 2^-k_q, and
+        one exact ldexp puts the scales back.  Nothing is kept: the
+        quadrature's memo is ``grid_densities``'.
         """
         z = np.asarray(z, dtype=complex)
-        (lo, c0), (mid, c1), (hi, c2) = self._content_free[p:p + 3]
-        k = c2 - 2 * c1 + c0
-        vals = evaluate((lo, mid, hi, BiPoly({(k, k): 1})), z.real, z.imag)
-        (lo, _, klo), (mid, _, kmid), (hi, _, khi), (rk, _, krk) = vals
-        return np.ldexp(hi * lo / (mid * mid) * rk, khi + klo - 2 * kmid + krk)
+        polys = [d for _, d in self._density_factors(p)]
+        vals = evaluate(polys, z.real, z.imag, real_only=True)
+        return _density(*((re, k) for re, _, k in vals))
+
+
+def _density(lo, mid, hi, rk):
+    """D_{p+1} D_{p-1} / D_p^2 times |z|^(2k) from the (real values, k) of
+    the four factors, each scaled by 2^-k; one exact ldexp undoes the scales."""
+    return np.ldexp(hi[0] * lo[0] / (mid[0] * mid[0]) * rk[0],
+                    hi[1] + lo[1] - 2 * mid[1] + rk[1])
+
+
+def grid_densities(charts, p: int, n: int, z) -> list[np.ndarray]:
+    """``density_value(p, z)`` of each chart, z the points of quadrature grid n.
+
+    Each chart keeps a memo, made with it and dropped with it: the real
+    values and scale of each density factor, keyed by (factor key, n), so a
+    D_q shared by two densities, or by two calls, is evaluated once per
+    grid.  ``z`` must be the same points for every call with the same n.
+    The factors no chart has yet are evaluated by one real-only
+    ``evaluate`` call, whose power table the charts share.  The values are
+    those of ``density_value``, bit for bit.
+    """
+    factors = [chart._density_factors(p) for chart in charts]
+    missing = [(chart._grid_values, key, d) for chart, fs in zip(charts, factors)
+               for key, d in fs if (key, n) not in chart._grid_values]
+    if missing:
+        vals = evaluate([d for _, _, d in missing], z.real, z.imag, real_only=True)
+        for (memo, key, _), (re, _, k) in zip(missing, vals):
+            memo[key, n] = (re, k)
+    return [_density(*(chart._grid_values[key, n] for key, _ in fs))
+            for chart, fs in zip(charts, factors)]
 
 
 class _ChartAtInfinity:
@@ -216,15 +258,18 @@ class _ChartAtInfinity:
     D_p is the source's reversed by e_p in z and zbar (``chart_exponents``).
     ``gram_det`` and ``density_value`` are HarmonicSequence's, read over
     these D_p; as e_p has second difference -2, the density is |w|^-4 times
-    the source's at 1/w.
+    the source's at 1/w.  The chart keeps its own memo for
+    ``grid_densities``.
     """
 
     def __init__(self, source: HarmonicSequence):
         dets = [source.gram_det(p).reverse(e) for p, e in enumerate(source.chart_exponents)]
         self._dets = (*dets, BiPoly())
+        self._grid_values: dict = {}
 
     gram_det = HarmonicSequence.gram_det
     _content_free = HarmonicSequence._content_free
+    _density_factors = HarmonicSequence._density_factors
     density_value = HarmonicSequence.density_value
 
 
@@ -417,7 +462,7 @@ def _frame_parts(seq: HarmonicSequence, zr, zi):
     arrays of shape (7, 7, points): row p holds f_p = E_p / D_{p-1}; values
     that are not finite come out NaN, with no warning, for the audit to see."""
     sections = [c for p in range(_DIM) for c in seq.raw_sections[p]]
-    dets = evaluate([seq.gram_det(p - 1) for p in range(_DIM)], zr, zi)
+    dets = evaluate([seq.gram_det(p - 1) for p in range(_DIM)], zr, zi, real_only=True)
     vals = evaluate(sections, zr, zi)
     # f_p[c] is (E / D) * 2^(kE - kD); one common 2^-top keeps it in range
     shift = [[vals[_DIM * p + c][2] - dets[p][2] for c in range(_DIM)] for p in range(_DIM)]

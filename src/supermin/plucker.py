@@ -25,8 +25,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .harmonic import HarmonicSequence, build_sequence, grid_densities
 # wedge_table is re-exported: perfbench/tracer.py wraps it under this name.
-from .harmonic import HarmonicSequence, build_sequence, wedge_table  # noqa: F401
+from .harmonic import wedge_table  # noqa: F401
 from .poly import Poly, as_complex, poly_gcd, primitive_parts
 
 
@@ -167,12 +168,15 @@ def degrees_numeric(
 
     The density a_{p+1}/a_p = D_{p+1} D_{p-1} / D_p^2 is integrated over
     the sphere in two charts, the unit discs of z and of w = 1/z: each
-    chart's ``density_value`` evaluates its own D_q, content divided out,
-    and the chart at w is the reversal (``reversed_sequence``), so its
-    density is |w|^-4 times the first's at 1/w.  Radial Gauss-Legendre
-    times a uniform angular grid, with node doubling until two successive
-    estimates agree.  The weighted values are added by ``math.fsum``,
-    which rounds the exact sum once, so no summation order shows.
+    chart evaluates its own D_q, content divided out, and the chart at w
+    is the reversal (``reversed_sequence``), so its density is |w|^-4
+    times the first's at 1/w.  Radial Gauss-Legendre times a uniform
+    angular grid, with node doubling until two successive estimates agree.
+    The values come from ``harmonic.grid_densities``: real parts only, and
+    each D_q of each chart evaluated once per grid n and kept on its chart,
+    so the calls for p = 0, 2, 3 on one chain share them; the memo goes
+    with the chain.  The weighted values are added by ``math.fsum``, which
+    rounds the exact sum once, so no summation order shows.
     """
     if not 0 <= p <= 5:
         raise ValueError("degree index must lie in 0..5")
@@ -186,7 +190,8 @@ def degrees_numeric(
         angles = [2.0 * math.pi * j / m for j in range(m)]
         z = as_complex(r[:, None] * np.array([math.cos(t) for t in angles]),
                        r[:, None] * np.array([math.sin(t) for t in angles]))
-        parts = [(chart.density_value(p, z) * wr[:, None]).ravel().tolist() for chart in charts]
+        parts = [(d * wr[:, None]).ravel().tolist()
+                 for d in grid_densities(charts, p, n, z)]
         return math.fsum(parts[0] + parts[1]) * (2.0 * math.pi / m) / math.pi
 
     prev = estimate(start_nodes)

@@ -33,7 +33,9 @@ its SSE2 loop) and no BLAS.  It forms the powers of z once per block of
 points, shared by every polynomial of the call, in the order CPython's
 ``z**e`` forms them (exponents up to 100), and adds the terms of each
 polynomial in stored order, as ``out = out + c * z**e`` would.  So its
-bytes depend neither on the CPU nor on where the blocks fall.
+bytes depend neither on the CPU nor on where the blocks fall.  With
+``real_only`` it skips the imaginary sums, which leaves every real one
+as it was.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import operator
 
 import numpy as np
 
-from .field import AlgScalar, _mul_into, _settled, _SparsePoly, products_vanish
+from .field import RADICAL, AlgScalar, _mul_into, _settled, _SparsePoly, products_vanish
 
 # points per power table of the float kernel; bounds its memory
 BLOCK = 2048
@@ -200,7 +202,8 @@ def _powers(zr, zi, exps) -> dict:
     return table
 
 
-def evaluate(polys, zr, zi) -> list[tuple[np.ndarray, np.ndarray, int]]:
+def evaluate(polys, zr, zi, *, real_only: bool = False
+             ) -> list[tuple[np.ndarray, np.ndarray | None, int]]:
     """Values of Polys or BiPolys at the points z = zr + i*zi.
 
     ``zr`` and ``zi`` are real arrays of one shape.  For each polynomial
@@ -208,6 +211,12 @@ def evaluate(polys, zr, zi) -> list[tuple[np.ndarray, np.ndarray, int]]:
     ``float_terms``.  A Poly term c*z^e is c times the power; a BiPoly term
     c*z^a*zbar^b is (c times z^a) times conj(z^b).  Points are taken in
     blocks of ``BLOCK``, each with one power table for all ``polys``.
+
+    With ``real_only`` (for callers that read only real parts, such as
+    the real Gram determinants) the imaginary parts are neither summed
+    nor allocated, and ``im`` is None.  Each real part is the same sum of
+    the same products in the same order, so its bytes are those of the
+    full evaluation.
     """
     zr = np.asarray(zr, dtype=float)
     zi = np.asarray(zi, dtype=float)
@@ -215,23 +224,26 @@ def evaluate(polys, zr, zi) -> list[tuple[np.ndarray, np.ndarray, int]]:
     conv = [p.float_terms() for p in polys]
     exps = {e for _, terms in conv for key, _, _ in terms
             for e in (key if type(key) is tuple else (key,))}
-    out = [(np.zeros(fr.size), np.zeros(fr.size)) for _ in polys]
+    out = [(np.zeros(fr.size), None if real_only else np.zeros(fr.size)) for _ in polys]
     for lo in range(0, fr.size, BLOCK):
         pw = _powers(fr[lo:lo + BLOCK], fi[lo:lo + BLOCK], exps)
         for (_, terms), (vr, vi) in zip(conv, out):
-            accr, acci = vr[lo:lo + BLOCK], vi[lo:lo + BLOCK]
+            accr = vr[lo:lo + BLOCK]
+            acci = None if vi is None else vi[lo:lo + BLOCK]
             for key, cr, ci in terms:
                 if type(key) is tuple:
                     (ar, ai), (br, bi) = pw[key[0]], pw[key[1]]
                     ur = cr * ar - ci * ai
                     ui = cr * ai + ci * ar
                     accr += ur * br + ui * bi
-                    acci += ui * br - ur * bi
+                    if acci is not None:
+                        acci += ui * br - ur * bi
                 else:
                     ar, ai = pw[key]
                     accr += cr * ar - ci * ai
-                    acci += cr * ai + ci * ar
-    return [(vr.reshape(shape), vi.reshape(shape), k)
+                    if acci is not None:
+                        acci += cr * ai + ci * ar
+    return [(vr.reshape(shape), None if vi is None else vi.reshape(shape), k)
             for (k, _), (vr, vi) in zip(conv, out)]
 
 
@@ -346,9 +358,104 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd of two polynomials over the exact field."""
+    """Monic gcd of two polynomials over the exact field.
+
+    Euclid's algorithm, after one shortcut.  When a reaches far above the
+    degree d of b (``_far``), long division would take up to deg a - d
+    steps, and the exact remainder, a sum of multiples of z^e mod b, can
+    have coefficients of about e digits.  So a and b are first mapped to
+    F_p (``_coprime_mod_p``), where z^e mod b is formed by repeated
+    squaring; images that are coprime prove the gcd is 1.
+    """
+    if b.degree() > 0 and _far(a.degree(), b.degree()) and _coprime_mod_p(a, b):
+        return Poly.const(1)
     while b:
         a, b = b, poly_divmod(a, b)[1]
     if a:
         a = a * a.terms[a.degree()].inverse()
     return a
+
+
+# ------------------------------------------------- coprimality modulo a prime
+
+# A prime p = 1 mod 120, so F_p holds i and square roots of 2, 3 and 5.
+# Sending i and sqrt(RADICAL[m]) to these is a ring map from the integer
+# numerators Z[i, sqrt2, sqrt3, sqrt5] (free of rank 16, as the field has
+# degree 16) onto F_p.
+_P = 2305843009213693921
+_I_P = 583529827753931384
+_ROOTS_P = {2: 432741127753990578, 3: 948352790181489368, 5: 599883034777669630}
+_RAD_P = tuple(math.prod(v for q, v in _ROOTS_P.items() if r % q == 0) % _P for r in RADICAL)
+
+
+def _far(e: int, d: int) -> bool:
+    """Whether degree e is far above degree d: e - d above d times the bit
+    length of e, so repeated squaring (about 2 log2 e products below
+    degree d per term) beats long division (up to e - d steps)."""
+    return e - d > d * e.bit_length()
+
+
+def _image_p(a: Poly) -> dict[int, int]:
+    """{e: c}: the numerators of a in F_p, nonzero ones only (the
+    denominator, a nonzero scalar, is dropped)."""
+    out: dict[int, int] = {}
+    for (e, m), (re, im) in a._num.items():
+        out[e] = (out.get(e, 0) + (re + _I_P * im) * _RAD_P[m]) % _P
+    return {e: c for e, c in out.items() if c}
+
+
+def _reduce_p(v: list[int], m: list[int]) -> list[int]:
+    """v mod the monic m over F_p; coefficient lists, lowest first, and the
+    result has deg m entries."""
+    d = len(m) - 1
+    v = v + [0] * (d - len(v))
+    for k in range(len(v) - 1, d - 1, -1):
+        c = v[k] % _P
+        if c:
+            for j in range(d):
+                v[k - d + j] -= c * m[j]
+    return [c % _P for c in v[:d]]
+
+
+def _power_p(e: int, m: list[int]) -> list[int]:
+    """z^e mod the monic m over F_p, by repeated squaring, top bit first."""
+    r = _reduce_p([1], m)
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * len(r))
+        for i, x in enumerate(r):
+            if x:
+                for j, y in enumerate(r):
+                    sq[i + j] += x * y
+        r = _reduce_p([0, *sq] if bit == "1" else sq, m)
+    return r
+
+
+def _rem_p(a: dict[int, int], m: list[int]) -> list[int]:
+    """sum c*z^e over a's items, mod the monic m over F_p."""
+    out = [0] * (len(m) - 1)
+    for e, c in a.items():
+        out = [x + c * y for x, y in zip(out, _power_p(e, m))]
+    return [x % _P for x in out]
+
+
+def _coprime_mod_p(a: Poly, b: Poly) -> bool:
+    """True when a and b (of degree at least 1) have no common root, proven
+    by their images in F_p[z]: both leading coefficients survive, so the
+    images' resultant is the image of the resultant, and the images are
+    coprime, so it is not 0.  False means nothing: the gcd is then found
+    exactly."""
+    x, y, da, db = _image_p(a), _image_p(b), a.degree(), b.degree()
+    if da not in x or db not in y:
+        return False
+    inv = pow(y[db], -1, _P)
+    m = [y.get(e, 0) * inv % _P for e in range(db + 1)]
+    r = _rem_p(x, m)
+    while any(r):
+        while not r[-1]:
+            r.pop()
+        if len(r) == 1:
+            return True
+        inv = pow(r[-1], -1, _P)
+        m, r = [c * inv % _P for c in r], m
+        r = _reduce_p(r, m)
+    return False

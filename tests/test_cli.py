@@ -226,6 +226,21 @@ def test_report_on_high_degree_members_finishes(tmp_path):
     assert res.returncode == 1 and len(res.stderr.splitlines()) == 1, res.stderr
 
 
+def test_report_on_two_far_apart_terms_finishes(tmp_path):
+    """The (1,2) member with component 0 set to z^3000 + z^(10^30): stage 5's
+    smallest z-free part has degree 2 and the others about 10^30, and the
+    exact remainder of one by the other has coefficients of about 10^29
+    digits.  The gcd is certified 1 modulo a prime instead, and report
+    fails the ramification audit in one line, within the timeout."""
+    curve = list(catalog.example_family(1, 2))
+    curve[0] = Poly({3000: 1, 10**30: 1})
+    path = tmp_path / "far.json"
+    path.write_text(dumps_canonical(curve_to_obj(tuple(curve))))
+    res = run_cli("report", str(path), timeout=30)
+    assert res.returncode == 1 and len(res.stderr.splitlines()) == 1, res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_verify_high_degree_member_fails_in_one_line(capsys, tmp_path):
     """verify on the (50, 50) member: every exact check passes, but D_5 and
     D_6 (degree about 1000) underflow to 0.0 at the sample points of least

@@ -198,6 +198,21 @@ def test_reversed_sequence_is_the_rebuilt_chart(family_curves, dense_curve):
         assert plucker.singularity_type(curve, "inf") == plucker.singularity_type(flipped, 0)
 
 
+def test_grid_densities_are_density_value_bit_for_bit(dense_curve):
+    """The memoized densities of both charts equal the point-wise
+    ``density_value`` bytes, on a first call, on a repeat from the memo and
+    on a new grid key."""
+    seq = harmonic.build_sequence(dense_curve)
+    charts = (seq, seq.reversed_sequence())
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-1, 1, (7, 9)) + 1j * rng.uniform(-1, 1, (7, 9))
+    for p, n in ((0, 1), (2, 1), (3, 1), (3, 2), (0, 1)):
+        got = harmonic.grid_densities(charts, p, n, z)
+        for chart, values in zip(charts, got):
+            assert values.tobytes() == chart.density_value(p, z).tobytes(), (p, n)
+    assert {n for chart in charts for _, n in chart._grid_values} == {1, 2}
+
+
 def test_density_near_zero_matches_exact_quotient(family_curves):
     """On (3,2) the D_q vanish to order 2 c_q at 0 in both charts (c_6 = 35),
     so at |z| = 1e-6 the raw D_6 and D_5^2 underflow and p = 5 would divide

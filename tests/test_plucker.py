@@ -2,9 +2,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from supermin import catalog, harmonic, plucker, twistor
+from supermin import catalog, cli, harmonic, plucker, twistor
 from supermin.field import AlgScalar
 from supermin.poly import Poly
 
@@ -200,6 +201,46 @@ def test_degrees_numeric_within_tolerance(seq11, seq12):
         for p in (0, 2, 3):
             est = plucker.degrees_numeric(seq, p)
             assert abs(est - degrees[p]) <= 0.01 * degrees[p], (pair, p)
+
+
+def test_degrees_numeric_is_blind_to_call_order(dense_curve):
+    """The quadrature's memo changes no float: p = 0, 2, 3 on one chain, in
+    reverse on another, and each on a fresh chain give the same bytes."""
+    seq = harmonic.build_sequence(dense_curve)
+    forward = [plucker.degrees_numeric(seq, p) for p in (0, 2, 3)]
+    seq = harmonic.build_sequence(dense_curve)
+    backward = [plucker.degrees_numeric(seq, p) for p in (3, 2, 0)][::-1]
+    fresh = [plucker.degrees_numeric(harmonic.build_sequence(dense_curve), p) for p in (0, 2, 3)]
+    assert [x.hex() for x in forward] == [x.hex() for x in backward] == [x.hex() for x in fresh]
+
+
+def test_report_evaluates_each_gram_determinant_once_per_grid(dense_curve, monkeypatch, tmp_path):
+    """One report of the dense curve evaluates each content-free D_q of each
+    chart at most once per quadrature grid, real parts only; the densities
+    of p = 0, 2, 3 share D_1, D_2 and D_3."""
+    seqs, modes, counts = [], set(), {}
+    build, evaluate = harmonic.build_sequence, harmonic.evaluate
+
+    def counting_build(curve):
+        seqs.append(build(curve))
+        return seqs[-1]
+
+    def counting_evaluate(polys, zr, zi, **kw):
+        modes.add(kw.get("real_only", False))
+        for d in polys:
+            counts[id(d), np.size(zr)] = counts.get((id(d), np.size(zr)), 0) + 1
+        return evaluate(polys, zr, zi, **kw)
+
+    monkeypatch.setattr(harmonic, "build_sequence", counting_build)
+    monkeypatch.setattr(harmonic, "evaluate", counting_evaluate)
+    assert cli._report_body(str(tmp_path / "r.json"), dense_curve) == 0
+    (seq,) = seqs
+    dets = {id(d): (chart, q) for chart in (seq, seq.reversed_sequence())
+            for q, (d, _) in enumerate(chart._content_free[:6], start=-1)}
+    seen = {(dets[i], n): c for (i, n), c in counts.items() if i in dets}
+    assert len(seen) == 2 * 6 * 2  # two charts, D_-1..D_4, grids n = 48 and 96
+    assert set(seen.values()) == {1}
+    assert modes == {True}
 
 
 def test_degrees_numeric_non_convergence(seq11):

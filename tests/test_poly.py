@@ -20,6 +20,7 @@ from supermin.poly import (
     poly_divmod,
     poly_gcd,
 )
+from supermin.poly import _I_P, _P, _ROOTS_P, _image_p, _rem_p
 
 
 def rand_poly(rng, deg=5, density=0.7):
@@ -274,6 +275,76 @@ def test_bipoly_integer_core_matches_scalar_reference(a, b):
 
 
 # ---------------------------------------------------------------------------
+# gcd: the certificate modulo a prime
+# ---------------------------------------------------------------------------
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases:
+        return True
+    if n < 2 or any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_the_gcd_certificate_maps_the_field_into_a_prime_field():
+    """The certificate's F_p is a field holding i, sqrt2, sqrt3 and sqrt5."""
+    assert _P < 3 * 10**24 and _is_prime(_P) and _P % 120 == 1
+    assert _I_P * _I_P % _P == _P - 1
+    assert all(r * r % _P == q for q, r in _ROOTS_P.items())
+
+
+_int_scalar = st.dictionaries(
+    st.integers(0, 7), st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=3
+).map(AlgScalar).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(0, 70), _int_scalar, max_size=5),
+       st.lists(_int_scalar | st.just(AlgScalar.zero()), min_size=1, max_size=3))
+def test_remainder_mod_p_is_the_image_of_long_division(a, low):
+    """With b monic and integral, so is the remainder of a by b; its image
+    in F_p is ``_rem_p`` of the images, which forms each z^e mod b by
+    repeated squaring."""
+    a, b = Poly(a), Poly({**dict(enumerate(low)), len(low): 1})
+    r = poly_divmod(a, b)[1]
+    assert r._den == 1
+    image = _image_p(b)
+    got = _rem_p(_image_p(a), [image.get(e, 0) for e in range(len(low) + 1)])
+    assert got == [_image_p(r).get(e, 0) for e in range(len(low))]
+
+
+_sparse = st.dictionaries(st.integers(0, 40), _scalar, min_size=1, max_size=4).map(Poly)
+_small = st.dictionaries(st.integers(0, 2), _scalar, min_size=1, max_size=3).map(Poly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small.filter(bool), _sparse.filter(bool), _small.filter(bool))
+def test_gcd_is_euclids_with_or_without_the_certificate(f, g, h):
+    """a = f*g and b = f*h, a often far above b: ``poly_gcd`` equals the
+    plain Euclidean gcd, so a certificate never hides a common factor."""
+    a, b = f * g, f * h
+    x, y = a, b
+    while y:
+        x, y = y, poly_divmod(x, y)[1]
+    assert poly_gcd(a, b) == x * x.terms[x.degree()].inverse()
+
+
+# ---------------------------------------------------------------------------
 # the float kernel
 # ---------------------------------------------------------------------------
 
@@ -341,6 +412,24 @@ def test_kernel_is_blind_to_block_boundaries(curve12, dense_curve):
         whole = seq.density_value(p, z)
         split = np.concatenate((seq.density_value(p, z[:cut]), seq.density_value(p, z[cut:])))
         assert whole.tobytes() == split.tobytes()
+
+
+_points = st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2)), min_size=1, max_size=6)
+_hermitian = _bipoly_terms.map(BiPoly).map(lambda x: x + x.conj())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_poly_terms.map(Poly) | _bipoly_terms.map(BiPoly) | _hermitian,
+                min_size=1, max_size=3), _points)
+def test_real_only_kernel_is_the_full_kernels_real_part(polys, points):
+    """``real_only`` returns the full evaluation's real parts and scales bit
+    for bit, signed zeros included, and no imaginary parts."""
+    zr, zi = (np.array(v) for v in zip(*points))
+    full = evaluate(polys, zr, zi)
+    real = evaluate(polys, zr, zi, real_only=True)
+    for (fr, _, fk), (rr, ri, rk) in zip(full, real):
+        assert ri is None and rk == fk
+        assert rr.tobytes() == fr.tobytes()
 
 
 def test_kernel_is_python_complex_arithmetic(curve12, dense_curve):
