@@ -15,8 +15,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .field import AlgScalar, as_scalar
 from .g2 import _conj, add_vec, dot, scale_vec, u_basis
 from .poly import Poly
@@ -283,7 +281,7 @@ def r_family(spec: SingularityTypeSpec, params: RFamilyParams) -> NormalFormCurv
         sqrt2, basis = AlgScalar.root(2), u_basis()
     else:
         r1, r2, r3, r4, r5, r6, r7, r8 = (complex(x) for x in params.as_tuple())
-        sqrt2 = complex(np.sqrt(2.0))
+        sqrt2 = complex(math.sqrt(2.0))
         basis = tuple(tuple(complex(c) for c in u) for u in u_basis())
     # a Fraction times an AlgScalar stays exact, times a complex is n/d in float
     rat, half = Fraction, Fraction(1, 2)
@@ -432,7 +430,10 @@ def normalizer(spec: SingularityTypeSpec, r1, r8):
                 if u[b]:
                     mat[a][b] = mat[a][b] + row * _conj(u[b])
     out = tuple(tuple(row) for row in mat)
-    return out if exact else np.array(out)
+    if exact:
+        return out
+    import numpy as np
+    return np.array(out)
 
 
 def transform_curve(matrix, curve) -> tuple[Poly, ...]:

@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 Each command imports the modules it runs when it runs, so ``sample``
-never loads ``catalog``, ``harmonic`` or ``plucker``.
+never loads ``catalog``, ``harmonic`` or ``plucker``, and numpy is
+imported only where arrays are made: ``gen`` and ``verify`` never load it.
 All JSON output is deterministic: sorted keys, rationals as strings,
 floats with 17 significant digits.
 """
@@ -22,8 +23,6 @@ import json
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import twistor
 from .poly import BLOCK, evaluate, one_scale
@@ -197,7 +196,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 _VANISH_REL = 1e-24
 
 
-def _sample_points(curve, n: int) -> np.ndarray:
+def _sample_points(curve, n: int):
     """A (2n^2, 7) array of unit 7-vectors: an n-by-n polar grid per chart.
 
     The first chart covers |z| <= 1 including the boundary circle; the
@@ -207,6 +206,7 @@ def _sample_points(curve, n: int) -> np.ndarray:
     ``poly.evaluate`` call and projected by ``twistor.project_arrays``
     straight into the one output array, so no block outlives its turn.
     """
+    import numpy as np
     total = max(max(c.degree() for c in curve), 0)
     reversed_curve = tuple(c.reverse(total) for c in curve)
     angles = [2.0 * math.pi * j / n for j in range(n)]
@@ -246,13 +246,14 @@ def _sample_points(curve, n: int) -> np.ndarray:
     return points.reshape(-1, 7)
 
 
-def _rows(row: str, sep: str, points: np.ndarray) -> str:
+def _rows(row: str, sep: str, points) -> str:
     """The %-template ``row`` filled once per point, by one ``%``; "%.17g" is format_float."""
     return sep.join([row] * len(points)) % tuple(points.ravel().tolist())
 
 
-def _obj_mesh(points: np.ndarray, n: int) -> str:
+def _obj_mesh(points, n: int) -> str:
     """obj vertices, then two triangles (a, b, c), (a, c, d) per grid quad, 1-based."""
+    import numpy as np
     i, j = np.divmod(np.arange((n - 1) * n), n)
     a = i * n + j + 1
     b = i * n + (j + 1) % n + 1

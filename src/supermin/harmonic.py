@@ -31,15 +31,14 @@ Identity checks are done on the polynomial level by cross-multiplication
 from __future__ import annotations
 
 import math
-from functools import cached_property
+import operator
+from functools import cached_property, partial, reduce
 from itertools import combinations
-
-import numpy as np
 
 from .field import AlgScalar, product_sum, products_vanish
 # cross and wedge_pair are re-exported: perfbench/tracer.py wraps them under these names.
 from .g2 import CROSS_TERMS, cross, wedge_pair  # noqa: F401
-from .poly import BiPoly, Poly, as_complex, evaluate, hermitian_sum, primitive_parts
+from .poly import BiPoly, Poly, evaluate, hermitian_sum, primitive_parts
 
 _DIM = 7
 # the float part of the cross-table check: a fixed, seeded set of points
@@ -49,6 +48,11 @@ _SAMPLE_COUNT = 10
 _SAMPLE_SEED = 2026
 _MIN_NORM = 1e-8
 _SCALAR_TOL = 1e-8
+# numpy's PCG64 (the XSL-RR generator on 128 bits): its multiplier, and the
+# state and increment that np.random.default_rng(_SAMPLE_SEED) starts from
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_STATE = 185168654372936159333097075870931536645
+_PCG_INC = 253583831573602660626028118101560951819
 
 
 def _curve_tuple(curve) -> tuple[Poly, ...]:
@@ -217,7 +221,6 @@ class HarmonicSequence:
         one exact ldexp puts the scales back.  Nothing is kept: the
         quadrature's memo is ``grid_densities``'.
         """
-        z = np.asarray(z, dtype=complex)
         polys = [d for _, d in self._density_factors(p)]
         vals = evaluate(polys, z.real, z.imag, real_only=True)
         return _density(*((re, k) for re, _, k in vals))
@@ -226,11 +229,12 @@ class HarmonicSequence:
 def _density(lo, mid, hi, rk):
     """D_{p+1} D_{p-1} / D_p^2 times |z|^(2k) from the (real values, k) of
     the four factors, each scaled by 2^-k; one exact ldexp undoes the scales."""
+    import numpy as np
     return np.ldexp(hi[0] * lo[0] / (mid[0] * mid[0]) * rk[0],
                     hi[1] + lo[1] - 2 * mid[1] + rk[1])
 
 
-def grid_densities(charts, p: int, n: int, z) -> list[np.ndarray]:
+def grid_densities(charts, p: int, n: int, z) -> list:
     """``density_value(p, z)`` of each chart, z the points of quadrature grid n.
 
     Each chart keeps a memo, made with it and dropped with it: the real
@@ -238,16 +242,18 @@ def grid_densities(charts, p: int, n: int, z) -> list[np.ndarray]:
     D_q shared by two densities, or by two calls, is evaluated once per
     grid.  ``z`` must be the same points for every call with the same n.
     The factors no chart has yet are evaluated by one real-only
-    ``evaluate`` call, whose power table the charts share.  The values are
-    those of ``density_value``, bit for bit.
+    ``evaluate`` call, whose power table the charts share.  A constant
+    factor (D_{-1}, and |z|^0 when k = 0) is kept as one float, which
+    broadcasts to the bits of its array.  The values are those of
+    ``density_value``, bit for bit.
     """
     factors = [chart._density_factors(p) for chart in charts]
     missing = [(chart._grid_values, key, d) for chart, fs in zip(charts, factors)
                for key, d in fs if (key, n) not in chart._grid_values]
     if missing:
         vals = evaluate([d for _, _, d in missing], z.real, z.imag, real_only=True)
-        for (memo, key, _), (re, _, k) in zip(missing, vals):
-            memo[key, n] = (re, k)
+        for (memo, key, d), (re, _, k) in zip(missing, vals):
+            memo[key, n] = (float(re.flat[0]) if d.terms.keys() <= {(0, 0)} else re, k)
     return [_density(*(chart._grid_values[key, n] for key, _ in fs))
             for chart, fs in zip(charts, factors)]
 
@@ -432,7 +438,7 @@ FRAME_CROSS_TABLE = (
 
 
 def _cross_parts(xr, xi, yr, yi):
-    """x cross y for 7 rows of (re, im) arrays, summed in table order."""
+    """x cross y for 7-vectors of (re, im) floats, summed in table order."""
     outr, outi = [], []
     for comp in CROSS_TERMS:
         accr = acci = 0.0
@@ -445,81 +451,103 @@ def _cross_parts(xr, xi, yr, yi):
                 accr, acci = accr - pr, acci - pi
         outr.append(accr)
         outi.append(acci)
-    return np.array(outr), np.array(outi)
+    return outr, outi
 
 
-def _sum_rows(v):
-    """Sum over the first axis, in order."""
-    acc = v[0].copy()
-    for row in v[1:]:
-        acc += row
-    return acc
+# the values added in order, starting from the first
+_sum = partial(reduce, operator.add)
 
 
-@np.errstate(all="ignore")
-def _frame_parts(seq: HarmonicSequence, zr, zi):
-    """The unit-gauge frame at the points zr + i*zi (1-d arrays), as (re, im)
-    arrays of shape (7, 7, points): row p holds f_p = E_p / D_{p-1}; values
-    that are not finite come out NaN, with no warning, for the audit to see."""
+def _div(a: float, b: float) -> float:
+    """a / b, with numpy's inf or NaN where a float division by zero raises."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        return math.copysign(math.inf, a) * math.copysign(1.0, b) if a and a == a else math.nan
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x * 2^e, with numpy's signed inf where ``math.ldexp`` overflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _frame_parts(seq: HarmonicSequence, zr: float, zi: float):
+    """The unit-gauge frame at the point zr + i*zi, as (re, im) 7x7 lists of
+    floats: row p holds f_p = E_p / D_{p-1}.  Values that are not finite
+    come out inf or NaN, as numpy gives them, for the audit to see."""
     sections = [c for p in range(_DIM) for c in seq.raw_sections[p]]
     dets = evaluate([seq.gram_det(p - 1) for p in range(_DIM)], zr, zi, real_only=True)
     vals = evaluate(sections, zr, zi)
     # f_p[c] is (E / D) * 2^(kE - kD); one common 2^-top keeps it in range
     shift = [[vals[_DIM * p + c][2] - dets[p][2] for c in range(_DIM)] for p in range(_DIM)]
     top = max(map(max, shift))
-    fr = np.empty((_DIM, _DIM, zr.size))
-    fi = np.empty_like(fr)
-    for p in range(_DIM):
-        d = dets[p][0]
-        for c in range(_DIM):
-            er, ei, _ = vals[_DIM * p + c]
-            fr[p, c] = np.ldexp(er / d, shift[p][c] - top)
-            fi[p, c] = np.ldexp(ei / d, shift[p][c] - top)
+    fr = [[_ldexp(_div(vals[_DIM * p + c][0], dets[p][0]), shift[p][c] - top)
+           for c in range(_DIM)] for p in range(_DIM)]
+    fi = [[_ldexp(_div(vals[_DIM * p + c][1], dets[p][0]), shift[p][c] - top)
+           for c in range(_DIM)] for p in range(_DIM)]
     # the gauge: one scalar 1/sqrt(s), s the bilinear square of f_3
-    sr = _sum_rows(fr[3] * fr[3] - fi[3] * fi[3])
-    si = _sum_rows(fr[3] * fi[3] + fi[3] * fr[3])
-    m = np.sqrt(sr * sr + si * si)
-    t = np.sqrt(0.5 * (m + np.abs(sr)))
-    qr = np.where(sr >= 0, t, np.abs(si) / (t + t))
-    qi = np.where(sr >= 0, si / (t + t), np.copysign(t, si))
-    gr, gi = qr / m, -qi / m
-    fr, fi = fr * gr - fi * gi, fr * gi + fi * gr
+    sr = _sum(a * a - b * b for a, b in zip(fr[3], fi[3]))
+    si = _sum(a * b + b * a for a, b in zip(fr[3], fi[3]))
+    m = math.sqrt(sr * sr + si * si)
+    t = math.sqrt(0.5 * (m + abs(sr)))
+    if sr >= 0:
+        qr, qi = t, _div(si, t + t)
+    else:
+        qr, qi = _div(abs(si), t + t), math.copysign(t, si)
+    gr, gi = _div(qr, m), _div(-qi, m)
+    fr, fi = ([[a * gr - b * gi for a, b in zip(ra, rb)] for ra, rb in zip(fr, fi)],
+              [[a * gi + b * gr for a, b in zip(ra, rb)] for ra, rb in zip(fr, fi)])
     # its sign: the cross product of f_3 and f_4 measures +i on f_4
     wr, wi = _cross_parts(fr[3], fi[3], fr[4], fi[4])
-    flip = _sum_rows(fr[4] * wi - fi[4] * wr) < 0
-    sign = np.where(flip, -1.0, 1.0)
-    return fr * sign, fi * sign
+    sign = -1.0 if _sum(a * c - b * d for a, b, c, d in zip(fr[4], fi[4], wi, wr)) < 0 else 1.0
+    return ([[a * sign for a in row] for row in fr], [[b * sign for b in row] for row in fi])
 
 
-@np.errstate(all="ignore")
-def measured_cross_constants(seq: HarmonicSequence, z) -> dict:
-    """All 7x7 cross products of the unit-gauge frame at z, resolved against
-    the table's target section; zero entries report a residual instead.
-
-    ``z`` is a point or an array of them, and each value has its shape.
+def measured_cross_constants(seq: HarmonicSequence, z: complex) -> dict:
+    """All 7x7 cross products of the unit-gauge frame at the point z,
+    resolved against the table's target section; zero entries report a
+    residual instead.  Plain floats, one point at a time, with the
+    operations numpy arrays of points would do, in their order.
     """
-    z = np.asarray(z, dtype=complex)
-    fr, fi = _frame_parts(seq, z.real.ravel(), z.imag.ravel())
-    sq = [_sum_rows(fr[i] * fr[i] + fi[i] * fi[i]) for i in range(_DIM)]
-    norm = [np.sqrt(v) for v in sq]
+    z = complex(z)
+    fr, fi = _frame_parts(seq, z.real, z.imag)
+    sq = [_sum(a * a + b * b for a, b in zip(fr[i], fi[i])) for i in range(_DIM)]
+    norm = [math.sqrt(v) for v in sq]
     out = {}
     for i in range(_DIM):
         for j in range(_DIM):
             wr, wi = _cross_parts(fr[i], fi[i], fr[j], fi[j])
             entry = FRAME_CROSS_TABLE[i][j]
             if entry == 0:
-                size = np.sqrt(_sum_rows(wr * wr + wi * wi))
-                out[(i, j)] = ("zero", (size / (norm[i] * norm[j])).reshape(z.shape))
+                size = math.sqrt(_sum(a * a + b * b for a, b in zip(wr, wi)))
+                out[(i, j)] = ("zero", _div(size, norm[i] * norm[j]))
             else:
                 _, k = entry
                 tr, ti = fr[k], fi[k]
-                cr = _sum_rows(tr * wr + ti * wi) / sq[k]
-                ci = _sum_rows(tr * wi - ti * wr) / sq[k]
-                rr, ri = wr - (cr * tr - ci * ti), wi - (cr * ti + ci * tr)
-                resid = np.sqrt(_sum_rows(rr * rr + ri * ri)) / norm[k]
-                out[(i, j)] = ("scalar", as_complex(cr, ci).reshape(z.shape),
-                               resid.reshape(z.shape))
+                cr = _div(_sum(a * c + b * d for a, b, c, d in zip(tr, ti, wr, wi)), sq[k])
+                ci = _div(_sum(a * d - b * c for a, b, c, d in zip(tr, ti, wr, wi)), sq[k])
+                rr = [c - (cr * a - ci * b) for a, b, c in zip(tr, ti, wr)]
+                ri = [d - (cr * b + ci * a) for a, b, d in zip(tr, ti, wi)]
+                resid = _div(math.sqrt(_sum(a * a + b * b for a, b in zip(rr, ri))), norm[k])
+                out[(i, j)] = ("scalar", complex(cr, ci), resid)
     return out
+
+
+def _uniforms():
+    """The draws of np.random.default_rng(_SAMPLE_SEED).uniform(), without numpy.
+
+    PCG64 steps its 128-bit state as state * _PCG_MULT + inc, then outputs
+    the XOR of the state's halves rotated right by its top 6 bits; a
+    uniform double is the top 53 bits of that output times 2^-53.
+    """
+    state, low = _PCG_STATE, (1 << 64) - 1
+    while True:
+        state = (state * _PCG_MULT + _PCG_INC) & ((1 << 128) - 1)
+        x, rot = (state >> 64 ^ state) & low, state >> 122
+        yield (((x >> rot | x << (64 - rot)) & low) >> 11) * 2.0 ** -53
 
 
 def regular_sample_points(seq: HarmonicSequence) -> list[complex]:
@@ -528,28 +556,22 @@ def regular_sample_points(seq: HarmonicSequence) -> list[complex]:
     |D_p(z)| must be at least _MIN_NORM * sum |c_ab| |z|^(a+b) over the terms
     of D_p, both divided by the content |z|^(2 c_p) of D_p as in ``density_value``.
     Both sides scale alike, so f and lambda * f get the same points.
-    Candidates are drawn from the seeded generator in batches and tested in
-    draw order, each batch by one ``poly.evaluate`` call.
+    Candidates are the seeded draws r in [0.35, 1.2) and t in [0, 2 pi)
+    (``_uniforms``, each a + (b - a) * u as numpy draws them), tested in
+    draw order, one ``poly.evaluate`` call on floats each.
     """
     dets = [d for d, _ in seq._content_free[1:_DIM + 1]]
     sizes = [[(a + b, math.hypot(re, im)) for (a, b), re, im in d.float_terms()[1]]
              for d in dets]
-    rng = np.random.default_rng(_SAMPLE_SEED)
+    draws = _uniforms()
     points: list[complex] = []
     while len(points) < _SAMPLE_COUNT:
-        batch = []
-        for _ in range(_SAMPLE_COUNT):
-            r, t = rng.uniform(0.35, 1.2), 2.0 * math.pi * rng.uniform()
-            batch.append(complex(r * math.cos(t), r * math.sin(t)))
-        zs = np.array(batch)
-        values = evaluate(dets, zs.real, zs.imag)
-        for n, z in enumerate(batch):
-            r = abs(z)
-            if len(points) < _SAMPLE_COUNT and all(
-                math.hypot(re[n], im[n]) >= _MIN_NORM * sum(m * r**e for e, m in size)
-                for (re, im, _), size in zip(values, sizes)
-            ):
-                points.append(z)
+        r, t = 0.35 + (1.2 - 0.35) * next(draws), 2.0 * math.pi * next(draws)
+        z = complex(r * math.cos(t), r * math.sin(t))
+        r = abs(z)
+        if all(math.hypot(re, im) >= _MIN_NORM * sum(m * r**e for e, m in size)
+               for (re, im, _), size in zip(evaluate(dets, z.real, z.imag), sizes)):
+            points.append(z)
     return points
 
 
@@ -567,7 +589,9 @@ def check_cross_table(
         vanishing since BiPolys form an integral domain);
     (c) the proportionality scalars, read off in the unit gauge at sample
         points, match the table's integer multiples of i within
-        ``_SCALAR_TOL``.
+        ``_SCALAR_TOL``.  The points are taken one at a time in Python
+        floats (``measured_cross_constants``), with the operations, and so
+        the bits, of numpy arrays.
     """
     sections = seq.raw_sections
     zero_ok: dict[tuple[int, int], bool] = {}
@@ -584,15 +608,16 @@ def check_cross_table(
     if samples is None:
         samples = regular_sample_points(seq)
     errors = []
-    for (i, j), rec in measured_cross_constants(seq, np.array(samples, dtype=complex)).items():
-        if rec[0] == "zero":
-            errors.append(rec[1])
-        else:
-            m, _ = FRAME_CROSS_TABLE[i][j]
-            c = rec[1]
-            errors += [np.sqrt(c.real * c.real + (c.imag - m) * (c.imag - m)), rec[2]]
-    # np.max carries a NaN forward, so a frame that is not finite fails
-    worst = float(np.max(np.concatenate(errors), initial=0.0))
+    for z in samples:
+        for (i, j), rec in measured_cross_constants(seq, z).items():
+            if rec[0] == "zero":
+                errors.append(rec[1])
+            else:
+                m, _ = FRAME_CROSS_TABLE[i][j]
+                c = rec[1]
+                errors += [math.sqrt(c.real * c.real + (c.imag - m) * (c.imag - m)), rec[2]]
+    # a NaN wins the maximum, as in np.max, so a frame that is not finite fails
+    worst = next((e for e in errors if e != e), max(errors, default=0.0))
     return {
         "passed": bool(all(zero_ok.values()) and all(prop_ok.values()) and worst <= _SCALAR_TOL),
         "detail": {

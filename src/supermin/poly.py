@@ -35,15 +35,14 @@ points, shared by every polynomial of the call, in the order CPython's
 polynomial in stored order, as ``out = out + c * z**e`` would.  So its
 bytes depend neither on the CPU nor on where the blocks fall.  With
 ``real_only`` it skips the imaginary sums, which leaves every real one
-as it was.
+as it was.  A single point, given as two floats, runs the same term loop
+on Python floats, with no numpy, and gets the bits of a one-element array.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-
-import numpy as np
 
 from .field import RADICAL, AlgScalar, _mul_into, _settled, _SparsePoly, products_vanish
 
@@ -182,9 +181,10 @@ def _powers(zr, zi, exps) -> dict:
     squares z^(2^t) of the set bits of e, lowest bit first, each product
     (r.re*p.re - r.im*p.im, r.re*p.im + r.im*p.re).  So z^e is z^(e - 2^t)
     times z^(2^t), t the top bit of e; only the exponents on these chains
-    get a row, so a sparse polynomial of huge degree costs little.
+    get a row, so a sparse polynomial of huge degree costs little.  z^0 is
+    the floats (1.0, 0.0), which broadcast over arrays to the same bits.
     """
-    table = {0: (np.ones(zr.size), np.zeros(zr.size))}
+    table = {0: (1.0, 0.0)}
     squares = [(zr, zi)]
     for e in sorted(exps):
         low, t = 0, 0
@@ -202,15 +202,36 @@ def _powers(zr, zi, exps) -> dict:
     return table
 
 
-def evaluate(polys, zr, zi, *, real_only: bool = False
-             ) -> list[tuple[np.ndarray, np.ndarray | None, int]]:
+def _add_terms(terms, pw, accr, acci):
+    """accr + i*acci plus the terms (key, cr, ci) of ``float_terms`` at the
+    powers ``pw``, added in stored order; arrays are added to in place and
+    floats rebound.  With ``acci`` None the imaginary parts are skipped."""
+    for key, cr, ci in terms:
+        if type(key) is tuple:
+            (ar, ai), (br, bi) = pw[key[0]], pw[key[1]]
+            ur = cr * ar - ci * ai
+            ui = cr * ai + ci * ar
+            accr += ur * br + ui * bi
+            if acci is not None:
+                acci += ui * br - ur * bi
+        else:
+            ar, ai = pw[key]
+            accr += cr * ar - ci * ai
+            if acci is not None:
+                acci += cr * ai + ci * ar
+    return accr, acci
+
+
+def evaluate(polys, zr, zi, *, real_only: bool = False) -> list[tuple]:
     """Values of Polys or BiPolys at the points z = zr + i*zi.
 
-    ``zr`` and ``zi`` are real arrays of one shape.  For each polynomial
+    ``zr`` and ``zi`` are real arrays of one shape, or two floats for a
+    single point, which is evaluated without numpy.  For each polynomial
     the result is (re, im, k): its values times 2^-k, k from
     ``float_terms``.  A Poly term c*z^e is c times the power; a BiPoly term
-    c*z^a*zbar^b is (c times z^a) times conj(z^b).  Points are taken in
-    blocks of ``BLOCK``, each with one power table for all ``polys``.
+    c*z^a*zbar^b is (c times z^a) times conj(z^b).  Array points are taken
+    in blocks of ``BLOCK``, each with one power table for all ``polys``; a
+    single point is the same sums of the same products, in floats.
 
     With ``real_only`` (for callers that read only real parts, such as
     the real Gram determinants) the imaginary parts are neither summed
@@ -218,31 +239,22 @@ def evaluate(polys, zr, zi, *, real_only: bool = False
     the same products in the same order, so its bytes are those of the
     full evaluation.
     """
-    zr = np.asarray(zr, dtype=float)
-    zi = np.asarray(zi, dtype=float)
-    shape, fr, fi = zr.shape, zr.ravel(), zi.ravel()
     conv = [p.float_terms() for p in polys]
     exps = {e for _, terms in conv for key, _, _ in terms
             for e in (key if type(key) is tuple else (key,))}
+    if isinstance(zr, float):
+        pw = _powers(zr, zi, exps)
+        return [(*_add_terms(terms, pw, 0.0, None if real_only else 0.0), k)
+                for k, terms in conv]
+    import numpy as np
+    zr = np.asarray(zr, dtype=float)
+    zi = np.asarray(zi, dtype=float)
+    shape, fr, fi = zr.shape, zr.ravel(), zi.ravel()
     out = [(np.zeros(fr.size), None if real_only else np.zeros(fr.size)) for _ in polys]
     for lo in range(0, fr.size, BLOCK):
         pw = _powers(fr[lo:lo + BLOCK], fi[lo:lo + BLOCK], exps)
         for (_, terms), (vr, vi) in zip(conv, out):
-            accr = vr[lo:lo + BLOCK]
-            acci = None if vi is None else vi[lo:lo + BLOCK]
-            for key, cr, ci in terms:
-                if type(key) is tuple:
-                    (ar, ai), (br, bi) = pw[key[0]], pw[key[1]]
-                    ur = cr * ar - ci * ai
-                    ui = cr * ai + ci * ar
-                    accr += ur * br + ui * bi
-                    if acci is not None:
-                        acci += ui * br - ur * bi
-                else:
-                    ar, ai = pw[key]
-                    accr += cr * ar - ci * ai
-                    if acci is not None:
-                        acci += cr * ai + ci * ar
+            _add_terms(terms, pw, vr[lo:lo + BLOCK], None if vi is None else vi[lo:lo + BLOCK])
     return [(vr.reshape(shape), None if vi is None else vi.reshape(shape), k)
             for (k, _), (vr, vi) in zip(conv, out)]
 
@@ -253,13 +265,15 @@ def one_scale(values) -> tuple[list, list]:
     Multiplying by a power of two is exact, so projective quantities of
     the rows (a sphere point, a ratio of components) are unchanged.
     """
+    import numpy as np
     top = max((k for _, _, k in values), default=0)
     return ([np.ldexp(re, k - top) for re, _, k in values],
             [np.ldexp(im, k - top) for _, im, k in values])
 
 
-def as_complex(re, im) -> np.ndarray:
+def as_complex(re, im):
     """The complex array re + i*im, assembled without arithmetic."""
+    import numpy as np
     out = np.empty(np.shape(re), dtype=complex)
     out.real, out.imag = re, im
     return out
@@ -267,6 +281,7 @@ def as_complex(re, im) -> np.ndarray:
 
 def _unscaled(p: _SparsePoly, z):
     """p(z) as a complex number, or a complex array for an array z."""
+    import numpy as np
     z = np.asarray(z, dtype=complex)
     re, im, k = evaluate((p,), z.real, z.imag)[0]
     out = as_complex(np.ldexp(re, k), np.ldexp(im, k))

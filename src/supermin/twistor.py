@@ -19,11 +19,13 @@ preserves lengths on H' and contracts by sqrt(2) on D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .field import AlgScalar
 from .g2 import CROSS_TERMS, cross, dot, hdot, scale_vec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _REL_TOL = 1e-9
 
@@ -39,6 +41,7 @@ class QuadricPoint:
     x: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         v = np.asarray(self.x, dtype=complex)
         object.__setattr__(self, "x", v)
         n = np.linalg.norm(v)
@@ -61,12 +64,13 @@ def project(x):
     """Image of [x] on the unit 6-sphere.
 
     Exact vectors (AlgScalar entries) stay exact; anything else goes through
-    numpy and comes back as a real float 7-vector.
+    numpy, imported on first use, and comes back as a real float 7-vector.
     """
     if _is_exact(x):
         xbar = tuple(c.conj() for c in x)
         scale = AlgScalar.i() * hdot(x, x).inverse()
         return scale_vec(scale, cross(xbar, x))
+    import numpy as np
     v = np.asarray(x, dtype=complex)
     return project_arrays(v.real, v.imag)
 
@@ -80,6 +84,7 @@ def project_arrays(xr, xi) -> np.ndarray:
     sign * Im(conj(x_i) x_j) = sign * (re_i im_j - re_j im_i): real products
     and sums only, in table order.
     """
+    import numpy as np
     sq = xr[0] * xr[0] + xi[0] * xi[0]
     for a, b in zip(xr[1:], xi[1:]):
         sq = sq + (a * a + b * b)
@@ -103,6 +108,7 @@ def pushforward(x, v):
         scale = AlgScalar.i() * hdot(x, x).inverse()
         diff = [a - b for a, b in zip(cross(xbar, v), cross(x, vbar))]
         return scale_vec(scale, diff)
+    import numpy as np
     xf = np.asarray(x, dtype=complex)
     vf = np.asarray(v, dtype=complex)
     out = np.array(cross(xf.conjugate(), vf)) - np.array(cross(xf, vf.conjugate()))
@@ -111,17 +117,20 @@ def pushforward(x, v):
 
 def fs_norm(x, v) -> float:
     """Fubini-Study length of a tangent representative."""
+    import numpy as np
     xf = np.asarray(x, dtype=complex)
     vf = np.asarray(v, dtype=complex)
     return 2.0 * np.linalg.norm(vf) / np.linalg.norm(xf)
 
 
 def _cross_matrix(x: np.ndarray) -> np.ndarray:
+    import numpy as np
     cols = [cross(x, np.eye(7, dtype=complex)[j]) for j in range(7)]
     return np.column_stack([np.asarray(c) for c in cols])
 
 
 def _nullspace(m: np.ndarray) -> np.ndarray:
+    import numpy as np
     _, s, vh = np.linalg.svd(m)
     cutoff = _REL_TOL * (s[0] if len(s) and s[0] > 0 else 1.0)
     null = vh[np.sum(s > cutoff):]
@@ -130,6 +139,7 @@ def _nullspace(m: np.ndarray) -> np.ndarray:
 
 def _orthonormal_within(vectors: np.ndarray, conditions: list[np.ndarray]) -> np.ndarray:
     """Orthonormal basis of {v in span(vectors) : <v, c> = 0 for all c}."""
+    import numpy as np
     if not len(vectors):
         return vectors
     coeff_rows = [vectors @ c.conjugate() for c in conditions]
@@ -141,6 +151,7 @@ def _orthonormal_within(vectors: np.ndarray, conditions: list[np.ndarray]) -> np
 
 def split_tangent(point: QuadricPoint) -> TangentSplit:
     """Orthonormal bases of V, H' and D at the given quadric point."""
+    import numpy as np
     x = point.x
     null_x = _nullspace(_cross_matrix(x))          # span {x} + H'
     hp = _orthonormal_within(null_x, [x])           # hermitian-orthogonal to x
@@ -157,6 +168,7 @@ def split_tangent(point: QuadricPoint) -> TangentSplit:
 
 def random_quadric_point(rng) -> QuadricPoint:
     """Random [a + ib] with a, b random orthonormal vectors of R^7."""
+    import numpy as np
     a = rng.standard_normal(7)
     a /= np.linalg.norm(a)
     b = rng.standard_normal(7)
@@ -172,6 +184,7 @@ def lemma_checks(point: QuadricPoint) -> dict:
     residuals of complex linearity on H' (dpi(iv) = J dpi(v), J = base cross)
     and of anti-linearity on D (dpi(iv) = -J dpi(v)).
     """
+    import numpy as np
     x = point.x
     split = split_tangent(point)
     base = project(x)

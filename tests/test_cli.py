@@ -560,17 +560,23 @@ def test_sample_rejects_tiny_grid(curve_file):
     assert run_cli("sample", str(curve_file), "-n", "4", "--out", "/tmp/x").returncode == 2
 
 
+# with no arguments the child only imports supermin
 _SAMPLE_MODULES = ("import sys\n"
-                   "from supermin import cli\n"
-                   "code = cli.main(sys.argv[1:])\n"
-                   "print(code, *sorted(m for m in ('supermin.catalog', 'supermin.harmonic',\n"
+                   "import supermin\n"
+                   "code = 0\n"
+                   "if sys.argv[1:]:\n"
+                   "    from supermin import cli\n"
+                   "    code = cli.main(sys.argv[1:])\n"
+                   "print(code, *sorted(m for m in ('numpy', 'supermin.catalog', 'supermin.harmonic',\n"
                    "                               'supermin.plucker') if m in sys.modules))")
 
 
 def test_sample_imports_no_chain_module(curve_file, tmp_path):
     """``sample`` runs none of ``catalog``, ``harmonic`` and ``plucker``, and
     a fresh process that runs it has loaded none of them; ``verify`` in
-    the same harness loads the two it runs, so the probe sees imports."""
+    the same harness loads the two it runs, so the probe sees imports.
+    ``verify``, ``gen`` and a bare ``import supermin`` load no numpy, while
+    ``sample`` and ``report``, which make arrays, do."""
     def loaded(*argv):
         res = subprocess.run([sys.executable, "-c", _SAMPLE_MODULES, *argv],
                              capture_output=True, text=True, timeout=120)
@@ -578,9 +584,15 @@ def test_sample_imports_no_chain_module(curve_file, tmp_path):
         return res.stdout.split()
 
     out = str(tmp_path / "s.csv")
-    assert loaded("sample", str(curve_file), "-n", "8", "--format", "csv", "--out", out) == ["0"]
+    assert loaded("sample", str(curve_file), "-n", "8", "--format", "csv", "--out", out) == [
+        "0", "numpy"]
     assert loaded("verify", str(curve_file), "--out", str(tmp_path / "v.json")) == [
         "0", "supermin.catalog", "supermin.harmonic"]
+    assert loaded("gen", "--k1", "1", "--k2", "2", "--out", str(tmp_path / "g.json")) == [
+        "0", "supermin.catalog"]
+    assert loaded() == ["0"]
+    assert loaded("report", str(curve_file), "--out", str(tmp_path / "r.json")) == [
+        "0", "numpy", "supermin.harmonic", "supermin.plucker"]
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,8 @@ def test_oracle_cross_scalars_at_10_points(seq11):
 
 def test_oracle_frame_gauge_properties(seq11):
     z = 0.41 + 0.33j
-    fr, fi = harmonic._frame_parts(seq11, np.array([z.real]), np.array([z.imag]))
-    frame = (fr + 1j * fi)[:, :, 0]
+    fr, fi = harmonic._frame_parts(seq11, z.real, z.imag)
+    frame = np.array(fr) + 1j * np.array(fi)
     # rows stay mutually orthogonal (one common scalar cannot break that)
     gram = frame @ frame.conj().T
     off = gram - np.diag(np.diag(gram))
@@ -211,6 +211,10 @@ def test_grid_densities_are_density_value_bit_for_bit(dense_curve):
         for chart, values in zip(charts, got):
             assert values.tobytes() == chart.density_value(p, z).tobytes(), (p, n)
     assert {n for chart in charts for _, n in chart._grid_values} == {1, 2}
+    # D_{-1} and |z|^0 are kept as floats: no entry is an array of a constant
+    for chart in charts:
+        for key, (values, _) in chart._grid_values.items():
+            assert not (isinstance(values, np.ndarray) and (values == values.flat[0]).all()), key
 
 
 def test_density_near_zero_matches_exact_quotient(family_curves):
@@ -408,14 +412,18 @@ def test_cross_table_negative_control(seq11):
     assert all(ok for (i, j), ok in zero.items() if 4 not in (i, j))
 
 
-def test_nan_sample_points_fail_the_float_audit(seq11):
+def test_nan_sample_points_fail_the_float_audit(seq11, seq12):
     """A frame that is not finite must fail part (c): the error is NaN, not
-    the largest finite error of the other points."""
-    rep = harmonic.check_cross_table(seq11, samples=[0.52 - 0.31j, complex("nan")])
-    worst = rep["detail"]["max_scalar_error"]
-    assert math.isnan(worst)
-    assert not worst <= harmonic._SCALAR_TOL
-    assert rep["passed"] is False
+    the largest finite error of the other points.  The (1,2) member's D_2
+    to D_6 vanish at 0, so there the frame divides by an exact 0.0, which
+    the float audit turns into inf or NaN, as numpy does, instead of
+    raising."""
+    for seq, bad in ((seq11, complex("nan")), (seq12, 0j)):
+        rep = harmonic.check_cross_table(seq, samples=[0.52 - 0.31j, bad])
+        worst = rep["detail"]["max_scalar_error"]
+        assert math.isnan(worst), bad
+        assert not worst <= harmonic._SCALAR_TOL
+        assert rep["passed"] is False
 
 
 def test_second_curve_identities(seq12):
@@ -552,6 +560,17 @@ def test_norm_constants_match_the_cross_multiplied_ratios(family_curves, dense_c
 # ---------------------------------------------------------------------------
 # sampling helpers
 # ---------------------------------------------------------------------------
+
+def test_sample_draws_are_numpys_pcg64():
+    """The seeded draws are those of np.random.default_rng(_SAMPLE_SEED):
+    the same PCG64 constants and the same 10^4 uniform doubles."""
+    rng = np.random.default_rng(harmonic._SAMPLE_SEED)
+    state = rng.bit_generator.state
+    assert state["bit_generator"] == "PCG64"
+    assert state["state"] == {"state": harmonic._PCG_STATE, "inc": harmonic._PCG_INC}
+    draws = harmonic._uniforms()
+    assert [next(draws) for _ in range(10**4)] == [rng.uniform() for _ in range(10**4)]
+
 
 def test_regular_sample_points_deterministic(seq11):
     a = harmonic.regular_sample_points(seq11)

@@ -184,7 +184,7 @@ def test_the_cross_table_scan_names_its_readers(tmp_path):
     assert cross_table_readers(copy) == ["catalog", "plucker", "twistor"]
 
 
-_THREADS = ("import os, supermin\n"
+_THREADS = ("import os, supermin, numpy\n"
             "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
 
 
@@ -192,10 +192,11 @@ _THREADS = ("import os, supermin\n"
                     reason="needs /proc/self/task and two CPUs; with one, OpenBLAS starts no worker")
 @pytest.mark.parametrize("caller, want", [(None, "1 1"), ("2", "2 2")], ids=["unset", "set_to_2"])
 def test_a_supermin_process_has_one_thread_unless_the_caller_sets_one(caller, want):
-    """A fresh process that imports supermin runs one thread, and a
-    caller's OPENBLAS_NUM_THREADS is kept.  This process imported supermin,
-    so it carries the variable itself: the child's environment is built
-    without it, then given the caller's value."""
+    """A fresh process that imports supermin, then numpy, runs one thread,
+    and a caller's OPENBLAS_NUM_THREADS is kept.  supermin itself loads no
+    numpy, so the child imports it to start OpenBLAS.  This process
+    imported supermin, so it carries the variable itself: the child's
+    environment is built without it, then given the caller's value."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if caller is not None:
         env["OPENBLAS_NUM_THREADS"] = caller

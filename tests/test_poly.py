@@ -449,6 +449,30 @@ def test_kernel_is_python_complex_arithmetic(curve12, dense_curve):
             assert complex(np.ldexp(re[n], k), np.ldexp(im[n], k)) == want, (p, z)
 
 
+def test_a_single_point_is_a_one_element_array_bit_for_bit(curve12, dense_curve):
+    """``evaluate`` at two floats runs the array kernel's term loop on Python
+    floats: on the D_p and the sections of the dense and the multi-radical
+    chains, with and without ``real_only``, its values and scales equal those
+    of the same point as a one-element array, signed zeros included."""
+    lam = AlgScalar.one() + AlgScalar.term(2, 1) + AlgScalar.term(3, 0, 1)
+    for curve in (dense_curve, tuple(c * lam for c in curve12)):
+        seq = harmonic.build_sequence(curve)
+        polys = [*(seq.gram_det(p) for p in range(-1, 7)),
+                 *(c for section in seq.raw_sections for c in section)]
+        for z in (0.52 - 0.31j, -0.7 + 0.45j, 1.1 + 0.2j, 0j, -0.0 - 1j):
+            for real_only in (False, True):
+                point = evaluate(polys, z.real, z.imag, real_only=real_only)
+                array = evaluate(polys, np.array([z.real]), np.array([z.imag]),
+                                 real_only=real_only)
+                for (pr, pi, pk), (ar, ai, ak) in zip(point, array):
+                    assert type(pr) is float and pk == ak
+                    assert np.array([pr]).tobytes() == ar.tobytes(), (z, real_only)
+                    if real_only:
+                        assert pi is None and ai is None
+                    else:
+                        assert np.array([pi]).tobytes() == ai.tobytes(), z
+
+
 def test_float_terms_follow_an_exact_power_of_two(curve12):
     """2^j * p converts to the same floats as p, with k moved by j, even where
     the coefficients are far outside the float range."""
