@@ -10,23 +10,22 @@ deformation back onto the two-parameter family.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import AlgScalar, as_scalar
+from .field import RADICAL, AlgScalar, as_scalar
 from .g2 import _conj, add_vec, dot, scale_vec, u_basis
 from .poly import Poly
 
 _DIM = 7
-# the relative float tolerance of reality_check
-_REALITY_TOL = 1e-9
 
 
-def _nonzero(x, tol: float) -> bool:
-    """Exact test for an AlgScalar, |x| > tol for a float."""
-    return bool(x) if isinstance(x, AlgScalar) else abs(x) > tol
+def _scalars(values) -> tuple[AlgScalar, ...]:
+    """Each value as an AlgScalar; TypeError for one that ``as_scalar`` refuses."""
+    out = tuple(as_scalar(x) for x in values)
+    if any(x is None for x in out):
+        raise TypeError("parameters must be AlgScalars, ints or Fractions")
+    return out
 
 
 # --------------------------------------------------------------- type patterns
@@ -135,8 +134,8 @@ def lowest_curve() -> tuple[Poly, ...]:
 class NormalFormCurve:
     """A curve of the shape sum_p z^(K_p) v_p.
 
-    ``vectors`` are the seven direction vectors in e-coordinates (entries
-    exact AlgScalar or complex), ``spec`` the gap pattern generating the
+    ``vectors`` are the seven direction vectors in e-coordinates (exact
+    AlgScalar entries), ``spec`` the gap pattern generating the
     strictly increasing ladder K_0..K_6 of ``exponents``.
     """
 
@@ -154,13 +153,8 @@ class NormalFormCurve:
     def exponents(self) -> tuple[int, ...]:
         return self.spec.exponents()
 
-    def is_exact(self) -> bool:
-        return all(isinstance(c, AlgScalar) for v in self.vectors for c in v)
-
     def to_curve(self) -> tuple[Poly, ...]:
-        """Assemble the polynomial curve (exact entries required)."""
-        if not self.is_exact():
-            raise TypeError("normal form has float entries")
+        """Assemble the polynomial curve."""
         comps = [Poly() for _ in range(_DIM)]
         for exp, v in zip(self.exponents, self.vectors):
             term = Poly.monomial(exp)
@@ -218,21 +212,15 @@ def reality_check(form: NormalFormCurve):
     The bilinear products of the direction vectors must vanish except on
     the antidiagonal, where (v_j, v_{6-j}) = (-1)^j * mu * lambda_j for one
     common constant mu.  Returns (ok, mu); mu is solved from the (0, 6)
-    pairing and verified everywhere else.  Exact vectors are tested
-    exactly, float vectors to a tolerance relative to the largest entry.
+    pairing and verified everywhere else, each by an exact zero test.
     """
     lam = [lambda_weights(form.spec, j) for j in range(_DIM)]
     vectors = form.vectors
-    tol = 0.0  # the exact zero test takes no tolerance
-    if not form.is_exact():
-        lam = [complex(x) for x in lam]
-        scale = max(abs(complex(c)) for v in vectors for c in v) ** 2
-        tol = _REALITY_TOL * (scale or 1.0)
     mu = dot(vectors[0], vectors[6]) / lam[0]
     for j in range(_DIM):
         for i in range(_DIM):
             want = (-1) ** j * mu * lam[j] if i == 6 - j else 0
-            if _nonzero(dot(vectors[j], vectors[i]) - want, tol):
+            if dot(vectors[j], vectors[i]) - want:
                 return False, mu
     return True, mu
 
@@ -242,7 +230,8 @@ def reality_check(form: NormalFormCurve):
 
 @dataclass(frozen=True)
 class RFamilyParams:
-    """Eight deformation parameters; the two corner ones must not vanish."""
+    """Eight deformation parameters (AlgScalars, ints or Fractions); the two
+    corner ones must not vanish."""
 
     r1: object
     r2: object = 0
@@ -260,11 +249,6 @@ class RFamilyParams:
     def as_tuple(self) -> tuple:
         return (self.r1, self.r2, self.r3, self.r4, self.r5, self.r6, self.r7, self.r8)
 
-    def is_exact(self) -> bool:
-        return all(
-            isinstance(r, (AlgScalar, int, Fraction)) for r in self.as_tuple()
-        )
-
 
 def r_family(spec: SingularityTypeSpec, params: RFamilyParams) -> NormalFormCurve:
     """The eight-parameter deformation of the diagonal normal form.
@@ -273,17 +257,12 @@ def r_family(spec: SingularityTypeSpec, params: RFamilyParams) -> NormalFormCurv
     whose coefficients are polynomial in the parameters; for every choice
     with nonzero corners the resulting curve stays superhorizontal and
     null.  Setting the six interior parameters to zero gives back a
-    diagonal (circle-symmetric) form.
+    diagonal (circle-symmetric) form.  Raises TypeError on a parameter
+    that is not an AlgScalar, int or Fraction.
     """
     k1, k2 = spec.k1, spec.k2
-    if params.is_exact():
-        r1, r2, r3, r4, r5, r6, r7, r8 = (as_scalar(x) for x in params.as_tuple())
-        sqrt2, basis = AlgScalar.root(2), u_basis()
-    else:
-        r1, r2, r3, r4, r5, r6, r7, r8 = (complex(x) for x in params.as_tuple())
-        sqrt2 = complex(math.sqrt(2.0))
-        basis = tuple(tuple(complex(c) for c in u) for u in u_basis())
-    # a Fraction times an AlgScalar stays exact, times a complex is n/d in float
+    r1, r2, r3, r4, r5, r6, r7, r8 = _scalars(params.as_tuple())
+    sqrt2, basis = AlgScalar.root(2), u_basis()
     rat, half = Fraction, Fraction(1, 2)
     den2 = (2 * k1 + k2)
     den3 = (3 * k1 + k2)
@@ -343,32 +322,28 @@ def r_family(spec: SingularityTypeSpec, params: RFamilyParams) -> NormalFormCurv
 # ---------------------------------------------------------------- normalizer
 
 
-def chart_scale(spec: SingularityTypeSpec, r1, r8):
-    """The positive solution r of r^(2k1+k2) * r1 * r8 = sqrt90.
+def chart_scale(spec: SingularityTypeSpec, r1, r8) -> AlgScalar:
+    """The positive solution r of r^n * r1 * r8 = sqrt90 (n = 2k1 + k2), exactly.
 
-    Exact when sqrt90 / (r1 r8) is a rational with an exact integer-power
-    root; otherwise the principal float root, with a warning.
+    The root is sought as s * sqrt(m) with m in ``RADICAL`` and s a positive
+    rational: s^n = q / sqrt(m)^n, with q = sqrt90 / (r1 r8), must be a
+    positive rational with an exact n-th root.  When q is a rational
+    multiple of one radical, a positive root in the field has this form:
+    each of its Galois conjugates is real with the same n-th power up to
+    sign, so it is the root up to sign.  Raises ValueError when no m gives
+    a root.
     """
     n = 2 * spec.k1 + spec.k2
-    if isinstance(r1, AlgScalar) and isinstance(r8, AlgScalar):
-        q = AlgScalar.root(90) * (r1 * r8).inverse()
-        frac = q.as_fraction() if q.is_rational() and not q.coeff(0)[1] else Fraction(0)
-        if frac > 0:
-            root = _fraction_root(frac, n)
-            if root is not None:
-                return AlgScalar.rational(root)
-        warnings.warn(
-            "chart scale is not exactly representable; falling back to float",
-            stacklevel=2,
-        )
-        if frac > 0:
-            # logarithms of the integers stay finite where float(frac) overflows
-            log_q = math.log(frac.numerator) - math.log(frac.denominator)
-            return complex(math.exp(log_q / n))
-        q = complex(q)
-    else:
-        q = complex(AlgScalar.root(90)) / (complex(r1) * complex(r8))
-    return q ** (1.0 / n)
+    r1, r8 = _scalars((r1, r8))
+    q = AlgScalar.root(90) / (r1 * r8)
+    for m in RADICAL:
+        sqrt_m = AlgScalar.root(m)
+        t = q / sqrt_m**n
+        frac = t.as_fraction() if t.is_rational() and not t.coeff(0)[1] else Fraction(0)
+        s = _fraction_root(frac, n) if frac > 0 else None
+        if s is not None:
+            return s * sqrt_m
+    raise ValueError(f"no r = s*sqrt(m) > 0 has r^{n} = sqrt90 / (r1 r8) = {q!r}")
 
 
 def _int_root(x: int, n: int) -> int:
@@ -392,25 +367,21 @@ def _fraction_root(frac: Fraction, n: int) -> Fraction | None:
     return None
 
 
-def normalizer(spec: SingularityTypeSpec, r1, r8):
+def normalizer(spec: SingularityTypeSpec, r1, r8) -> tuple[tuple[AlgScalar, ...], ...]:
     """The diagonal symmetry moving the deformation corners to standard size.
 
-    Returns a 7x7 matrix in e-coordinates, diagonal in the isotropic frame
-    with entries fixed by the corner parameters and the chart scale.  The
-    matrix preserves the cross product (membership is testable via
-    ``g2c_membership``), and conjugating the diagonal deformation family by
-    it, together with the chart change z -> r*z, lands exactly on the
-    two-parameter family.
+    Returns an exact 7x7 matrix in e-coordinates as a tuple of rows,
+    diagonal in the isotropic frame with entries fixed by the corner
+    parameters and the chart scale (ValueError when ``chart_scale`` finds
+    no root).  The matrix preserves the cross product (membership is
+    testable via ``g2c_membership``), and conjugating the diagonal
+    deformation family by it, together with the chart change z -> r*z,
+    lands exactly on the two-parameter family.
     """
     r = chart_scale(spec, r1, r8)
+    r1, r8 = _scalars((r1, r8))
     k1, k2 = spec.k1, spec.k2
-    exact = isinstance(r, AlgScalar) and isinstance(r1, AlgScalar) and isinstance(r8, AlgScalar)
-    if exact:
-        root, zero, basis = AlgScalar.root, AlgScalar.zero(), u_basis()
-    else:
-        r, r1, r8 = complex(r), complex(r1), complex(r8)
-        root, zero = math.sqrt, 0j
-        basis = [[complex(c) for c in u] for u in u_basis()]
+    root = AlgScalar.root
     d = (
         90 / (r1 * r1 * r8 * r8),
         15 * root(6) / (r**k1 * r1 * r1 * r8),
@@ -420,8 +391,8 @@ def normalizer(spec: SingularityTypeSpec, r1, r8):
         root(6) / (r ** (3 * k1 + 2 * k2) * r8),
         1 / r ** (4 * k1 + 2 * k2),
     )
-    mat = [[zero] * _DIM for _ in range(_DIM)]
-    for dj, u in zip(d, basis):
+    mat = [[AlgScalar.zero()] * _DIM for _ in range(_DIM)]
+    for dj, u in zip(d, u_basis()):
         for a in range(_DIM):
             if not u[a]:
                 continue
@@ -429,11 +400,7 @@ def normalizer(spec: SingularityTypeSpec, r1, r8):
             for b in range(_DIM):
                 if u[b]:
                     mat[a][b] = mat[a][b] + row * _conj(u[b])
-    out = tuple(tuple(row) for row in mat)
-    if exact:
-        return out
-    import numpy as np
-    return np.array(out)
+    return tuple(tuple(row) for row in mat)
 
 
 def transform_curve(matrix, curve) -> tuple[Poly, ...]:

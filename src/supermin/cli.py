@@ -337,6 +337,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

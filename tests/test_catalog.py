@@ -1,14 +1,12 @@
 from __future__ import annotations
 
-import math
 import warnings
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from supermin import catalog, g2, harmonic, twistor
-from supermin.field import AlgScalar
+from supermin.field import RADICAL, AlgScalar
 from supermin.poly import Poly
 
 
@@ -86,7 +84,6 @@ def test_spec_rejects_bad_patterns():
 def test_normal_form_roundtrip(curve11):
     spec = catalog.SingularityTypeSpec.from_pair(1, 1)
     form = catalog.normal_form_of(curve11, spec)
-    assert form.is_exact()
     assert curves_equal(form.to_curve(), curve11)
     # circle symmetric: the directions are pairwise hermitian-orthogonal
     v = form.vectors
@@ -98,19 +95,6 @@ def test_normal_form_rejects_off_ladder_support(curve11):
     # the (1,1) curve has exponents outside the (1,2) ladder
     with pytest.raises(ValueError, match="ladder"):
         catalog.normal_form_of(curve11, spec)
-
-
-def test_float_normal_form_requires_evaluate():
-    spec = catalog.SingularityTypeSpec.from_pair(1, 1)
-    vectors = tuple(tuple(complex(c) for c in v) for v in g2.u_basis())
-    form = catalog.NormalFormCurve(spec=spec, vectors=vectors)
-    assert not form.is_exact()
-    with pytest.raises(TypeError):
-        form.to_curve()
-    z = 0.5 + 0.1j
-    val = sum(z**e * np.array([complex(c) for c in v])
-              for e, v in zip(form.exponents, form.vectors))
-    assert val.shape == (7,)
 
 
 # ---------------------------------------------------------------------------
@@ -253,59 +237,29 @@ def test_rfamily_diagonal_is_circle_symmetric():
     spec = catalog.SingularityTypeSpec.from_pair(1, 1)
     params = catalog.RFamilyParams(r1=AlgScalar.term(10, 3))
     form = catalog.r_family(spec, params)
-    assert form.is_exact()
     v = form.vectors
     assert not any(g2.hdot(v[i], v[j]) for i in range(7) for j in range(i + 1, 7))
     ok, _mu = catalog.reality_check(form)
     assert ok
 
 
-def test_rfamily_float_path():
-    spec = catalog.SingularityTypeSpec.from_pair(1, 1)
-    params = catalog.RFamilyParams(r1=1.5 + 0.25j, r3=0.7, r8=2.0)
-    form = catalog.r_family(spec, params)
-    assert not form.is_exact()
-    # superhorizontality in float: f x f' vanishes at sample points
-    for z in (0.4 + 0.2j, -0.9 + 0.6j, 1.3 - 0.5j):
-        f = sum(z**e * np.array([complex(c) for c in v])
-                for e, v in zip(form.exponents, form.vectors))
-        df = sum(e * z ** (e - 1) * np.array([complex(c) for c in v])
-                 for e, v in zip(form.exponents, form.vectors) if e)
-        resid = np.linalg.norm(np.array(g2.cross(f, df), dtype=complex))
-        scale = np.linalg.norm(f) * np.linalg.norm(df)
-        assert resid < 1e-12 * max(scale, 1.0)
-
-
-def test_rfamily_exact_and_complex_parameters_agree():
-    """One code path: the same parameters given exactly and as complex
-    numbers give the same curve, reality verdict and constant mu."""
+def test_rfamily_takes_ints_and_fractions():
     spec = catalog.SingularityTypeSpec.from_pair(1, 2)
-    exact = (
-        AlgScalar.rational(2), AlgScalar.rational(1, 3), AlgScalar.root(2),
-        AlgScalar.rational(-1), AlgScalar.term(2, 0, Fraction(1, 2)),
-        AlgScalar.root(3), AlgScalar.rational(5), AlgScalar.i(),
-    )
-    form = catalog.r_family(spec, catalog.RFamilyParams(*exact))
-    floats = catalog.r_family(spec, catalog.RFamilyParams(*(complex(r) for r in exact)))
-    assert form.is_exact() and not floats.is_exact()
-    for z in (0.4 + 0.2j, -0.9 + 0.6j, 1.3 - 0.5j):
-        want, got = (sum(z**e * np.array([complex(c) for c in v])
-                         for e, v in zip(f.exponents, f.vectors)) for f in (form, floats))
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    ok, mu = catalog.reality_check(form)
-    ok_f, mu_f = catalog.reality_check(floats)
-    assert ok and ok_f
-    assert abs(mu_f - complex(mu)) <= 1e-12 * abs(complex(mu))
+    plain = catalog.RFamilyParams(r1=2, r2=Fraction(1, 3), r4=-1, r8=Fraction(-5, 2))
+    exact = catalog.RFamilyParams(*(AlgScalar.rational(r) for r in plain.as_tuple()))
+    assert catalog.r_family(spec, plain) == catalog.r_family(spec, exact)
 
 
-def test_reality_check_float_detects_breakage():
+@pytest.mark.parametrize("params", [
+    {"r1": 1.5 + 0.25j, "r3": 0.7, "r8": 2.0},
+    {"r1": AlgScalar.term(10, 3), "r5": 0.5},
+], ids=["complex_corner", "float_interior"])
+def test_rfamily_refuses_float_parameters(params):
+    """The family has one exact path: a float or complex parameter is
+    refused, not carried through in floats."""
     spec = catalog.SingularityTypeSpec.from_pair(1, 1)
-    form = catalog.r_family(spec, catalog.RFamilyParams(r1=1.5 + 0.25j, r3=0.7, r8=2.0))
-    assert catalog.reality_check(form)[0]
-    vectors = list(form.vectors)
-    vectors[0] = tuple(1.001 * c for c in vectors[0])
-    broken = catalog.NormalFormCurve(spec=spec, vectors=tuple(vectors))
-    assert not catalog.reality_check(broken)[0]
+    with pytest.raises(TypeError, match="AlgScalars, ints or Fractions"):
+        catalog.r_family(spec, catalog.RFamilyParams(**params))
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +292,31 @@ def test_chart_scale_exact_root_beyond_float_range():
         assert r == AlgScalar.rational(root)
 
 
-def test_chart_scale_float_fallback_above_1e308():
-    spec = catalog.SingularityTypeSpec.from_pair(1, 1)
-    r1 = AlgScalar.term(10, Fraction(3, 2 * 10**400))  # q = 2e400, no exact cube root
-    with pytest.warns(UserWarning):
-        r = catalog.chart_scale(spec, r1, AlgScalar.one())
-    assert abs(math.log10(abs(r)) - (400 + math.log10(2)) / 3) < 1e-12
+@pytest.mark.parametrize("m", RADICAL)
+@pytest.mark.parametrize("pair", [(1, 1), (1, 2), (2, 1), (3, 2)], ids=str)
+def test_chart_scale_finds_every_radical(pair, m):
+    """r = (3/2)*sqrt(m) for each radicand m of the field, at the ladder
+    corners n = 3, 4, 5 and 8, comes back exactly from r1 = sqrt90 / r^n and
+    r8 = 1, with no warning."""
+    spec = catalog.SingularityTypeSpec.from_pair(*pair)
+    r = AlgScalar.term(m, Fraction(3, 2))
+    r1 = AlgScalar.root(90) / r ** (2 * spec.k1 + spec.k2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert catalog.chart_scale(spec, r1, AlgScalar.one()) == r
 
 
-def test_chart_scale_float_fallback_warns():
+@pytest.mark.parametrize("q", [2, 2 * 10**400, AlgScalar.root(90), AlgScalar.root(90) / 2],
+                         ids=["two", "two_e400", "sqrt90", "sqrt90_over_two"])
+def test_chart_scale_refuses_a_root_outside_the_field(q):
+    """No s*sqrt(m) cubes to 2, to 2*10^400, to sqrt90 (r1 = r8 = 1) or to
+    sqrt90/2 (r1 = 2): each raises ValueError, and the normalizer with it."""
     spec = catalog.SingularityTypeSpec.from_pair(1, 1)
-    with pytest.warns(UserWarning):
-        r = catalog.chart_scale(spec, AlgScalar.one(), AlgScalar.one())
-    assert abs(r - 90 ** (1 / 6)) < 1e-12
+    r1 = AlgScalar.root(90) / q
+    with pytest.raises(ValueError, match="no r = s"):
+        catalog.chart_scale(spec, r1, AlgScalar.one())
+    with pytest.raises(ValueError, match="no r = s"):
+        catalog.normalizer(spec, r1, AlgScalar.one())
 
 
 def test_normalizer_is_exact_group_element():
@@ -371,22 +337,24 @@ def test_normalizer_pipeline_unit_scale(curve11):
     assert curves_equal(moved, curve11)
 
 
-def test_normalizer_pipeline_chart_scale_two(curve11):
-    """With corner sqrt90/8 the chart must be rescaled by 2 first; the
-    combined move still lands exactly on the family member."""
-    spec = catalog.SingularityTypeSpec.from_pair(1, 1)
-    r1 = AlgScalar.term(10, Fraction(3, 8))
-    r8 = AlgScalar.one()
-    r = catalog.chart_scale(spec, r1, r8)
-    curve = catalog.r_family(spec, catalog.RFamilyParams(r1=r1, r8=r8)).to_curve()
-    # the substitution z -> r*z: coefficient c_e becomes c_e * r^e
-    scaled = tuple(Poly({e: c * r**e for e, c in comp.terms.items()}) for comp in curve)
-    moved = catalog.transform_curve(catalog.normalizer(spec, r1, r8), scaled)
-    assert curves_equal(moved, curve11)
-
-
-def test_normalizer_float_path():
-    spec = catalog.SingularityTypeSpec.from_pair(1, 1)
-    with pytest.warns(UserWarning):
-        A = catalog.normalizer(spec, AlgScalar.rational(2), AlgScalar.one())
-    assert g2.g2c_membership(np.asarray(A), tol=1e-9)
+def test_normalizer_pipeline_chart_scale_two():
+    """With corner sqrt90/8 on (1, 1) the chart must be rescaled by 2 first,
+    and with corner sqrt90/4 on (1, 2) by sqrt2; the normalizer is an exact
+    element of G2^C, and the combined move lands exactly on the family
+    member."""
+    for pair, r1, want in (
+        ((1, 1), AlgScalar.term(10, Fraction(3, 8)), AlgScalar.rational(2)),
+        ((1, 2), AlgScalar.root(90) * AlgScalar.rational(1, 4), AlgScalar.root(2)),
+    ):
+        spec = catalog.SingularityTypeSpec.from_pair(*pair)
+        r8 = AlgScalar.one()
+        r = catalog.chart_scale(spec, r1, r8)
+        assert r == want, pair
+        A = catalog.normalizer(spec, r1, r8)
+        assert all(isinstance(x, AlgScalar) for row in A for x in row)
+        assert g2.g2c_membership(A)
+        curve = catalog.r_family(spec, catalog.RFamilyParams(r1=r1, r8=r8)).to_curve()
+        # the substitution z -> r*z: coefficient c_e becomes c_e * r^e
+        scaled = tuple(Poly({e: c * r**e for e, c in comp.terms.items()}) for comp in curve)
+        moved = catalog.transform_curve(A, scaled)
+        assert curves_equal(moved, catalog.example_family(*pair)), pair

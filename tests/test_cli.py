@@ -560,6 +560,19 @@ def test_sample_rejects_tiny_grid(curve_file):
     assert run_cli("sample", str(curve_file), "-n", "4", "--out", "/tmp/x").returncode == 2
 
 
+def test_sample_out_of_memory_exits_in_one_line(curve_file, monkeypatch, capsys, tmp_path):
+    """A grid larger than memory ends in one stderr line and exit 1, not in
+    a traceback: ``cli.main`` catches MemoryError as it does RuntimeError."""
+    def no_memory(curve, n):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_sample_points", no_memory)
+    argv = ["sample", str(curve_file), "-n", "1000000", "--out", str(tmp_path / "s.json")]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: out of memory\n")
+
+
 # with no arguments the child only imports supermin
 _SAMPLE_MODULES = ("import sys\n"
                    "import supermin\n"
