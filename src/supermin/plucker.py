@@ -28,7 +28,7 @@ import numpy as np
 from .harmonic import HarmonicSequence, build_sequence, grid_densities
 # wedge_table is re-exported: perfbench/tracer.py wraps it under this name.
 from .harmonic import wedge_table  # noqa: F401
-from .poly import Poly, as_complex, poly_gcd, primitive_parts
+from .poly import as_complex
 
 
 def _sequence(curve) -> HarmonicSequence:
@@ -83,28 +83,26 @@ def degrees_exact(curve) -> tuple[int, ...]:
     """Degrees of osculating curves 0..5 from the minors' exact support.
 
     The degree is the top exponent minus the vanishing order at 0, which is
-    the correct projective degree when the minors share no zero away from
-    the origin.  They share one exactly when their z-free parts do, whose
-    gcd is folded smallest first until it is constant; a shared interior
-    zero is reported, since it would mean ramification at a third point.
+    the correct projective degree when the minors of the stage share no
+    zero away from the origin.  Vanishing orders are monotone along the
+    chain: at a point z0 with adapted orders a_0 < ... < a_6 of a linearly
+    full curve, stage p vanishes to order s_p = sum_{i<=p} (a_i - i), which
+    never decreases with p, as the ramification indices a_i - i are
+    non-negative (Griffiths & Harris, Principles of Algebraic Geometry,
+    1978, section 2.4).  So a zero z0 != 0 shared by the minors of any
+    stage is a zero of the single stage-6 minor, the Wronskian W_6, and
+    W_6 has a zero away from the origin exactly when it has more than one
+    term.  Any such zero, even one of W_6 alone, is ramification at a
+    third point, and is reported.
     """
     stages = _sequence(curve).minors
-    out = []
-    for p in range(6):
-        stage = stages[p]
-        parts = [primitive_parts((q,))[0] for q in stage.values() if q]
-        common = Poly()
-        for q in sorted(parts, key=Poly.degree):
-            common = poly_gcd(q, common) if common else q
-            if common.degree() == 0:
-                break
-        if common.degree() > 0:
-            raise ValueError(
-                f"unexpected interior singularity: stage-{p} osculating minors "
-                "share a zero away from the origin"
-            )
-        out.append(_stage_deg(stage) - _stage_ord(stage))
-    return tuple(out)
+    (wronskian,) = stages[6].values()
+    if wronskian.degree() > wronskian.ord():
+        raise ValueError(
+            "unexpected interior singularity: the Wronskian of the curve "
+            "has a zero away from the origin"
+        )
+    return tuple(_stage_deg(stage) - _stage_ord(stage) for stage in stages[:6])
 
 
 def degrees_formula(totals) -> tuple[int, ...]:
@@ -295,29 +293,22 @@ def area(degrees, totals) -> Fraction:
     return by_degree
 
 
-def area_type_candidates(pi_multiple: int, *, allow_one_point: bool = False) -> list:
+def area_type_candidates(pi_multiple: int) -> list:
     """Symmetric ramification data compatible with a given total area.
 
     Each candidate is (number of ramification points, per-point (a, b))
     where the per-point type is (a, b, a, a, b, a) and all points carry the
     same type.  Point counts 0 and 2 are the admissible ones; a single
-    ramification point is known to be impossible for these spheres and is
-    only enumerated when explicitly requested.
+    ramification point is known to be impossible for these spheres.
     """
     if pi_multiple % 4:
         return []
     m = pi_multiple // 4 - 6
     if m < 0:
         return []
-    counts = (0, 2) + ((1,) if allow_one_point else ())
-    out = []
-    for npts in counts:
-        if npts == 0:
-            if m == 0:
-                out.append((0, (0, 0)))
-            continue
-        for a in range(m // (2 * npts) + 1):
-            rem = m - 2 * npts * a
-            if rem >= 0 and rem % npts == 0 and (a, rem // npts) != (0, 0):
-                out.append((npts, (a, rem // npts)))
+    out = [(0, (0, 0))] if m == 0 else []
+    for a in range(m // 4 + 1):
+        rem = m - 4 * a
+        if rem % 2 == 0 and (a, rem // 2) != (0, 0):
+            out.append((2, (a, rem // 2)))
     return out

@@ -210,9 +210,10 @@ def test_report_ignores_monomial_content(scaled_12_files, tmp_path):
 def test_report_on_high_degree_members_finishes(tmp_path):
     """report on the (1, 200) member, whose minors all share a power of z,
     and on the (1,2) member with component 0 replaced by one term of degree
-    10^30 returns in a subprocess with a timeout: the degrees take the gcd
-    of the minors' z-free parts, smallest first.  The second file is not a
-    superminimal curve, so its report fails an audit, in one line."""
+    10^30 returns in a subprocess with a timeout: the degrees are read off
+    the minors' exponents, after one look at the Wronskian's term count.
+    The second file is not a superminimal curve, and its Wronskian has more
+    than one term, so report refuses it in one line."""
     member = tmp_path / "m1_200.json"
     member.write_text(dumps_canonical(curve_to_obj(catalog.example_family(1, 200), (1, 200))))
     res = run_cli("report", str(member), timeout=30)
@@ -227,11 +228,11 @@ def test_report_on_high_degree_members_finishes(tmp_path):
 
 
 def test_report_on_two_far_apart_terms_finishes(tmp_path):
-    """The (1,2) member with component 0 set to z^3000 + z^(10^30): stage 5's
-    smallest z-free part has degree 2 and the others about 10^30, and the
-    exact remainder of one by the other has coefficients of about 10^29
-    digits.  The gcd is certified 1 modulo a prime instead, and report
-    fails the ramification audit in one line, within the timeout."""
+    """The (1,2) member with component 0 set to z^3000 + z^(10^30): its
+    minors have degrees about 10^30, and an exact gcd of two of them would
+    have remainders with coefficients of about 10^29 digits.  Its Wronskian
+    has more than one term, so report refuses the interior singularity in
+    one line, within the timeout."""
     curve = list(catalog.example_family(1, 2))
     curve[0] = Poly({3000: 1, 10**30: 1})
     path = tmp_path / "far.json"
@@ -396,12 +397,32 @@ def test_integrate_forced_non_convergence(tmp_path):
     assert "non-convergence" in res.stderr
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_integrate_rejects_non_finite_tol(tol, capsys):
-    """Checked before the curve file is read: this one does not exist."""
-    code = cli.main(["integrate", "/no/such/curve.json", "--p", "0", "--tol", tol])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("usage error:")
+@pytest.fixture(scope="module")
+def last_stage_file(tmp_path_factory):
+    """(1, z, ..., z^5, z^7 - 7z^6): neither null nor superhorizontal, and
+    ramified away from 0 in its last stage only (its Wronskian is
+    174182400 (z - 1))."""
+    curve = tuple(Poly.monomial(e) for e in range(6)) + (Poly({6: -7, 7: 1}),)
+    path = tmp_path_factory.mktemp("curves") / "last_stage.json"
+    path.write_text(dumps_canonical(curve_to_obj(curve)))
+    return path
+
+
+@pytest.mark.parametrize("args, code, err", [
+    (["--p", "0", "--tol", "nan"], 2, "usage error:"),
+    (["--p", "0", "--tol", "inf"], 2, "usage error:"),
+    (["--p", "0", "--grid", "4"], 2, "usage error:"),
+    (["--p", "5"], 1, "verification failed: unexpected interior singularity"),
+], ids=["nan", "inf", "grid4", "last_stage"])
+def test_integrate_rejects_non_finite_tol(args, code, err, last_stage_file, capsys):
+    """Exit codes of integrate, each with one stderr line.  A non-finite
+    --tol and a --grid below 8 are usage errors, checked before the curve
+    file is read (here it does not exist); a curve ramified away from 0 in
+    its last stage only is refused, as report refuses it."""
+    path = str(last_stage_file) if code == 1 else "/no/such/curve.json"
+    assert cli.main(["integrate", path, *args]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(err), lines
 
 
 def test_integrate_p_out_of_range(curve_file):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from supermin import catalog, cli, harmonic, plucker, twistor
-from supermin.field import AlgScalar
 from supermin.poly import Poly
+from supermin.serialize import curve_to_obj, dumps_canonical
 
 # Frozen invariants of the five family members: degrees, per-stage
 # ramification totals, singularity type at both marked points, and area.
@@ -135,7 +135,6 @@ def test_area_candidates_enumeration():
     assert plucker.area_type_candidates(24) == [(0, (0, 0))]
     # total 28 would force exactly one ramification point -- excluded
     assert plucker.area_type_candidates(28) == []
-    assert plucker.area_type_candidates(28, allow_one_point=True) == [(1, (0, 1))]
     assert plucker.area_type_candidates(32) == [(2, (0, 1))]
 
 
@@ -143,18 +142,44 @@ def test_area_candidates_enumeration():
 # failure modes
 # ---------------------------------------------------------------------------
 
-def test_interior_singularity_detected(curve11):
-    pinched = tuple((Poly.monomial(1) - Poly.const(1)) * c for c in curve11)
-    with pytest.raises(ValueError, match="interior"):
-        plucker.degrees_exact(pinched)
-
-
 def compose(p: Poly, g: Poly) -> Poly:
     """p(g(z)), by Horner's rule."""
     out = Poly()
     for e in range(p.degree(), -1, -1):
         out = out * g + Poly.const(p.terms.get(e, 0))
     return out
+
+
+# Curves ramified away from 0 and infinity.
+INTERIOR = {
+    # every component vanishes at z = 1, so every stage does
+    "pinched": lambda: tuple(Poly({0: -1, 1: 1}) * c for c in catalog.example_family(1, 1)),
+    # the derivative vanishes at z = 1 (stage 1, see below)
+    "composed": lambda: tuple(compose(c, Poly({0: 1, 1: -2, 2: 1}))
+                              for c in catalog.example_family(1, 2)),
+    # every stage vanishes at the 2000th roots of unity
+    "times_z2000_minus_1": lambda: tuple(Poly({0: -1, 2000: 1}) * c
+                                         for c in catalog.example_family(1, 2)),
+    # a component of two terms 10^30 apart
+    "far_apart": lambda: (Poly({3000: 1, 10**30: 1}),) + catalog.example_family(1, 2)[1:],
+    # stages 0..5 have a constant minor; the Wronskian is 174182400 (z - 1)
+    "last_stage": lambda: tuple(Poly.monomial(e) for e in range(6)) + (Poly({6: -7, 7: 1}),),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERIOR))
+def test_interior_singularity_detected(name, tmp_path, capsys):
+    """A zero away from 0 shared by the minors of any stage is one of the
+    Wronskian, which then has more than one term; report refuses the curve
+    in one line."""
+    curve = INTERIOR[name]()
+    with pytest.raises(ValueError, match="interior singularity"):
+        plucker.degrees_exact(curve)
+    path = tmp_path / "curve.json"
+    path.write_text(dumps_canonical(curve_to_obj(curve)))
+    assert cli.main(["report", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("verification failed:"), err
 
 
 def test_stage_one_interior_singularity_detected(curve12):
@@ -165,7 +190,7 @@ def test_stage_one_interior_singularity_detected(curve12):
     g = Poly({0: 1, 1: -2, 2: 1})
     composed = tuple(compose(c, g) for c in curve12)
     assert twistor.is_quadric_curve(composed) and twistor.is_superhorizontal(composed)
-    with pytest.raises(ValueError, match="stage-1 .* share a zero away from the origin"):
+    with pytest.raises(ValueError, match="interior singularity"):
         plucker.degrees_exact(composed)
 
 
@@ -174,9 +199,8 @@ def test_stage_one_interior_singularity_detected(curve12):
     ((50, 1), (202, 304, 404, 404, 304, 202)),
 ])
 def test_lopsided_member_degrees(pair, degrees):
-    """Every minor of a stage of these members shares a power of z, so the
-    gcd of the minors themselves is never constant; that of their z-free
-    parts is, after a few small ones."""
+    """Every minor of a stage of these members shares a power of z, and
+    their Wronskian is a single term, so no zero lies away from 0."""
     assert plucker.degrees_exact(catalog.example_family(*pair)) == degrees
 
 

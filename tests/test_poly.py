@@ -9,18 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supermin import catalog, harmonic, poly, twistor
+from supermin import harmonic, poly, twistor
 from supermin.field import AlgScalar
-from supermin.poly import (
-    BiPoly,
-    Poly,
-    RationalFn,
-    evaluate,
-    one_scale,
-    poly_divmod,
-    poly_gcd,
-)
-from supermin.poly import _I_P, _P, _ROOTS_P, _image_p, _rem_p
+from supermin.poly import BiPoly, Poly, RationalFn, evaluate, one_scale
 
 
 def rand_poly(rng, deg=5, density=0.7):
@@ -71,23 +62,6 @@ def test_reverse_swaps_ends():
     assert rev == Poly.monomial(3, 1) + Poly.monomial(0, 2)
     # reversing twice with the same total is the identity
     assert rev.reverse(3) == p
-
-
-def test_poly_divmod_and_gcd():
-    rng = random.Random(7)
-    g = Poly.monomial(1) + Poly.const(1)
-    a = rand_poly(rng, deg=3) * g
-    b = rand_poly(rng, deg=2) * g
-    if a.is_zero() or b.is_zero():
-        pytest.skip("degenerate random draw")
-    q, r = poly_divmod(a, b)
-    assert b * q + r == a
-    assert r.is_zero() or r.degree() < b.degree()
-    d = poly_gcd(a, b)
-    # gcd is monic and divisible by the common factor
-    _, r1 = poly_divmod(d, g)
-    assert r1.is_zero()
-    assert d.terms[d.degree()] == AlgScalar.one()
 
 
 # ---------------------------------------------------------------------------
@@ -272,76 +246,6 @@ def test_bipoly_integer_core_matches_scalar_reference(a, b):
     assert x.shift_down(c, d) == BiPoly({(p - c, q - d): v for (p, q), v in ref.items()})
     z = 0.7 - 0.4j
     assert close(x(z), _ref_value(a, z))
-
-
-# ---------------------------------------------------------------------------
-# gcd: the certificate modulo a prime
-# ---------------------------------------------------------------------------
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n in bases:
-        return True
-    if n < 2 or any(n % b == 0 for b in bases):
-        return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def test_the_gcd_certificate_maps_the_field_into_a_prime_field():
-    """The certificate's F_p is a field holding i, sqrt2, sqrt3 and sqrt5."""
-    assert _P < 3 * 10**24 and _is_prime(_P) and _P % 120 == 1
-    assert _I_P * _I_P % _P == _P - 1
-    assert all(r * r % _P == q for q, r in _ROOTS_P.items())
-
-
-_int_scalar = st.dictionaries(
-    st.integers(0, 7), st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=3
-).map(AlgScalar).filter(bool)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.dictionaries(st.integers(0, 70), _int_scalar, max_size=5),
-       st.lists(_int_scalar | st.just(AlgScalar.zero()), min_size=1, max_size=3))
-def test_remainder_mod_p_is_the_image_of_long_division(a, low):
-    """With b monic and integral, so is the remainder of a by b; its image
-    in F_p is ``_rem_p`` of the images, which forms each z^e mod b by
-    repeated squaring."""
-    a, b = Poly(a), Poly({**dict(enumerate(low)), len(low): 1})
-    r = poly_divmod(a, b)[1]
-    assert r._den == 1
-    image = _image_p(b)
-    got = _rem_p(_image_p(a), [image.get(e, 0) for e in range(len(low) + 1)])
-    assert got == [_image_p(r).get(e, 0) for e in range(len(low))]
-
-
-_sparse = st.dictionaries(st.integers(0, 40), _scalar, min_size=1, max_size=4).map(Poly)
-_small = st.dictionaries(st.integers(0, 2), _scalar, min_size=1, max_size=3).map(Poly)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_small.filter(bool), _sparse.filter(bool), _small.filter(bool))
-def test_gcd_is_euclids_with_or_without_the_certificate(f, g, h):
-    """a = f*g and b = f*h, a often far above b: ``poly_gcd`` equals the
-    plain Euclidean gcd, so a certificate never hides a common factor."""
-    a, b = f * g, f * h
-    x, y = a, b
-    while y:
-        x, y = y, poly_divmod(x, y)[1]
-    assert poly_gcd(a, b) == x * x.terms[x.degree()].inverse()
 
 
 # ---------------------------------------------------------------------------
