@@ -13,7 +13,11 @@ Each command imports the modules it runs when it runs, so ``sample``
 never loads ``catalog``, ``harmonic`` or ``plucker``, and numpy is
 imported only where arrays are made: ``gen`` and ``verify`` never load it.
 All JSON output is deterministic: sorted keys, rationals as strings,
-floats with 17 significant digits.
+floats with 17 significant digits.  ``sample`` writes one block of points
+at a time, so its memory does not grow with the grid; it writes a
+temporary file beside ``--out`` and renames it onto ``--out`` only when
+every point has passed its guard, so a failure leaves ``--out`` as it was;
+an ``--out`` that is a device or a pipe is written through instead.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -44,11 +50,17 @@ class UsageError(Exception):
     pass
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
+def _write_text(out, text: str) -> None:
+    """Write ``text`` to stdout (``out`` None), to the path ``out``, or to
+    the open text file ``out``.  ``sample`` passes its open file, one piece
+    at a time, so that every command's output leaves through this one
+    function."""
+    if out is None:
         sys.stdout.write(text)
+    elif isinstance(out, str):
+        Path(out).write_text(text)
     else:
-        Path(path).write_text(text)
+        out.write(text)
 
 
 def _load_curve(path: str):
@@ -80,11 +92,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     horizontal = twistor.is_superhorizontal(curve)
     checks["superhorizontality"] = {"passed": horizontal}
 
-    seq = None
+    # The minors are built on every curve, since they decide linear fullness;
+    # the chain checks run only on a superhorizontal one.  f x f' = 0 and
+    # linear fullness imply (f, f) = 0, so a linearly full curve that fails
+    # quadric membership fails superhorizontality too.
     try:
         seq = harmonic.build_sequence(curve)
-        checks["harmonic_sequence"] = harmonic.check_recursion(seq)
+        checks["harmonic_sequence"] = harmonic.check_recursion(seq) if horizontal else \
+            {"passed": False, "skipped": True, "error": "skipped: superhorizontality failed"}
     except ValueError as exc:
+        seq = None
         checks["harmonic_sequence"] = {"passed": False, "error": str(exc)}
 
     skip = ("skipped: no harmonic sequence" if seq is None
@@ -196,27 +213,27 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 _VANISH_REL = 1e-24
 
 
-def _sample_points(curve, n: int):
-    """A (2n^2, 7) array of unit 7-vectors: an n-by-n polar grid per chart.
+def _sample_blocks(curve, n: int):
+    """The 2n^2 sample points, as (at most ``poly.BLOCK``, 7) arrays of unit 7-vectors.
 
-    The first chart covers |z| <= 1 including the boundary circle; the
-    second works in the w = 1/z coordinate with radii strictly below 1, so
-    the shared circle is emitted once (it belongs to the first chart).
-    Each block of ``poly.BLOCK`` grid points is evaluated by one
-    ``poly.evaluate`` call and projected by ``twistor.project_arrays``
-    straight into the one output array, so no block outlives its turn.
+    Each chart is an n-by-n polar grid whose point i*n + j lies at the
+    chart's i-th radius and at angle 2*pi*j/n.  The first chart covers |z| <= 1 including the
+    boundary circle; the second works in the w = 1/z coordinate with radii
+    strictly below 1, so the shared circle is emitted once (it belongs to
+    the first chart).  The blocks come in that order, chart by chart.  Each
+    is evaluated by one ``poly.evaluate`` call and projected by
+    ``twistor.project_arrays``, and reads its radii, angles and guard
+    floors from n-length tables by index, so no array grows with n^2.  A
+    point where the curve vanishes raises RuntimeError naming it in z.
     """
     import numpy as np
     total = max(max(c.degree() for c in curve), 0)
     reversed_curve = tuple(c.reverse(total) for c in curve)
     angles = [2.0 * math.pi * j / n for j in range(n)]
-    cos = np.array([math.cos(t) for t in angles] * n)
-    sin = np.array([math.sin(t) for t in angles] * n)
-    points = np.empty((2, n * n, 7))
-    for half, (chart, radii) in zip(points, (
-        (curve, [i / (n - 1) for i in range(n)]),
-        (reversed_curve, [i / n for i in range(n)]),
-    )):
+    cos = np.array([math.cos(t) for t in angles])
+    sin = np.array([math.sin(t) for t in angles])
+    for in_w, chart, radii in ((False, curve, [i / (n - 1) for i in range(n)]),
+                               (True, reversed_curve, [i / n for i in range(n)])):
         conv = [c.float_terms() for c in chart]
         top = max(k for k, _ in conv)
         # radii lie in [0, 1] and a float below 1 is at most 1 - 2^-53, so
@@ -224,13 +241,11 @@ def _sample_points(curve, n: int):
         # about 2^1024 would not convert to a float
         sizes = [(min(e, 1 << 64), math.ldexp(math.hypot(re, im), k - top))
                  for k, terms in conv for e, re, im in terms]
-        r = np.repeat(radii, n)
-        floor = np.repeat(
-            [_VANISH_REL * sum(m * rad**e for e, m in sizes) ** 2 for rad in radii], n
-        )
+        radius = np.array(radii)
+        floor = np.array([_VANISH_REL * sum(m * rad**e for e, m in sizes) ** 2 for rad in radii])
         for lo in range(0, n * n, BLOCK):
-            at = slice(lo, lo + BLOCK)
-            zr, zi = r[at] * cos[at], r[at] * sin[at]
+            i, j = np.divmod(np.arange(lo, min(lo + BLOCK, n * n)), n)
+            zr, zi = radius[i] * cos[j], radius[i] * sin[j]
             # a power of huge degree overflows near |z| = 1 to a NaN |f|^2,
             # which the guard refuses like a zero
             with np.errstate(over="ignore", invalid="ignore"):
@@ -238,12 +253,14 @@ def _sample_points(curve, n: int):
                 sq = xr[0] * xr[0] + xi[0] * xi[0]
                 for a, b in zip(xr[1:], xi[1:]):
                     sq += a * a + b * b
-            bad = ~(sq > floor[at])
+            bad = ~(sq > floor[i])
             if bad.any():
-                i = int(np.argmax(bad))
-                raise RuntimeError(f"curve vanishes near sample point z={complex(zr[i], zi[i])}")
-            half[at] = twistor.project_arrays(xr, xi)
-    return points.reshape(-1, 7)
+                k = int(np.argmax(bad))
+                at = complex(zr[k], zi[k])
+                if in_w:
+                    at = 1 / at if at else "inf"
+                raise RuntimeError(f"curve vanishes near sample point z={at}")
+            yield twistor.project_arrays(xr, xi)
 
 
 def _rows(row: str, sep: str, points) -> str:
@@ -251,33 +268,65 @@ def _rows(row: str, sep: str, points) -> str:
     return sep.join([row] * len(points)) % tuple(points.ravel().tolist())
 
 
-def _obj_mesh(points, n: int) -> str:
-    """obj vertices, then two triangles (a, b, c), (a, c, d) per grid quad, 1-based."""
+def _obj_mesh(n: int, lo: int, hi: int) -> str:
+    """obj face rows of grid quads lo..hi-1, counted through both charts in
+    turn: two triangles (a, b, c), (a, c, d) per quad, 1-based vertex numbers."""
     import numpy as np
-    i, j = np.divmod(np.arange((n - 1) * n), n)
-    a = i * n + j + 1
-    b = i * n + (j + 1) % n + 1
-    quads = np.stack([a, b, b + n, a, b + n, a + n], axis=1).reshape(-1, 3)
-    faces = np.concatenate([quads, quads + n * n])
-    return (_rows("v %.17g %.17g %.17g", "\n", points[:, :3]) + "\n"
-            + _rows("f %d %d %d", "\n", faces) + "\n")
+    chart, q = np.divmod(np.arange(lo, hi), (n - 1) * n)
+    i, j = np.divmod(q, n)
+    a = chart * n * n + i * n + j + 1
+    b = a - j + (j + 1) % n
+    faces = np.stack([a, b, b + n, a, b + n, a + n], axis=1).reshape(-1, 3)
+    return _rows("f %d %d %d", "\n", faces)
+
+
+def _sample_text(curve, n: int, fmt: str):
+    """``sample``'s output in pieces of at most one block each: the header,
+    each block's rows, for obj the faces in blocks of ``BLOCK`` quads, and
+    the footer.  Their concatenation is the whole file."""
+    if fmt == "json":
+        # dumps_canonical of {"n", "charts", "points": strings}, written directly
+        row = "    [\n" + ",\n".join(['      "%.17g"'] * 7) + "\n    ]"
+        head, sep, tail = f'{{\n  "charts": 2,\n  "n": {n},\n  "points": [\n', ",\n", "\n  ]\n}\n"
+    elif fmt == "csv":
+        row = ",".join(["%.17g"] * 7)
+        head, sep, tail = "x1,x2,x3,x4,x5,x6,x7\n", "\n", "\n"
+    else:
+        row, head, sep, tail = "v %.17g %.17g %.17g", "", "\n", "\n"
+    yield head
+    for k, block in enumerate(_sample_blocks(curve, n)):
+        yield (sep if k else "") + _rows(row, sep, block[:, :3] if fmt == "obj" else block)
+    if fmt == "obj":
+        quads = 2 * (n - 1) * n
+        for lo in range(0, quads, BLOCK):
+            yield "\n" + _obj_mesh(n, lo, min(lo + BLOCK, quads))
+    yield tail
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
     if args.n < 8:
         raise UsageError("sample count -n must be at least 8")
     curve, _k = _load_curve(args.curve)
-    points = _sample_points(curve, args.n)
-    if args.format == "json":
-        # dumps_canonical of {"n", "charts", "points": strings}, written directly
-        point = "    [\n" + ",\n".join(['      "%.17g"'] * 7) + "\n    ]"
-        text = (f'{{\n  "charts": 2,\n  "n": {args.n},\n  "points": [\n'
-                + _rows(point, ",\n", points) + "\n  ]\n}\n")
-    elif args.format == "csv":
-        text = "x1,x2,x3,x4,x5,x6,x7\n" + _rows(",".join(["%.17g"] * 7), "\n", points) + "\n"
-    else:
-        text = _obj_mesh(points, args.n)
-    _write_text(args.out, text)
+    text = _sample_text(curve, args.n, args.format)
+    # a new or regular --out is written beside itself and renamed onto it
+    # once complete, so a failure part way leaves it as it was; a device or
+    # a pipe is written through, since a rename would replace it
+    try:
+        regular = stat.S_ISREG(os.stat(args.out).st_mode)
+    except FileNotFoundError:
+        regular = True
+    tmp = f"{args.out}.{os.urandom(4).hex()}.tmp" if regular else None
+    out = open(tmp, "x") if regular else open(args.out, "w")
+    try:
+        with out:
+            for piece in text:
+                _write_text(out, piece)
+        if regular:
+            os.replace(tmp, args.out)
+    except BaseException:
+        if regular:
+            os.unlink(tmp)
+        raise
     return EXIT_OK
 
 

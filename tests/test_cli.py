@@ -2,8 +2,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import random
+import stat
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -340,11 +345,33 @@ def test_verify_prints_each_check_as_returned(name, curve_file, perturbed_file, 
     checks = json.loads(out.read_text())["checks"]
     assert all(set(rec) in RECORD_SHAPES for rec in checks.values()), checks
     ran = [check for check in CHAIN_CHECKS if "detail" in checks[check]]
-    assert len(ran) == {"member": 4, "not_linearly_full": 0}.get(name, 1)
+    assert len(ran) == {"member": 4}.get(name, 0)
+    if name in ("perturbed", "not_superhorizontal"):
+        assert checks["harmonic_sequence"] == {
+            "passed": False, "skipped": True, "error": "skipped: superhorizontality failed"}
     if ran:
         seq = harmonic.build_sequence(cli._load_curve(str(path))[0])
     for check in ran:
         assert checks[check] == jsonable(CHAIN_CHECKS[check](seq)), check
+
+
+@pytest.mark.parametrize("degree", [10, 20])
+def test_verify_refuses_a_random_curve_without_its_recursion(degree, tmp_path):
+    """A random curve of 7 dense components is linearly full but neither
+    null nor superhorizontal.  ``verify`` builds its minors and skips the
+    chain checks, so it exits 1 in one line at once; running the recursion
+    on it took 35 s at degree 10 and over 300 s at degree 20."""
+    rng = random.Random(degree)
+    curve = tuple(Poly({e: rng.randint(-5, 5) or 1 for e in range(degree + 1)})
+                  for _ in range(7))
+    path = tmp_path / "random.json"
+    path.write_text(dumps_canonical(curve_to_obj(curve)))
+    res = run_cli("verify", str(path), "--out", str(tmp_path / "v.json"), timeout=20)
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == ["verification failed: quadric_membership"]
+    checks = json.loads((tmp_path / "v.json").read_text())["checks"]
+    assert checks["harmonic_sequence"] == {
+        "passed": False, "skipped": True, "error": "skipped: superhorizontality failed"}
 
 
 def test_verify_missing_file_is_io_error():
@@ -555,7 +582,7 @@ def test_sample_bytes_match_the_per_coordinate_writer(
     src.write_text(dumps_canonical(curve_to_obj(curve)))
     assert cli.main(["sample", str(src), "-n", str(n), "--format", fmt, "--out", str(out)]) == 0
     text = out.read_text()
-    want = per_coordinate_sample_text(cli._sample_points(curve, n), n, fmt)
+    want = per_coordinate_sample_text(np.concatenate(list(cli._sample_blocks(curve, n))), n, fmt)
     if text != want:  # name the first differing line; a full diff of megabytes takes minutes
         got_lines, want_lines = text.splitlines(), want.splitlines()
         i = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
@@ -582,16 +609,106 @@ def test_sample_rejects_tiny_grid(curve_file):
 
 
 def test_sample_out_of_memory_exits_in_one_line(curve_file, monkeypatch, capsys, tmp_path):
-    """A grid larger than memory ends in one stderr line and exit 1, not in
-    a traceback: ``cli.main`` catches MemoryError as it does RuntimeError."""
+    """Running out of memory ends in one stderr line and exit 1, not in a
+    traceback: ``cli.main`` catches MemoryError as it does RuntimeError.
+    Here it strikes after the first block is written, and the partial
+    output is deleted."""
     def no_memory(curve, n):
+        yield np.zeros((1, 7))
         raise MemoryError
 
-    monkeypatch.setattr(cli, "_sample_points", no_memory)
+    monkeypatch.setattr(cli, "_sample_blocks", no_memory)
     argv = ["sample", str(curve_file), "-n", "1000000", "--out", str(tmp_path / "s.json")]
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: out of memory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name, where", [
+    ("times_z_minus_2", "(2+0j)"), ("times_z", "0j"), ("top_underflows", "inf")])
+def test_sample_failure_leaves_out_as_it_was(name, where, curve11, curve_file, capsys,
+                                             tmp_path):
+    """A refused point is named in z, in one line with exit 1; an existing
+    --out keeps its bytes and no temporary file is left.  (z - 2) times the
+    (1,1) member passes every block of chart z and vanishes at w = 1/2 in
+    chart w, named z=(2+0j); z times it vanishes at z = 0 in chart z; and
+    the top coefficient 10^-400 underflows against the constant term, so
+    the guard refuses w = 0, named z=inf.  An --out in a missing directory
+    is an I/O error."""
+    curve = {
+        "times_z_minus_2": tuple(Poly({0: -2, 1: 1}) * c for c in curve11),
+        "times_z": tuple(Poly.monomial(1) * c for c in curve11),
+        "top_underflows": (Poly.const(1), Poly.monomial(5, AlgScalar.rational(1, 10**400)))
+        + (Poly(),) * 5,
+    }[name]
+    src, out = tmp_path / "c.json", tmp_path / "s.json"
+    src.write_text(dumps_canonical(curve_to_obj(curve)))
+    out.write_bytes(b"earlier output\n")
+    capsys.readouterr()
+    assert cli.main(["sample", str(src), "-n", "64", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: curve vanishes near sample point z={where}"]
+    assert out.read_bytes() == b"earlier output\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json", "s.json"]
+
+    missing = tmp_path / "no_such_dir" / "s.json"
+    assert cli.main(["sample", str(curve_file), "-n", "8", "--out", str(missing)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("io error:"), lines
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json", "s.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_sample_writes_through_a_pipe(curve_file, tmp_path):
+    """An --out that is not a regular file, here a named pipe, is written
+    through, not renamed over: the reader gets the bytes a regular --out
+    gets, the pipe stays a pipe and no temporary file is left."""
+    fifo, regular = tmp_path / "pipe", tmp_path / "s.obj"
+    argv = ["sample", str(curve_file), "-n", "33", "--format", "obj", "--out"]
+    assert cli.main(argv + [str(regular)]) == 0
+    os.mkfifo(fifo)
+    got = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    try:
+        assert cli.main(argv + [str(fifo)]) == 0
+    finally:
+        # a reader still waiting for a writer is released with no bytes
+        try:
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:
+            pass
+        reader.join(10)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got == [regular.read_bytes()]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["pipe", "s.obj"]
+
+
+def test_sample_memory_is_bounded_by_the_block(curve12, tmp_path):
+    """``sample`` holds one block of points and of text at a time: under
+    tracemalloc a json sample peaks below 3 MB at n = 128 and grows by less
+    than 0.5 MB from n = 64 to n = 256 (the whole-grid writer peaked at
+    19.6 MB, and at 5.1 and 78.2 MB)."""
+    src = tmp_path / "c.json"
+    src.write_text(dumps_canonical(curve_to_obj(curve12)))
+    argv = ["sample", str(src), "--format", "json", "--out", str(tmp_path / "s.json")]
+    assert cli.main(argv + ["-n", "8"]) == 0  # imports and caches outside the trace
+    peaks = {}
+    for n in (64, 128, 256):
+        tracemalloc.start()
+        try:
+            assert cli.main(argv + ["-n", str(n)]) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+    assert peaks[128] < 3.0, peaks
+    assert peaks[256] - peaks[64] < 0.5, peaks
 
 
 # with no arguments the child only imports supermin
