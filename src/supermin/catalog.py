@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import RADICAL, AlgScalar, as_scalar
-from .g2 import _conj, add_vec, dot, scale_vec, u_basis
+from .g2 import _conj, derivation, dot, exp_apply, u_basis
 from .poly import Poly
 
 _DIM = 7
+# the rows of the matrix whose columns are the isotropic frame u_0..u_6
+_U = tuple(zip(*u_basis()))
 
 
 def _scalars(values) -> tuple[AlgScalar, ...]:
@@ -26,6 +28,23 @@ def _scalars(values) -> tuple[AlgScalar, ...]:
     if any(x is None for x in out):
         raise TypeError("parameters must be AlgScalars, ints or Fractions")
     return out
+
+
+def _vectors_at(curve, exps) -> tuple[tuple[AlgScalar, ...], ...]:
+    """The curve's coefficient 7-vector at each exponent of ``exps``."""
+    zero = AlgScalar.zero()
+    return tuple(tuple(comp.terms.get(e, zero) for comp in curve) for e in exps)
+
+
+def _curve_of(exps, vectors) -> tuple[Poly, ...]:
+    """The curve sum_e z^e * v_e, one dict per component: ``_vectors_at`` inverted."""
+    return tuple(Poly({e: v[c] for e, v in zip(exps, vectors) if v[c]}) for c in range(_DIM))
+
+
+def _apply(matrix, vec) -> tuple[AlgScalar, ...]:
+    """matrix * vec, with zero entries skipped."""
+    return tuple(sum((m * x for m, x in zip(row, vec) if m and x), AlgScalar.zero())
+                 for row in matrix)
 
 
 # --------------------------------------------------------------- type patterns
@@ -149,18 +168,9 @@ class NormalFormCurve:
         if any(exps[p] >= exps[p + 1] for p in range(_DIM - 1)):
             raise ValueError("exponent ladder must be strictly increasing")
 
-    @property
-    def exponents(self) -> tuple[int, ...]:
-        return self.spec.exponents()
-
     def to_curve(self) -> tuple[Poly, ...]:
         """Assemble the polynomial curve."""
-        comps = [Poly() for _ in range(_DIM)]
-        for exp, v in zip(self.exponents, self.vectors):
-            term = Poly.monomial(exp)
-            for c in range(_DIM):
-                comps[c] = comps[c] + term * Poly.const(v[c])
-        return tuple(comps)
+        return _curve_of(self.spec.exponents(), self.vectors)
 
 
 def normal_form_of(curve, spec: SingularityTypeSpec) -> NormalFormCurve:
@@ -170,15 +180,10 @@ def normal_form_of(curve, spec: SingularityTypeSpec) -> NormalFormCurve:
     ladder.
     """
     exps = spec.exponents()
-    support = set()
-    for comp in curve:
-        support |= set(comp.terms)
+    support = set().union(*(comp.terms for comp in curve))
     if not support <= set(exps):
         raise ValueError(f"curve support {sorted(support)} not on the ladder {exps}")
-    vectors = tuple(
-        tuple(comp.terms.get(exp, AlgScalar.zero()) for comp in curve) for exp in exps
-    )
-    return NormalFormCurve(spec=spec, vectors=vectors)
+    return NormalFormCurve(spec=spec, vectors=_vectors_at(curve, exps))
 
 
 # ------------------------------------------------------------------ weights
@@ -253,70 +258,34 @@ class RFamilyParams:
 def r_family(spec: SingularityTypeSpec, params: RFamilyParams) -> NormalFormCurve:
     """The eight-parameter deformation of the diagonal normal form.
 
-    The direction vectors are explicit combinations of the isotropic frame
-    whose coefficients are polynomial in the parameters; for every choice
-    with nonzero corners the resulting curve stays superhorizontal and
-    null.  Setting the six interior parameters to zero gives back a
-    diagonal (circle-symmetric) form.  Raises TypeError on a parameter
-    that is not an AlgScalar, int or Fraction.
+    The diagonal form has v_p = c_p * u_p, with c_p a product of powers of
+    the corners r1, r8 and a constant of the pair (k1, k2).  The family
+    moves it by one element of the Borel subgroup of G2^C:
+    v_p = c_p * exp(N_A) * exp(t * N_45) * u_p, with t = r2 / r8, N_45 the
+    derivation with d45 = 1 alone, and N_A = ``g2.derivation`` of
+    (r7 - q*r4, r6 - q*r5, r3, 0, r4, r5), q = sqrt2 * r3 / 4 (the
+    Baker-Campbell-Hausdorff cross terms of the two factors).  So for every
+    choice with nonzero corners the curve stays superhorizontal and null,
+    and the six interior parameters at zero give back the diagonal
+    (circle-symmetric) form.  Raises TypeError on a parameter that is not
+    an AlgScalar, int or Fraction.
     """
     k1, k2 = spec.k1, spec.k2
     r1, r2, r3, r4, r5, r6, r7, r8 = _scalars(params.as_tuple())
-    sqrt2, basis = AlgScalar.root(2), u_basis()
-    rat, half = Fraction, Fraction(1, 2)
-    den2 = (2 * k1 + k2)
-    den3 = (3 * k1 + k2)
-    den32 = (3 * k1 + 2 * k2)
-    combos = (
-        ((rat(k1 * k2 * k2 * (k1 + k2), den32 * den3 * den2 * den2) * r1 * r1 * r8 * r8, 0),),
-        (
-            (rat(k1 * k2, den32 * den2) * r1 * r1 * r8 * r5, 0),
-            (rat(k1 * k2, den32 * den2) * r1 * r1 * r8, 1),
-        ),
-        (
-            (rat(k2 * (k1 + k2), den2 * den3) * r1 * r8 * (r2 * r5 - r4 * r8), 0),
-            (rat(k2 * (k1 + k2), den2 * den3) * r1 * r8 * r2, 1),
-            (rat(k2 * (k1 + k2), den2 * den3) * r1 * r8 * r8, 2),
-        ),
-        (
-            (rat(k2, den2) * r1 * r8 * sqrt2 * r3, 0),
-            (rat(k2, den2) * r1 * r8 * 2 * r4, 1),
-            (rat(k2, den2) * r1 * r8 * 2 * r5, 2),
-            (rat(k2, den2) * r1 * r8 * sqrt2, 3),
-        ),
-        (
-            (half * r1 * (sqrt2 * r3 * r5 - 2 * r6), 0),
-            (half * r1 * (2 * r4 * r5 - sqrt2 * r3), 1),
-            (r1 * r5 * r5, 2),
-            (sqrt2 * r1 * r5, 3),
-            (r1, 4),
-        ),
-        (
-            (half * sqrt2 * (r2 * r3 * r5 - r3 * r4 * r8) + r7 * r8 - r2 * r6, 0),
-            (r2 * r4 * r5 - half * sqrt2 * r2 * r3 - r4 * r4 * r8, 1),
-            (r2 * r5 * r5 - half * sqrt2 * r3 * r8 - r4 * r5 * r8, 2),
-            (sqrt2 * (r2 * r5 - r4 * r8), 3),
-            (r2, 4),
-            (r8, 5),
-        ),
-        (
-            (r5 * r7 + half * r3 * r3 - r4 * r6, 0),
-            (r7, 1),
-            (r6, 2),
-            (r3, 3),
-            (r4, 4),
-            (r5, 5),
-            (1, 6),
-        ),
+    den2, den3, den32 = 2 * k1 + k2, 3 * k1 + k2, 3 * k1 + 2 * k2
+    diagonal = (
+        Fraction(k1 * k2 * k2 * (k1 + k2), den32 * den3 * den2 * den2) * r1 * r1 * r8 * r8,
+        Fraction(k1 * k2, den32 * den2) * r1 * r1 * r8,
+        Fraction(k2 * (k1 + k2), den2 * den3) * r1 * r8 * r8,
+        Fraction(k2, den2) * AlgScalar.root(2) * r1 * r8,
+        r1, r8, AlgScalar.one(),
     )
-    vectors = []
-    for combo in combos:
-        vec = None
-        for coeff, q in combo:
-            term = scale_vec(coeff, basis[q])
-            vec = term if vec is None else add_vec(vec, term)
-        vectors.append(vec)
-    return NormalFormCurve(spec=spec, vectors=tuple(vectors))
+    q = AlgScalar.term(2, Fraction(1, 4)) * r3
+    n_t = derivation(0, 0, 0, r2 / r8, 0, 0)
+    n_a = derivation(r7 - q * r4, r6 - q * r5, r3, 0, r4, r5)
+    moved = (exp_apply(n_a, exp_apply(n_t, {p: c})) for p, c in enumerate(diagonal))
+    return NormalFormCurve(spec=spec, vectors=tuple(
+        _apply(_U, [x.get(a, 0) for a in range(_DIM)]) for x in moved))
 
 
 # ---------------------------------------------------------------- normalizer
@@ -370,13 +339,14 @@ def _fraction_root(frac: Fraction, n: int) -> Fraction | None:
 def normalizer(spec: SingularityTypeSpec, r1, r8) -> tuple[tuple[AlgScalar, ...], ...]:
     """The diagonal symmetry moving the deformation corners to standard size.
 
-    Returns an exact 7x7 matrix in e-coordinates as a tuple of rows,
-    diagonal in the isotropic frame with entries fixed by the corner
-    parameters and the chart scale (ValueError when ``chart_scale`` finds
-    no root).  The matrix preserves the cross product (membership is
-    testable via ``g2c_membership``), and conjugating the diagonal
-    deformation family by it, together with the chart change z -> r*z,
-    lands exactly on the two-parameter family.
+    Returns the exact 7x7 matrix U*diag(d)*U^H in e-coordinates as a tuple
+    of rows, U the matrix whose columns are the isotropic frame, and d fixed
+    by the corner parameters and the chart scale (ValueError when
+    ``chart_scale`` finds no root).  Column b is U times the vector
+    d_j * conj(U[b][j]).  The matrix preserves the cross product
+    (membership is testable via ``g2c_membership``), and conjugating the
+    diagonal deformation family by it, together with the chart change
+    z -> r*z, lands exactly on the two-parameter family.
     """
     r = chart_scale(spec, r1, r8)
     r1, r8 = _scalars((r1, r8))
@@ -391,31 +361,11 @@ def normalizer(spec: SingularityTypeSpec, r1, r8) -> tuple[tuple[AlgScalar, ...]
         root(6) / (r ** (3 * k1 + 2 * k2) * r8),
         1 / r ** (4 * k1 + 2 * k2),
     )
-    mat = [[AlgScalar.zero()] * _DIM for _ in range(_DIM)]
-    for dj, u in zip(d, u_basis()):
-        for a in range(_DIM):
-            if not u[a]:
-                continue
-            row = dj * u[a]
-            for b in range(_DIM):
-                if u[b]:
-                    mat[a][b] = mat[a][b] + row * _conj(u[b])
-    return tuple(tuple(row) for row in mat)
+    cols = [_apply(_U, [dj * _conj(x) for dj, x in zip(d, row)]) for row in _U]
+    return tuple(zip(*cols))
 
 
 def transform_curve(matrix, curve) -> tuple[Poly, ...]:
     """Apply an exact 7x7 matrix to each coefficient vector of a curve."""
-    exps = set()
-    for comp in curve:
-        exps |= set(comp.terms)
-    comps = [dict() for _ in range(_DIM)]
-    for e in exps:
-        vec = tuple(comp.terms.get(e, AlgScalar.zero()) for comp in curve)
-        for a in range(_DIM):
-            acc = AlgScalar.zero()
-            for b in range(_DIM):
-                if matrix[a][b] and vec[b]:
-                    acc = acc + matrix[a][b] * vec[b]
-            if acc:
-                comps[a][e] = acc
-    return tuple(Poly(c) for c in comps)
+    exps = sorted(set().union(*(comp.terms for comp in curve)))
+    return _curve_of(exps, [_apply(matrix, v) for v in _vectors_at(curve, exps)])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .field import AlgScalar
+from .field import AlgScalar, as_scalar
 
 CROSS_TABLE = (
     (0, 3, -2, 5, -4, -7, 6),
@@ -89,10 +89,6 @@ def scale_vec(c, v) -> tuple:
     return tuple(c * x for x in v)
 
 
-def add_vec(x, y) -> tuple:
-    return tuple(a + b for a, b in zip(x, y))
-
-
 def sub_vec(x, y) -> tuple:
     return tuple(a - b for a, b in zip(x, y))
 
@@ -143,6 +139,41 @@ def u_table_entry(i: int, j: int) -> tuple[AlgScalar, int] | None:
     return coeff, k
 
 
+def derivation(d16, d26, d36, d45, d46, d56) -> dict[tuple[int, int], AlgScalar]:
+    """The strictly upper-triangular derivation N of the cross product in the
+    isotropic frame, as {(a, b): the u_a coordinate of N*u_b}, zeros left out.
+
+    N(x × y) = Nx × y + x × Ny; the six parameters (AlgScalars, ints or
+    Fractions) are its entries in column 6 and at (4, 5), the other twelve
+    follow from them.  N is nilpotent, so exp(N) lies in G2^C.
+    """
+    d16, d26, d36, d45, d46, d56 = (as_scalar(d) for d in (d16, d26, d36, d45, d46, d56))
+    r2, h = AlgScalar.root(2), AlgScalar.term(2, Fraction(1, 2))
+    entries = {
+        (1, 6): d16, (2, 6): d26, (3, 6): d36, (4, 6): d46, (5, 6): d56, (4, 5): d45,
+        (0, 1): d56, (0, 2): -d46, (0, 3): d36, (0, 4): -d26, (0, 5): d16,
+        (1, 2): d45, (1, 3): r2 * d46, (1, 4): -h * d36, (2, 3): r2 * d56,
+        (2, 5): -h * d36, (3, 4): r2 * d56, (3, 5): -r2 * d46,
+    }
+    return {ab: v for ab, v in entries.items() if v}
+
+
+def exp_apply(n: dict, x: dict) -> dict:
+    """exp(N)*x for a sparse N from ``derivation`` and a sparse vector x
+    {a: the u_a coordinate}: the series x + Nx + N^2 x/2! + ... stops at
+    N^6, since N^7 = 0 on the 7-dimensional space."""
+    out, term = dict(x), x
+    for k in range(1, 7):
+        nxt: dict = {}
+        for (a, b), v in n.items():
+            if b in term:
+                nxt[a] = nxt[a] + v * term[b] if a in nxt else v * term[b]
+        term = {a: c * Fraction(1, k) for a, c in nxt.items() if c}
+        for a, c in term.items():
+            out[a] = out[a] + c if a in out else c
+    return out
+
+
 # ------------------------------------------------------------------- matrices
 
 def mat_col(m, j) -> tuple:
@@ -166,29 +197,14 @@ def mat_rank(m) -> int:
     return rank
 
 
-def g2c_membership(m, tol: float | None = None) -> bool:
-    """Whether a 7x7 matrix is an automorphism of the complex cross product.
-
-    With ``tol=None`` the entries are exact scalars and the check is an exact
-    identity (invertibility  plus table preservation on every basis pair);
-    with a float tolerance the matrix may have complex entries.
-    """
+def g2c_membership(m) -> bool:
+    """Whether a 7x7 matrix of exact scalars is an automorphism of the
+    complex cross product: an exact identity (invertibility plus table
+    preservation on every basis pair)."""
     cols = [mat_col(m, j) for j in range(7)]
-    for k, comp in enumerate(CROSS_TERMS):
-        for sign, i, j in comp:
-            if i > j:
-                continue
-            resid = sub_vec(cross(cols[i], cols[j]), scale_vec(sign, cols[k]))
-            if tol is None:
-                if any(resid):
-                    return False
-            elif max(abs(complex(x)) for x in resid) > tol:
-                return False
-    if tol is None:
-        return mat_rank(m) == 7
-    import numpy as np
-
-    return abs(np.linalg.det(np.array(m, dtype=complex))) > tol
+    return not any(any(sub_vec(cross(cols[i], cols[j]), scale_vec(sign, cols[k])))
+                   for k, comp in enumerate(CROSS_TERMS) for sign, i, j in comp
+                   if i < j) and mat_rank(m) == 7
 
 
 def random_g2(rng):

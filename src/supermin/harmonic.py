@@ -474,6 +474,14 @@ def _ldexp(x: float, e: int) -> float:
         return math.copysign(math.inf, x)
 
 
+def _pow(r: float, e: int) -> float:
+    """r^e for r > 0, with numpy's inf where the float power overflows."""
+    try:
+        return r**e
+    except OverflowError:
+        return math.inf
+
+
 def _frame_parts(seq: HarmonicSequence, zr: float, zi: float):
     """The unit-gauge frame at the point zr + i*zi, as (re, im) 7x7 lists of
     floats: row p holds f_p = E_p / D_{p-1}.  Values that are not finite
@@ -569,7 +577,7 @@ def regular_sample_points(seq: HarmonicSequence) -> list[complex]:
         r, t = 0.35 + (1.2 - 0.35) * next(draws), 2.0 * math.pi * next(draws)
         z = complex(r * math.cos(t), r * math.sin(t))
         r = abs(z)
-        if all(math.hypot(re, im) >= _MIN_NORM * sum(m * r**e for e, m in size)
+        if all(math.hypot(re, im) >= _MIN_NORM * sum(m * _pow(r, e) for e, m in size)
                for (re, im, _), size in zip(evaluate(dets, z.real, z.imag), sizes)):
             points.append(z)
     return points

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from supermin import catalog, g2, harmonic, twistor
+from supermin import catalog, g2, harmonic, plucker, twistor
 from supermin.field import RADICAL, AlgScalar
 from supermin.poly import Poly
 
@@ -358,3 +358,38 @@ def test_normalizer_pipeline_chart_scale_two():
         scaled = tuple(Poly({e: c * r**e for e, c in comp.terms.items()}) for comp in curve)
         moved = catalog.transform_curve(A, scaled)
         assert curves_equal(moved, catalog.example_family(*pair)), pair
+
+
+# ---------------------------------------------------------------------------
+# a member moved by G2^C
+# ---------------------------------------------------------------------------
+
+def test_g2c_matrix_is_a_group_element(g2c_matrix):
+    """M is in G2^C and not diagonal in the frame: N*u_6 has u_5 coordinate
+    d56 = 1, and no power of N reaches u_5 again, so M*u_6 has it too."""
+    assert g2.g2c_membership(g2c_matrix)
+    u = g2.u_basis()
+    moved = [g2.dot(row, u[6]) for row in g2c_matrix]
+    assert g2.hdot(moved, u[5]) == AlgScalar.one()
+
+
+def test_g2c_moved_member_keeps_the_curve_verdicts(g2c_moved12, curve12):
+    """M*f is a denser curve than f, and still quadric, superhorizontal and
+    linearly full, with f's reality constant: the bilinear form and the
+    cross product are invariant under G2^C."""
+    entries = sum(len(c.terms) for c in g2c_moved12)
+    assert entries > sum(len(c.terms) for c in curve12)
+    assert twistor.is_quadric_curve(g2c_moved12)
+    assert twistor.is_superhorizontal(g2c_moved12)
+    harmonic.HarmonicSequence(g2c_moved12)  # raises unless linearly full
+    spec = catalog.SingularityTypeSpec.from_pair(1, 2)
+    ok, mu = catalog.reality_check(catalog.normal_form_of(g2c_moved12, spec))
+    assert (ok, mu) == (True, AlgScalar.rational(-1, 1505280))
+
+
+def test_g2c_moved_member_has_the_member_report(g2c_moved12, curve12):
+    """Degrees, ramification and area are invariant under any linear change
+    of coordinates."""
+    rep = plucker.full_report(g2c_moved12)
+    assert rep == plucker.full_report(curve12)
+    assert rep.degrees == (8, 14, 16, 16, 14, 8) and rep.area_pi_multiple == 32

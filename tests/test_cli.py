@@ -247,15 +247,18 @@ def test_report_on_two_far_apart_terms_finishes(tmp_path):
     assert "Traceback" not in res.stderr
 
 
-def test_verify_high_degree_member_fails_in_one_line(capsys, tmp_path):
-    """verify on the (50, 50) member: every exact check passes, but D_5 and
-    D_6 (degree about 1000) underflow to 0.0 at the sample points of least
-    radius, so the frame's max_scalar_error is NaN and cross_table fails,
-    with one stderr line and no warning (pyproject.toml turns warnings into
-    errors).  The exit should become 0 once the frame divides by the
+@pytest.mark.parametrize("k1, k2", [(50, 50), (200, 200), (400, 1)])
+def test_verify_high_degree_member_fails_in_one_line(k1, k2, capsys, tmp_path):
+    """verify on a member of degree 300 to 1602: every exact check passes,
+    but D_5 and D_6 underflow to 0.0 at the sample points of least radius,
+    so the frame's max_scalar_error is NaN and cross_table fails, with one
+    stderr line and no warning (pyproject.toml turns warnings into errors).
+    On (200, 200) and (400, 1) the sample guard's |z|^e also overflows a
+    float at radii above 1; the guard then refuses that point, with no
+    traceback.  The exit should become 0 once the frame divides by the
     content-free D_p, as ``density_value`` does."""
-    path = tmp_path / "m50_50.json"
-    path.write_text(dumps_canonical(curve_to_obj(catalog.example_family(50, 50), (50, 50))))
+    path = tmp_path / f"m{k1}_{k2}.json"
+    path.write_text(dumps_canonical(curve_to_obj(catalog.example_family(k1, k2), (k1, k2))))
     out = tmp_path / "v.json"
     assert cli.main(["verify", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == ["verification failed: cross_table"]
