@@ -10,7 +10,7 @@ deformation back onto the two-parameter family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .field import RADICAL, AlgScalar, as_scalar
@@ -50,22 +50,22 @@ def _apply(matrix, vec) -> tuple[AlgScalar, ...]:
 # --------------------------------------------------------------- type patterns
 
 
-@dataclass(frozen=True)
-class SingularityTypeSpec:
-    """Exponent gaps (k_1..k_6) of a two-point-ramified normal form.
+class SingularityTypeSpec(namedtuple("SingularityTypeSpec", "k")):
+    """Exponent gaps k = (k_1..k_6) of a two-point-ramified normal form.
 
     Equal ramification at both singular points forces the palindromic
     pattern (a, b, a, a, b, a), so the whole spec is the pair (a, b).
     """
 
-    k: tuple[int, int, int, int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.k) != 6 or any(not isinstance(x, int) or x < 1 for x in self.k):
+    def __new__(cls, k):
+        if len(k) != 6 or any(not isinstance(x, int) or x < 1 for x in k):
             raise ValueError("exponent gaps must be six positive integers")
-        a, b = self.k[0], self.k[1]
-        if self.k != (a, b, a, a, b, a):
+        a, b = k[0], k[1]
+        if k != (a, b, a, a, b, a):
             raise ValueError("exponent gaps must follow the pattern (a, b, a, a, b, a)")
+        return super().__new__(cls, k)
 
     @classmethod
     def from_pair(cls, k1: int, k2: int) -> SingularityTypeSpec:
@@ -149,8 +149,7 @@ def lowest_curve() -> tuple[Poly, ...]:
 # ----------------------------------------------------------------- normal form
 
 
-@dataclass(frozen=True)
-class NormalFormCurve:
+class NormalFormCurve(namedtuple("NormalFormCurve", "spec vectors")):
     """A curve of the shape sum_p z^(K_p) v_p.
 
     ``vectors`` are the seven direction vectors in e-coordinates (exact
@@ -158,15 +157,15 @@ class NormalFormCurve:
     strictly increasing ladder K_0..K_6 of ``exponents``.
     """
 
-    spec: SingularityTypeSpec
-    vectors: tuple[tuple, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.vectors) != _DIM or any(len(v) != _DIM for v in self.vectors):
+    def __new__(cls, spec, vectors):
+        if len(vectors) != _DIM or any(len(v) != _DIM for v in vectors):
             raise ValueError("normal form needs seven direction 7-vectors")
-        exps = self.spec.exponents()
+        exps = spec.exponents()
         if any(exps[p] >= exps[p + 1] for p in range(_DIM - 1)):
             raise ValueError("exponent ladder must be strictly increasing")
+        return super().__new__(cls, spec, vectors)
 
     def to_curve(self) -> tuple[Poly, ...]:
         """Assemble the polynomial curve."""
@@ -233,26 +232,18 @@ def reality_check(form: NormalFormCurve):
 # ----------------------------------------------------------- deformation family
 
 
-@dataclass(frozen=True)
-class RFamilyParams:
+class RFamilyParams(namedtuple("RFamilyParams", "r1 r2 r3 r4 r5 r6 r7 r8",
+                                defaults=(0, 0, 0, 0, 0, 0, 1))):
     """Eight deformation parameters (AlgScalars, ints or Fractions); the two
     corner ones must not vanish."""
 
-    r1: object
-    r2: object = 0
-    r3: object = 0
-    r4: object = 0
-    r5: object = 0
-    r6: object = 0
-    r7: object = 0
-    r8: object = 1
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.r1 == 0 or self.r8 == 0:
             raise ValueError("corner parameters r1 and r8 must be nonzero")
-
-    def as_tuple(self) -> tuple:
-        return (self.r1, self.r2, self.r3, self.r4, self.r5, self.r6, self.r7, self.r8)
+        return self
 
 
 def r_family(spec: SingularityTypeSpec, params: RFamilyParams) -> NormalFormCurve:
@@ -271,7 +262,7 @@ def r_family(spec: SingularityTypeSpec, params: RFamilyParams) -> NormalFormCurv
     an AlgScalar, int or Fraction.
     """
     k1, k2 = spec.k1, spec.k2
-    r1, r2, r3, r4, r5, r6, r7, r8 = _scalars(params.as_tuple())
+    r1, r2, r3, r4, r5, r6, r7, r8 = _scalars(params)
     den2, den3, den32 = 2 * k1 + k2, 3 * k1 + k2, 3 * k1 + 2 * k2
     diagonal = (
         Fraction(k1 * k2 * k2 * (k1 + k2), den32 * den3 * den2 * den2) * r1 * r1 * r8 * r8,

@@ -415,19 +415,12 @@ class AlgScalar(_SparsePoly):
             raise ValueError("root expects a non-negative integer")
         if n == 0:
             return cls.zero()
-        # only 2, 3 and 5 may stay under the root; the rest must be a square
-        square, kernel, m = 1, 1, n
-        for p in (2, 3, 5):
-            while m % (p * p) == 0:
-                square *= p
-                m //= p * p
-            if m % p == 0:
-                kernel *= p
-                m //= p
-        rest = math.isqrt(m)
-        if rest * rest != m:
-            raise ValueError(f"sqrt({n}) does not lie in Q(sqrt2, sqrt3, sqrt5)")
-        return cls({RADICAL.index(kernel): (square * rest, 0)})
+        # n = s^2 * r with r squarefree, and n / r' is a square only for r' = r
+        for mask, r in enumerate(RADICAL):
+            s = math.isqrt(n // r)
+            if s * s * r == n:
+                return cls({mask: (s, 0)})
+        raise ValueError(f"sqrt({n}) does not lie in Q(sqrt2, sqrt3, sqrt5)")
 
     # ------------------------------------------------------------------- state
 

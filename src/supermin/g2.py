@@ -179,32 +179,23 @@ def exp_apply(n: dict, x: dict) -> dict:
 def mat_col(m, j) -> tuple:
     return tuple(m[i][j] for i in range(7))
 
-def mat_rank(m) -> int:
-    """Rank of a matrix over the exact field, by Gaussian elimination."""
-    rows = [list(r) for r in m]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][c].inverse()
-        for r in range(rank + 1, len(rows)):
-            if rows[r][c]:
-                f = rows[r][c] * inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
 
 def g2c_membership(m) -> bool:
     """Whether a 7x7 matrix of exact scalars is an automorphism of the
-    complex cross product: an exact identity (invertibility plus table
-    preservation on every basis pair)."""
+    complex cross product: an exact identity (table preservation on every
+    basis pair, and m != 0).
+
+    Preservation already implies invertibility. The kernel I of a matrix
+    that preserves the product is an ideal of (C^7, x), and that algebra is
+    simple, so I is 0 or everything. Take x != 0 in I. If (x, x) != 0 let
+    u = x; otherwise pick y with (x, y) != 0 and let u = x cross y, which
+    lies in I and has (u, u) = -(x, y)^2. Then every
+    w = ((u, w) u - u cross (u cross w)) / (u, u) lies in I, so I = C^7.
+    """
     cols = [mat_col(m, j) for j in range(7)]
     return not any(any(sub_vec(cross(cols[i], cols[j]), scale_vec(sign, cols[k])))
                    for k, comp in enumerate(CROSS_TERMS) for sign, i, j in comp
-                   if i < j) and mat_rank(m) == 7
+                   if i < j) and any(map(any, cols))
 
 
 def random_g2(rng):

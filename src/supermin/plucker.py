@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -206,15 +206,12 @@ def degrees_numeric(
 # --------------------------------------------------------------------- report
 
 
-@dataclass(frozen=True)
-class SingularityReport:
+class SingularityReport(namedtuple(
+        "SingularityReport",
+        "type_at_zero type_at_infinity totals degrees area_pi_multiple")):
     """Everything the degree/area bookkeeping of one curve produces."""
 
-    type_at_zero: tuple[int, ...]
-    type_at_infinity: tuple[int, ...]
-    totals: tuple[int, ...]
-    degrees: tuple[int, ...]
-    area_pi_multiple: int
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

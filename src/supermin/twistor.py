@@ -18,14 +18,10 @@ preserves lengths on H' and contracts by sqrt(2) on D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
 from .field import AlgScalar
 from .g2 import CROSS_TERMS, cross, dot, hdot, scale_vec
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _REL_TOL = 1e-9
 
@@ -34,30 +30,25 @@ def _is_exact(x) -> bool:
     return isinstance(x[0], AlgScalar)
 
 
-@dataclass(frozen=True)
-class QuadricPoint:
+class QuadricPoint(namedtuple("QuadricPoint", "x")):
     """Homogeneous coordinates of a quadric point, kept as a numpy vector."""
 
-    x: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, x):
         import numpy as np
-        v = np.asarray(self.x, dtype=complex)
-        object.__setattr__(self, "x", v)
+        v = np.asarray(x, dtype=complex)
         n = np.linalg.norm(v)
         if n == 0:
             raise ValueError("zero vector does not define a projective point")
         if abs(np.dot(v, v)) > _REL_TOL * n * n:
             raise ValueError("point does not satisfy the quadric equation")
+        return super().__new__(cls, v)
 
 
-@dataclass(frozen=True)
-class TangentSplit:
-    """Orthonormal bases of the three tangent distributions at a point."""
-
-    vertical: np.ndarray      # shape (2, 7)
-    superhorizontal: np.ndarray  # shape (2, 7)
-    horizontal_rest: np.ndarray  # shape (1, 7)
+# Orthonormal bases of the three tangent distributions at a point: vertical
+# and superhorizontal of shape (2, 7), horizontal_rest of shape (1, 7).
+TangentSplit = namedtuple("TangentSplit", "vertical superhorizontal horizontal_rest")
 
 
 def project(x):
@@ -75,7 +66,7 @@ def project(x):
     return project_arrays(v.real, v.imag)
 
 
-def project_arrays(xr, xi) -> np.ndarray:
+def project_arrays(xr, xi):
     """``project`` of many points, each x given as 7 real and 7 imaginary
     parts (sequences of equal-shape real arrays); returns shape (points, 7).
 
@@ -123,13 +114,13 @@ def fs_norm(x, v) -> float:
     return 2.0 * np.linalg.norm(vf) / np.linalg.norm(xf)
 
 
-def _cross_matrix(x: np.ndarray) -> np.ndarray:
+def _cross_matrix(x):
     import numpy as np
     cols = [cross(x, np.eye(7, dtype=complex)[j]) for j in range(7)]
     return np.column_stack([np.asarray(c) for c in cols])
 
 
-def _nullspace(m: np.ndarray) -> np.ndarray:
+def _nullspace(m):
     import numpy as np
     _, s, vh = np.linalg.svd(m)
     cutoff = _REL_TOL * (s[0] if len(s) and s[0] > 0 else 1.0)
@@ -137,7 +128,7 @@ def _nullspace(m: np.ndarray) -> np.ndarray:
     return null.conjugate()  # rows span the kernel
 
 
-def _orthonormal_within(vectors: np.ndarray, conditions: list[np.ndarray]) -> np.ndarray:
+def _orthonormal_within(vectors, conditions):
     """Orthonormal basis of {v in span(vectors) : <v, c> = 0 for all c}."""
     import numpy as np
     if not len(vectors):

@@ -246,7 +246,7 @@ def test_rfamily_diagonal_is_circle_symmetric():
 def test_rfamily_takes_ints_and_fractions():
     spec = catalog.SingularityTypeSpec.from_pair(1, 2)
     plain = catalog.RFamilyParams(r1=2, r2=Fraction(1, 3), r4=-1, r8=Fraction(-5, 2))
-    exact = catalog.RFamilyParams(*(AlgScalar.rational(r) for r in plain.as_tuple()))
+    exact = catalog.RFamilyParams(*(AlgScalar.rational(r) for r in tuple(plain)))
     assert catalog.r_family(spec, plain) == catalog.r_family(spec, exact)
 
 
@@ -393,3 +393,40 @@ def test_g2c_moved_member_has_the_member_report(g2c_moved12, curve12):
     rep = plucker.full_report(g2c_moved12)
     assert rep == plucker.full_report(curve12)
     assert rep.degrees == (8, 14, 16, 16, 14, 8) and rep.area_pi_multiple == 32
+
+
+# ---------------------------------------------------------------------------
+# the records of twistor, catalog and plucker
+# ---------------------------------------------------------------------------
+
+def _point():
+    return twistor.QuadricPoint([1, 1j, 0, 0, 0, 0, 0])
+
+
+_SPEC11 = catalog.SingularityTypeSpec.from_pair(1, 1)
+_RECORDS = {
+    "QuadricPoint": (_point, ("x",)),
+    "TangentSplit": (lambda: twistor.split_tangent(_point()),
+                     ("vertical", "superhorizontal", "horizontal_rest")),
+    "SingularityTypeSpec": (lambda: _SPEC11, ("k",)),
+    "NormalFormCurve": (lambda: catalog.normal_form_of(catalog.example_family(1, 1), _SPEC11),
+                        ("spec", "vectors")),
+    "RFamilyParams": (lambda: catalog.RFamilyParams(r1=2, r3=Fraction(1, 3)),
+                      ("r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8")),
+    "SingularityReport": (lambda: plucker.full_report(catalog.example_family(1, 1)),
+                          ("type_at_zero", "type_at_infinity", "totals", "degrees",
+                           "area_pi_multiple")),
+}
+
+
+@pytest.mark.parametrize("name", list(_RECORDS))
+def test_records_are_immutable_values(name):
+    """Every record refuses assignment to a field and equals the record
+    rebuilt from its fields."""
+    make, fields = _RECORDS[name]
+    record = make()
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    rebuilt = type(record)(**{field: getattr(record, field) for field in fields})
+    assert rebuilt == record

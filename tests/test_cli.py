@@ -721,8 +721,9 @@ _SAMPLE_MODULES = ("import sys\n"
                    "if sys.argv[1:]:\n"
                    "    from supermin import cli\n"
                    "    code = cli.main(sys.argv[1:])\n"
-                   "print(code, *sorted(m for m in ('numpy', 'supermin.catalog', 'supermin.harmonic',\n"
-                   "                               'supermin.plucker') if m in sys.modules))")
+                   "print(code, *sorted(m for m in ('dataclasses', 'numpy', 'supermin.catalog',\n"
+                   "                               'supermin.harmonic', 'supermin.plucker')\n"
+                   "                     if m in sys.modules))")
 
 
 def test_sample_imports_no_chain_module(curve_file, tmp_path):
@@ -730,7 +731,8 @@ def test_sample_imports_no_chain_module(curve_file, tmp_path):
     a fresh process that runs it has loaded none of them; ``verify`` in
     the same harness loads the two it runs, so the probe sees imports.
     ``verify``, ``gen`` and a bare ``import supermin`` load no numpy, while
-    ``sample`` and ``report``, which make arrays, do."""
+    ``sample`` and ``report``, which make arrays, do. No command loads
+    ``dataclasses``: the records are namedtuples."""
     def loaded(*argv):
         res = subprocess.run([sys.executable, "-c", _SAMPLE_MODULES, *argv],
                              capture_output=True, text=True, timeout=120)

@@ -176,6 +176,17 @@ def test_membership_rejects_scaling():
     assert not g2.g2c_membership(doubled)
 
 
+def test_membership_rejects_singular_matrices():
+    """The zero matrix preserves every product and is refused for being
+    zero; the identity with one column zeroed is singular, and by the
+    simplicity argument in ``g2c_membership`` it fails preservation."""
+    zero = tuple((AlgScalar.zero(),) * 7 for _ in range(7))
+    assert not g2.g2c_membership(zero)
+    ident = tuple(g2.std_basis(i) for i in range(7))
+    col_zeroed = tuple(row[:3] + (AlgScalar.zero(),) + row[4:] for row in ident)
+    assert not g2.g2c_membership(col_zeroed)
+
+
 
 # ---------------------------------------------------------------------------
 # the nilpotent derivations and their exponentials
