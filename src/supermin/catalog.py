@@ -12,14 +12,16 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate
 
 from .field import RADICAL, AlgScalar, as_scalar
 from .g2 import _conj, derivation, dot, exp_apply, u_basis
 from .poly import Poly
 
 _DIM = 7
-# the rows of the matrix whose columns are the isotropic frame u_0..u_6
-_U = tuple(zip(*u_basis()))
+_FRAME = u_basis()  # the isotropic frame u_0..u_6
+_U = tuple(zip(*_FRAME))  # the rows of the matrix whose columns are the frame
+_CORNERS = (AlgScalar.root(15), AlgScalar.root(6))  # (r1, r8) of ``example_family``
 
 
 def _scalars(values) -> tuple[AlgScalar, ...]:
@@ -58,6 +60,7 @@ class SingularityTypeSpec(namedtuple("SingularityTypeSpec", "k")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
 
     def __new__(cls, k):
         if len(k) != 6 or any(not isinstance(x, int) or x < 1 for x in k):
@@ -83,44 +86,35 @@ class SingularityTypeSpec(namedtuple("SingularityTypeSpec", "k")):
 
     def exponents(self) -> tuple[int, ...]:
         """Partial sums (0, k_1, k_1+k_2, ...): the z-exponent ladder."""
-        out = [0]
-        for gap in self.k:
-            out.append(out[-1] + gap)
-        return tuple(out)
+        return tuple(accumulate(self.k, initial=0))
 
 
 # ------------------------------------------------------------ explicit curves
 
 
+def _diagonal(k1: int, k2: int, r1: AlgScalar, r8: AlgScalar) -> tuple[AlgScalar, ...]:
+    """The coefficients c_0..c_6 of the diagonal normal form v_p = c_p * u_p."""
+    den2, den3, den32 = 2 * k1 + k2, 3 * k1 + k2, 3 * k1 + 2 * k2
+    r18 = r1 * r8
+    return (
+        Fraction(k1 * k2 * k2 * (k1 + k2), den32 * den3 * den2 * den2) * r18 * r18,
+        Fraction(k1 * k2, den32 * den2) * r18 * r1,
+        Fraction(k2 * (k1 + k2), den2 * den3) * r18 * r8,
+        Fraction(k2, den2) * AlgScalar.root(2) * r18,
+        r1, r8, AlgScalar.one(),
+    )
+
+
 def example_family(k1: int, k2: int) -> tuple[Poly, ...]:
     """The two-parameter superhorizontal curve, exact, in e-coordinates.
 
-    Each component is a one- or two-term polynomial; the coefficients are
-    rational multiples of sqrt30, sqrt3, sqrt2, sqrt5 chosen so that the
-    curve is null for the bilinear form and its tangent is everywhere
-    cross-product-degenerate against the curve itself.
+    The diagonal form v_p = c_p * u_p of ``r_family`` at r1 = sqrt15 and
+    r8 = sqrt6, so each component has one or two terms, rational multiples
+    of sqrt30, sqrt3, sqrt2, sqrt5.  ValueError unless k1, k2 are positive ints.
     """
-    if not (isinstance(k1, int) and isinstance(k2, int)) or k1 < 1 or k2 < 1:
-        raise ValueError("k1 and k2 must be positive integers")
-    a = AlgScalar.term(30, Fraction(3 * k2 * (k1 + k2), (3 * k1 + k2) * (2 * k1 + k2)))
-    b = AlgScalar.term(3, Fraction(15 * k1 * k2, (3 * k1 + 2 * k2) * (2 * k1 + k2)))
-    c_im = Fraction(
-        45 * k1 * k2 * k2 * (k1 + k2),
-        (3 * k1 + 2 * k2) * (3 * k1 + k2) * (2 * k1 + k2) ** 2,
-    )
-    c = AlgScalar.term(2, 0, c_im)
-    d = AlgScalar.term(5, Fraction(6 * k2, 2 * k1 + k2))
-    half = Fraction(1, 2)
-    i_ = AlgScalar.i()
-    return (
-        Poly({k1 + k2: a, 3 * k1 + k2: AlgScalar.term(30, -half)}),
-        Poly({k1: b, 3 * k1 + 2 * k2: AlgScalar.term(3, 1)}),
-        Poly({0: c, 4 * k1 + 2 * k2: AlgScalar.term(2, 0, half)}),
-        Poly({2 * k1 + k2: d}),
-        Poly({k1 + k2: -i_ * a, 3 * k1 + k2: AlgScalar.term(30, 0, -half)}),
-        Poly({k1: -i_ * b, 3 * k1 + 2 * k2: AlgScalar.term(3, 0, 1)}),
-        Poly({0: AlgScalar.term(2, -c_im), 4 * k1 + 2 * k2: AlgScalar.term(2, half)}),
-    )
+    spec = SingularityTypeSpec.from_pair(k1, k2)
+    return _curve_of(spec.exponents(), [tuple(c * x if x else x for x in u)
+                                        for c, u in zip(_diagonal(k1, k2, *_CORNERS), _FRAME)])
 
 
 def lowest_curve() -> tuple[Poly, ...]:
@@ -158,6 +152,7 @@ class NormalFormCurve(namedtuple("NormalFormCurve", "spec vectors")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
 
     def __new__(cls, spec, vectors):
         if len(vectors) != _DIM or any(len(v) != _DIM for v in vectors):
@@ -238,6 +233,7 @@ class RFamilyParams(namedtuple("RFamilyParams", "r1 r2 r3 r4 r5 r6 r7 r8",
     corner ones must not vanish."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -249,8 +245,8 @@ class RFamilyParams(namedtuple("RFamilyParams", "r1 r2 r3 r4 r5 r6 r7 r8",
 def r_family(spec: SingularityTypeSpec, params: RFamilyParams) -> NormalFormCurve:
     """The eight-parameter deformation of the diagonal normal form.
 
-    The diagonal form has v_p = c_p * u_p, with c_p a product of powers of
-    the corners r1, r8 and a constant of the pair (k1, k2).  The family
+    The diagonal form v_p = c_p * u_p, c_p a product of powers of r1, r8 and
+    a constant of (k1, k2), is ``example_family`` at sqrt15, sqrt6.  The family
     moves it by one element of the Borel subgroup of G2^C:
     v_p = c_p * exp(N_A) * exp(t * N_45) * u_p, with t = r2 / r8, N_45 the
     derivation with d45 = 1 alone, and N_A = ``g2.derivation`` of
@@ -261,16 +257,8 @@ def r_family(spec: SingularityTypeSpec, params: RFamilyParams) -> NormalFormCurv
     (circle-symmetric) form.  Raises TypeError on a parameter that is not
     an AlgScalar, int or Fraction.
     """
-    k1, k2 = spec.k1, spec.k2
     r1, r2, r3, r4, r5, r6, r7, r8 = _scalars(params)
-    den2, den3, den32 = 2 * k1 + k2, 3 * k1 + k2, 3 * k1 + 2 * k2
-    diagonal = (
-        Fraction(k1 * k2 * k2 * (k1 + k2), den32 * den3 * den2 * den2) * r1 * r1 * r8 * r8,
-        Fraction(k1 * k2, den32 * den2) * r1 * r1 * r8,
-        Fraction(k2 * (k1 + k2), den2 * den3) * r1 * r8 * r8,
-        Fraction(k2, den2) * AlgScalar.root(2) * r1 * r8,
-        r1, r8, AlgScalar.one(),
-    )
+    diagonal = _diagonal(spec.k1, spec.k2, r1, r8)
     q = AlgScalar.term(2, Fraction(1, 4)) * r3
     n_t = derivation(0, 0, 0, r2 / r8, 0, 0)
     n_a = derivation(r7 - q * r4, r6 - q * r5, r3, 0, r4, r5)
@@ -286,12 +274,12 @@ def chart_scale(spec: SingularityTypeSpec, r1, r8) -> AlgScalar:
     """The positive solution r of r^n * r1 * r8 = sqrt90 (n = 2k1 + k2), exactly.
 
     The root is sought as s * sqrt(m) with m in ``RADICAL`` and s a positive
-    rational: s^n = q / sqrt(m)^n, with q = sqrt90 / (r1 r8), must be a
-    positive rational with an exact n-th root.  When q is a rational
-    multiple of one radical, a positive root in the field has this form:
-    each of its Galois conjugates is real with the same n-th power up to
-    sign, so it is the root up to sign.  Raises ValueError when no m gives
-    a root.
+    rational: s^n = q / sqrt(m)^n, with q = c_3(sqrt15, sqrt6) / c_3(r1, r8)
+    = sqrt90 / (r1 r8), must be a positive rational with an exact n-th root.
+    When q is a rational multiple of one radical, a positive root in the
+    field has this form: each of its Galois conjugates is real with the same
+    n-th power up to sign, so it is the root up to sign.  Raises ValueError
+    when no m gives a root.
     """
     n = 2 * spec.k1 + spec.k2
     r1, r8 = _scalars((r1, r8))
@@ -331,27 +319,17 @@ def normalizer(spec: SingularityTypeSpec, r1, r8) -> tuple[tuple[AlgScalar, ...]
     """The diagonal symmetry moving the deformation corners to standard size.
 
     Returns the exact 7x7 matrix U*diag(d)*U^H in e-coordinates as a tuple
-    of rows, U the matrix whose columns are the isotropic frame, and d fixed
-    by the corner parameters and the chart scale (ValueError when
-    ``chart_scale`` finds no root).  Column b is U times the vector
-    d_j * conj(U[b][j]).  The matrix preserves the cross product
-    (membership is testable via ``g2c_membership``), and conjugating the
-    diagonal deformation family by it, together with the chart change
-    z -> r*z, lands exactly on the two-parameter family.
+    of rows, U the matrix whose columns are the isotropic frame, and
+    d_p = c_p(sqrt15, sqrt6) / (c_p(r1, r8) * r^(K_p)), r from ``chart_scale``
+    (ValueError when it finds no root), whose equation is d_3 = 1: the
+    matrix fixes u_3.  Column b is U times the vector d_j * conj(U[b][j]).
+    It preserves the cross product (``g2c_membership``), and conjugating
+    the diagonal deformation family by it, with the chart change z -> r*z,
+    lands exactly on the two-parameter family.
     """
     r = chart_scale(spec, r1, r8)
-    r1, r8 = _scalars((r1, r8))
-    k1, k2 = spec.k1, spec.k2
-    root = AlgScalar.root
-    d = (
-        90 / (r1 * r1 * r8 * r8),
-        15 * root(6) / (r**k1 * r1 * r1 * r8),
-        6 * root(15) / (r ** (k1 + k2) * r1 * r8 * r8),
-        root(90) / (r ** (2 * k1 + k2) * r1 * r8),
-        root(15) / (r ** (3 * k1 + k2) * r1),
-        root(6) / (r ** (3 * k1 + 2 * k2) * r8),
-        1 / r ** (4 * k1 + 2 * k2),
-    )
+    std, here = (_diagonal(spec.k1, spec.k2, *c) for c in (_CORNERS, _scalars((r1, r8))))
+    d = [a / (b * r**e) for a, b, e in zip(std, here, spec.exponents())]
     cols = [_apply(_U, [dj * _conj(x) for dj, x in zip(d, row)]) for row in _U]
     return tuple(zip(*cols))
 

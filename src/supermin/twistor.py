@@ -34,6 +34,7 @@ class QuadricPoint(namedtuple("QuadricPoint", "x")):
     """Homogeneous coordinates of a quadric point, kept as a numpy vector."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # checked, and so is _replace
 
     def __new__(cls, x):
         import numpy as np

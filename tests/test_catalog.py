@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import warnings
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from supermin import catalog, g2, harmonic, plucker, twistor
 from supermin.field import RADICAL, AlgScalar
 from supermin.poly import Poly
+from supermin.serialize import curve_to_obj, dumps_canonical
 
 
 def curves_equal(a, b) -> bool:
@@ -23,6 +25,55 @@ def test_example_family_validates_input():
         catalog.example_family(0, 1)
     with pytest.raises(ValueError):
         catalog.example_family(1, -2)
+
+
+# sha256 of ``gen``'s bytes, dumps_canonical(curve_to_obj(example_family(k1, k2), (k1, k2))),
+# recorded when the family was a hand-expanded table of e-coordinates
+FAMILY_SHA256 = {
+    (1, 1): "8db307e2b5f5674ed5a2b8cef08750d8b19991724377c95adf7c93bf8e4b0a41",
+    (1, 2): "bbb72b790de5d07ac40f5e972d85479f36b2e11153625670491df4d824362bf6",
+    (1, 3): "e503eda4a5129d7f208c6b72baa3067629d1036845990cf84497618c01b0733a",
+    (1, 4): "6680f5b6038ed316fb211fbd522202ef3685712325b2c2e40722567983bbfbe0",
+    (1, 5): "eb5d8f0f5740fc24e3a71f0a43b12eb6a47636394ac3df214082322460285c1e",
+    (1, 6): "c833018c736aa081b873bdc13e22b5724d25e79691db0bf723af293c7d7216df",
+    (2, 1): "511c45fffd88632c5c7e5edb5394d4f495cbe486cc99f6f479df9808500656d2",
+    (2, 2): "0a534ea97c67d6931c5ebd41a798e91c240735bcebc431b7a7ad4e54e1a4f73d",
+    (2, 3): "834fca8e79749747944789f114f4531b24a91dd5de83be80a2b2ad989557505c",
+    (2, 4): "ca4b8ac38a43664bd4225460d7477e506b1114a7fbe1802d0b90287e49e8029a",
+    (2, 5): "e884218f0dae92419b5e54bad1431b4c002604a4a204a431bcaa2102fe3c0319",
+    (2, 6): "f3420ba52b5ca29391f5209fe8cd09d7aa6ab6fe28073d09b7de633118c67572",
+    (3, 1): "c955d4ec092b4adfcceb62d1bddb4c340fdffb1904e5266ac39a5752303aafd9",
+    (3, 2): "ca4535c73b27ab86cde4ed2e171e72e95a8da29b4e2b972ecb52d8ab846c7582",
+    (3, 3): "dcee97862803295d0635cb30f35d7448cfcd783ab7a9b695c4018eb923d53d23",
+    (3, 4): "d3b1af1765624dc362653819ae46e266d62f7ad212f1aaa0a805c9f7c796e4e4",
+    (3, 5): "64df9044608f8b774a0d0f642cf919c210e47a9b8f410c39f7f6fcc5200178c9",
+    (3, 6): "2da9423a4b6974df02021b59c90453d06a5b3f500834527fc93a3f5e0663070b",
+    (4, 1): "bdae6f3013a4cb08239d267790a5ca4e578e3eb89bd9bc7a58f7382c610e3969",
+    (4, 2): "3d9c478f5fa0d97885cee24c2221ae0d5f5d1dbec597c571fb0e1b706e2916b5",
+    (4, 3): "42dee55d94189a72f2e5d3693109001fc1f6e11e9240ce8d8b06115f7a202b83",
+    (4, 4): "8fbcaf272a52b5e18baab8c75d58a8ea4f75d112b2797877352e723a3ca5f717",
+    (4, 5): "99ed78b6c936a2a53da0254d520e2699b690426715d7b790a4497af27fd44e9b",
+    (4, 6): "039224f471615f7a2f70d1035437e02032b54c65cbebdff1dcdaa3dccad249fa",
+    (5, 1): "f23802aac527f6e819fb6733e5a6466570cb6c196a21d43f49841444c6f9ce26",
+    (5, 2): "97f2c7805f591df47461bdc02656b62ef9040031cd85ee539a8adac2375020c6",
+    (5, 3): "0103fdb0234b4f3bf93fb52da338fc2c3d4e01d907689ce380951b862b57b7e8",
+    (5, 4): "a9f2918a62b3b95ef8cb2c53102dc86f1d26cd7d92a0e68e4b822b26d9edba96",
+    (5, 5): "4bd1084cccbcaa8aebe6ee19b2758af7f070f3d280bb322997fabef1c555bd2c",
+    (5, 6): "c4f651e01cb16c33834b16cff93e856d87ea62d903ba87dc30c8626eb5a99105",
+    (6, 1): "06ee725ee87bfccea712ad83360174b846f68503073d49ab770a5de6591d5b46",
+    (6, 2): "dea73a6dbb00a2a3e151156315fd22718746de32a6e8ce2fda8647dde8d48e2d",
+    (6, 3): "fd5f4cf8cba3c76846b5c51c98a8f22ed38a44bc79d3dabc758472875c8bcc83",
+    (6, 4): "a6c8b4402dd2ec672d697eb66c2079f65899490528942d5ff95d5bfc4c0ca699",
+    (6, 5): "fe65f19db62072e6e253f5bc5e72f963fbef55ce5b598fda290a0c63705a454f",
+    (6, 6): "028ac51dce562fc5b6b30b086d904bb2a57d1338b24aa20cffb32082fe09183a",
+}
+
+
+@pytest.mark.parametrize("pair", list(FAMILY_SHA256), ids=str)
+def test_example_family_matches_its_pinned_hash(pair):
+    """The gen bytes of 36 pairs, where the golden files cover five."""
+    text = dumps_canonical(curve_to_obj(catalog.example_family(*pair), pair))
+    assert hashlib.sha256(text.encode()).hexdigest() == FAMILY_SHA256[pair]
 
 
 def test_family_support_is_the_ladder(family_curves):
@@ -243,6 +294,15 @@ def test_rfamily_diagonal_is_circle_symmetric():
     assert ok
 
 
+def test_rfamily_zero_orbit_is_the_family(family_curves):
+    """With every interior parameter zero, exp_apply moves nothing, and the
+    corners sqrt15, sqrt6 give back ``example_family`` exactly."""
+    params = catalog.RFamilyParams(r1=AlgScalar.root(15), r8=AlgScalar.root(6))
+    for pair, curve in family_curves.items():
+        spec = catalog.SingularityTypeSpec.from_pair(*pair)
+        assert catalog.r_family(spec, params).to_curve() == curve, pair
+
+
 def test_rfamily_takes_ints_and_fractions():
     spec = catalog.SingularityTypeSpec.from_pair(1, 2)
     plain = catalog.RFamilyParams(r1=2, r2=Fraction(1, 3), r4=-1, r8=Fraction(-5, 2))
@@ -317,6 +377,18 @@ def test_chart_scale_refuses_a_root_outside_the_field(q):
         catalog.chart_scale(spec, r1, AlgScalar.one())
     with pytest.raises(ValueError, match="no r = s"):
         catalog.normalizer(spec, r1, AlgScalar.one())
+
+
+def test_normalizer_is_the_identity_at_the_family_corners(family_curves):
+    """At r1 = sqrt15, r8 = sqrt6 the chart scale is 1 and every d_p is
+    c_p / c_p = 1, so the normalizer is the identity matrix."""
+    r1, r8 = AlgScalar.root(15), AlgScalar.root(6)
+    identity = tuple(tuple(AlgScalar.one() if i == j else AlgScalar.zero() for j in range(7))
+                     for i in range(7))
+    for pair in family_curves:
+        spec = catalog.SingularityTypeSpec.from_pair(*pair)
+        assert catalog.chart_scale(spec, r1, r8) == AlgScalar.one(), pair
+        assert catalog.normalizer(spec, r1, r8) == identity, pair
 
 
 def test_normalizer_is_exact_group_element():
@@ -430,3 +502,33 @@ def test_records_are_immutable_values(name):
             setattr(record, field, getattr(record, field))
     rebuilt = type(record)(**{field: getattr(record, field) for field in fields})
     assert rebuilt == record
+
+
+_REFUSED = {
+    "RFamilyParams._replace": (lambda: catalog.RFamilyParams(r1=2)._replace(r1=0), "corner"),
+    "RFamilyParams._make": (lambda: catalog.RFamilyParams._make((0,) * 8), "corner"),
+    "SingularityTypeSpec._make": (
+        lambda: catalog.SingularityTypeSpec._make([(1, 2, 3, 4, 5, 6)]), "pattern"),
+    "SingularityTypeSpec._replace": (lambda: _SPEC11._replace(k=(1, 1, 1)), "six positive"),
+    "NormalFormCurve._replace": (lambda: catalog.normal_form_of(
+        catalog.example_family(1, 1), _SPEC11)._replace(vectors=()), "seven direction"),
+    "QuadricPoint._make": (lambda: twistor.QuadricPoint._make([[0] * 7]), "zero vector"),
+    "QuadricPoint._replace": (lambda: _point()._replace(x=[1, 0, 0, 0, 0, 0, 0]), "quadric"),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSED))
+def test_make_and_replace_refuse_what_the_constructor_refuses(name):
+    """``_make``, and ``_replace`` through it, run the constructor's checks."""
+    build, match = _REFUSED[name]
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+@pytest.mark.parametrize("name", list(_RECORDS))
+def test_records_rebuild_through_make_and_replace(name):
+    """A valid record comes back from both with its own type and fields."""
+    record = _RECORDS[name][0]()
+    for rebuilt in (type(record)._make(record), record._replace()):
+        assert type(rebuilt) is type(record)
+        assert all(a is b for a, b in zip(rebuilt, record))
