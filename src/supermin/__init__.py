@@ -10,14 +10,14 @@ Importing the package loads no numpy: the exact layers and the float
 audit of ``verify`` run on Python ints and floats, and the modules that
 make arrays import numpy where they make them.  It does ask OpenBLAS for
 one thread unless ``OPENBLAS_NUM_THREADS`` is already set, so that numpy,
-once loaded, starts no OpenBLAS worker: supermin makes no BLAS call, and
-an idle worker spins on a second CPU.  A caller who wants threaded BLAS
+once loaded, starts no OpenBLAS worker: supermin's commands make no BLAS
+call, and an idle worker spins on a second CPU.  A caller who wants threaded BLAS
 for their own work sets the variable, or imports numpy before supermin.
 """
 
 import os
 
-# supermin makes no BLAS call; an OpenBLAS worker thread would only spin.
+# The commands make no BLAS call; an OpenBLAS worker thread would only spin.
 # Set before any command can load numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

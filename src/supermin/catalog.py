@@ -279,10 +279,12 @@ def chart_scale(spec: SingularityTypeSpec, r1, r8) -> AlgScalar:
     When q is a rational multiple of one radical, a positive root in the
     field has this form: each of its Galois conjugates is real with the same
     n-th power up to sign, so it is the root up to sign.  Raises ValueError
-    when no m gives a root.
+    on a zero corner, as ``RFamilyParams`` does, or when no m gives a root.
     """
     n = 2 * spec.k1 + spec.k2
     r1, r8 = _scalars((r1, r8))
+    if not (r1 and r8):
+        raise ValueError("corner parameters r1 and r8 must be nonzero")
     q = AlgScalar.root(90) / (r1 * r8)
     for m in RADICAL:
         sqrt_m = AlgScalar.root(m)
@@ -321,11 +323,11 @@ def normalizer(spec: SingularityTypeSpec, r1, r8) -> tuple[tuple[AlgScalar, ...]
     Returns the exact 7x7 matrix U*diag(d)*U^H in e-coordinates as a tuple
     of rows, U the matrix whose columns are the isotropic frame, and
     d_p = c_p(sqrt15, sqrt6) / (c_p(r1, r8) * r^(K_p)), r from ``chart_scale``
-    (ValueError when it finds no root), whose equation is d_3 = 1: the
-    matrix fixes u_3.  Column b is U times the vector d_j * conj(U[b][j]).
-    It preserves the cross product (``g2c_membership``), and conjugating
-    the diagonal deformation family by it, with the chart change z -> r*z,
-    lands exactly on the two-parameter family.
+    (ValueError on a zero corner or when it finds no root), whose equation
+    is d_3 = 1: the matrix fixes u_3.  Column b is U times the vector
+    d_j * conj(U[b][j]).  It preserves the cross product (``g2c_membership``),
+    and conjugating the diagonal deformation family by it, with the chart
+    change z -> r*z, lands exactly on the two-parameter family.
     """
     r = chart_scale(spec, r1, r8)
     std, here = (_diagonal(spec.k1, spec.k2, *c) for c in (_CORNERS, _scalars((r1, r8))))

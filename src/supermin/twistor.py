@@ -10,7 +10,9 @@ for tangent representatives v with (v, x) = 0 and <v, x> = 0.  The tangent
 space splits as  V + H' + D:  the vertical space V (kernel of the
 pushforward) is cut out by  x cross vbar = 0, the superhorizontal space H' by
 x cross v = 0, and D is the rest of the horizontal space, spanned by the base
-point itself seen as a complex tangent vector.
+point itself seen as a complex tangent vector.  In closed form, with
+x = lambda (a + ib), a and b real orthonormal and c = a cross b: H' is
+{w + i (w cross c) : w perp a, b, c}, V its conjugate, D the line of c.
 
 Fubini-Study lengths are normalized as ||v|| = 2|v| / |x|, so the pushforward
 preserves lengths on H' and contracts by sqrt(2) on D.
@@ -115,47 +117,31 @@ def fs_norm(x, v) -> float:
     return 2.0 * np.linalg.norm(vf) / np.linalg.norm(xf)
 
 
-def _cross_matrix(x):
-    import numpy as np
-    cols = [cross(x, np.eye(7, dtype=complex)[j]) for j in range(7)]
-    return np.column_stack([np.asarray(c) for c in cols])
-
-
-def _nullspace(m):
-    import numpy as np
-    _, s, vh = np.linalg.svd(m)
-    cutoff = _REL_TOL * (s[0] if len(s) and s[0] > 0 else 1.0)
-    null = vh[np.sum(s > cutoff):]
-    return null.conjugate()  # rows span the kernel
-
-
-def _orthonormal_within(vectors, conditions):
-    """Orthonormal basis of {v in span(vectors) : <v, c> = 0 for all c}."""
-    import numpy as np
-    if not len(vectors):
-        return vectors
-    coeff_rows = [vectors @ c.conjugate() for c in conditions]
-    coeffs = _nullspace(np.array(coeff_rows)) if coeff_rows else np.eye(len(vectors))
-    sub = coeffs @ vectors
-    q, _ = np.linalg.qr(sub.T)
-    return q.T[: len(sub)]
-
-
 def split_tangent(point: QuadricPoint) -> TangentSplit:
-    """Orthonormal bases of V, H' and D at the given quadric point."""
+    """Orthonormal bases of V, H' and D at the given quadric point.
+
+    x is a complex multiple of a + ib: a = Re x / |Re x|, b = Im x less its
+    a part, normalized (so the bases stay orthonormal at a nearly null x).
+    D is the line of c = a x b = -project(x).  Cross products with a, b, c
+    act on W = {a, b, c}^perp as a quaternionic triple, so H' has the basis
+    (w + i (w x c)) / sqrt2 for w = u and a x u, u the standard axis least
+    in span {a, b, c} less its a, b, c parts (squared norm at least 4/7),
+    normalized; V is the conjugate of H'.  Elementwise only: no BLAS call.
+    """
     import numpy as np
+
+    def unit(v):
+        return v / np.sqrt((v * v).sum())
+
     x = point.x
-    null_x = _nullspace(_cross_matrix(x))          # span {x} + H'
-    hp = _orthonormal_within(null_x, [x])           # hermitian-orthogonal to x
-    vert = _orthonormal_within(null_x.conjugate(), [x.conjugate()])
-    if hp.shape[0] != 2 or vert.shape[0] != 2:
-        raise ValueError("degenerate tangent split (point off the quadric?)")
-    # tangent gauge: (v, x) = 0 and <v, x> = 0
-    tangent = _nullspace(np.array([x, x.conjugate()]))
-    rest = _orthonormal_within(tangent, list(vert) + list(hp))
-    if rest.shape[0] != 1:
-        raise ValueError("horizontal complement is not a complex line")
-    return TangentSplit(vertical=vert, superhorizontal=hp, horizontal_rest=rest)
+    a = unit(x.real)
+    b = unit(x.imag - (x.imag * a).sum() * a)
+    c = np.array(cross(a, b))
+    j = np.argmin(a * a + b * b + c * c)
+    u = unit(np.eye(7)[j] - (a[j] * a + b[j] * b + c[j] * c))
+    hp = np.array([w + 1j * np.array(cross(w, c)) for w in (u, np.array(cross(a, u)))])
+    hp /= np.sqrt(2.0)
+    return TangentSplit(hp.conjugate(), hp, c[None].astype(complex))
 
 
 def random_quadric_point(rng) -> QuadricPoint:

@@ -379,6 +379,17 @@ def test_chart_scale_refuses_a_root_outside_the_field(q):
         catalog.normalizer(spec, r1, AlgScalar.one())
 
 
+@pytest.mark.parametrize("function", [catalog.chart_scale, catalog.normalizer],
+                         ids=["chart_scale", "normalizer"])
+@pytest.mark.parametrize("corners", [(0, 1), (AlgScalar.root(15), 0)], ids=["r1", "r8"])
+def test_zero_corner_is_refused_as_the_family_refuses_it(function, corners):
+    """A zero r1 or r8 raises the ValueError of ``RFamilyParams``, not a
+    division by zero."""
+    spec = catalog.SingularityTypeSpec.from_pair(2, 2)
+    with pytest.raises(ValueError, match="corner parameters r1 and r8 must be nonzero"):
+        function(spec, *corners)
+
+
 def test_normalizer_is_the_identity_at_the_family_corners(family_curves):
     """At r1 = sqrt15, r8 = sqrt6 the chart scale is 1 and every d_p is
     c_p / c_p = 1, so the normalizer is the identity matrix."""

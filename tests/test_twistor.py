@@ -6,6 +6,7 @@ import pytest
 from supermin import catalog, g2, harmonic, twistor
 from supermin.field import AlgScalar
 from supermin.poly import evaluate, one_scale
+from test_cli import BLAS_ENTRY_POINTS
 
 
 def std_c(i):
@@ -146,6 +147,60 @@ def test_superhorizontal_space_at_reference_point():
     split = twistor.split_tangent(pt)
     for v in split.superhorizontal:
         assert np.linalg.norm(np.array(g2.cross(x, v), dtype=complex)) < 1e-10
+
+
+# 20 random points, one of them times a complex factor, and [e1 + i e5]
+SPLIT_CASES = [f"random-{seed}" for seed in range(20)] + ["scaled-7", "e1+ie5"]
+
+
+def split_case(case):
+    """The quadric point a tangent-split test case names."""
+    if case == "e1+ie5":
+        return twistor.QuadricPoint(std_c(0) + 1j * std_c(4))
+    kind, seed = case.split("-")
+    x = twistor.random_quadric_point(np.random.default_rng(int(seed))).x
+    return twistor.QuadricPoint(300 * np.exp(2j) * x if kind == "scaled" else x)
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_split_blocks_have_their_defining_properties(case):
+    """H' is 2-dimensional in x cross v = 0, V is 2-dimensional in
+    x cross vbar = 0, D is the line of project(x), and all five vectors are
+    tangent ((v, x) = 0 and <v, x> = 0) and orthonormal: together these fix
+    each block, so no other construction is needed as an oracle."""
+    pt = split_case(case)
+    x = pt.x
+    split = twistor.split_tangent(pt)
+    assert [b.shape for b in split] == [(2, 7), (2, 7), (1, 7)]
+    assert all(b.dtype == complex for b in split)
+    tol = 1e-12 * np.linalg.norm(x)
+    for v in split.superhorizontal:
+        assert np.abs(np.array(g2.cross(x, v))).max() < tol
+    for v in split.vertical:
+        assert np.abs(np.array(g2.cross(x, v.conjugate()))).max() < tol
+    five = np.vstack(split)
+    assert np.abs(five @ x).max() < tol                 # (v, x) = 0
+    assert np.abs(five @ x.conjugate()).max() < tol     # <v, x> = 0
+    assert np.abs(five.conjugate() @ five.T - np.eye(5)).max() < 1e-12
+    d, base = split.horizontal_rest[0], twistor.project(x)
+    assert np.linalg.norm(d - np.vdot(base, d) * base) < 1e-12
+
+
+def test_split_makes_no_blas_call(monkeypatch):
+    """``split_tangent`` gives the same bases with every numpy entry point
+    that can reach BLAS made to raise (the points are built before)."""
+    points = [split_case(case) for case in SPLIT_CASES]
+    want = [twistor.split_tangent(pt) for pt in points]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a BLAS entry point was called")
+
+    for module, names in BLAS_ENTRY_POINTS.items():
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+    for pt, split in zip(points, want):
+        for got, block in zip(twistor.split_tangent(pt), split):
+            assert (got == block).all()
 
 
 # ---------------------------------------------------------------------------
