@@ -6,8 +6,8 @@ exact arithmetic over Q(i, sqrt2, sqrt3, sqrt5), and verifies the classical
 invariants: cross-product tables, reality and norm-product identities,
 singularity types, osculating-curve degrees and areas.
 
-Importing the package loads no numpy: the exact layers and the float
-audit of ``verify`` run on Python ints and floats, and the modules that
+Importing the package loads no numpy: the exact layers run on Python
+ints, ``verify``'s float audit on complex numbers, and the modules that
 make arrays import numpy where they make them.  It does ask OpenBLAS for
 one thread unless ``OPENBLAS_NUM_THREADS`` is already set, so that numpy,
 once loaded, starts no OpenBLAS worker: supermin's commands make no BLAS

@@ -170,14 +170,18 @@ class NormalFormCurve(namedtuple("NormalFormCurve", "spec vectors")):
 def normal_form_of(curve, spec: SingularityTypeSpec) -> NormalFormCurve:
     """Read the direction vectors of a polynomial curve off its coefficients.
 
-    Fails when the curve's support is not contained in the given exponent
-    ladder.
+    The support is first shifted down by its lowest exponent, as
+    ``poly.primitive_parts`` divides out z^c: z^c f is f in CP^6.  Fails when
+    the shifted support is not contained in the given exponent ladder.  On
+    the ladder, a linearly full curve has seven independent vectors, one at
+    each exponent, so its singularity type at 0 and at infinity is the spec's.
     """
     exps = spec.exponents()
     support = set().union(*(comp.terms for comp in curve))
-    if not support <= set(exps):
+    low = min(support, default=0)
+    if not {e - low for e in support} <= set(exps):
         raise ValueError(f"curve support {sorted(support)} not on the ladder {exps}")
-    return NormalFormCurve(spec=spec, vectors=_vectors_at(curve, exps))
+    return NormalFormCurve(spec=spec, vectors=_vectors_at(curve, [e + low for e in exps]))
 
 
 # ------------------------------------------------------------------ weights

@@ -139,7 +139,7 @@ def _coefficient_reality(curve, k) -> dict:
         spec = catalog.SingularityTypeSpec.from_pair(k[0], k[1])
         form = catalog.normal_form_of(curve, spec)
     except ValueError as exc:
-        return {"passed": True, "skipped": True, "error": f"skipped: {exc}"}
+        return {"passed": False, "error": str(exc)}
     ok, mu = catalog.reality_check(form)
     return {"passed": ok, "mu": mu}
 

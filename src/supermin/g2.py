@@ -6,14 +6,16 @@ e_7 = e_3 x e_4).  Entry t in row i, column j (0-based) means
 
     e_{i+1} x e_{j+1} = sign(t) * e_{|t|}
 
-with 0 for a vanishing product.  Everything here is generic over the scalar
-ring: entries of the vectors may be AlgScalar, Poly, BiPoly, complex
-numbers or numpy scalars; they only need +, *, unary - and truthiness.
+with 0 for a vanishing product.  The products below are generic over the
+scalar ring: entries may be AlgScalar, Poly, BiPoly, complex numbers or
+numpy scalars; they need only +, * and unary -, and none is tested for zero.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
 from .field import AlgScalar, as_scalar
 
@@ -43,16 +45,12 @@ CROSS_TERMS = tuple(
 
 
 def cross(x, y) -> list:
-    """Cross product of two 7-vectors with entries in any common scalar ring."""
-    out = []
-    for comp in CROSS_TERMS:
-        acc = None
-        for sign, i, j in comp:
-            if x[i] and y[j]:
-                v = x[i] * y[j] if sign > 0 else -(x[i] * y[j])
-                acc = v if acc is None else acc + v
-        out.append(x[0] * 0 if acc is None else acc)
-    return out
+    """Cross product of two 7-vectors with entries in any common scalar ring:
+    each component's six products, zero factors included (0 * inf is NaN in
+    floats), added in table order."""
+    return [reduce(operator.add, (x[i] * y[j] if sign > 0 else -(x[i] * y[j])
+                                  for sign, i, j in comp))
+            for comp in CROSS_TERMS]
 
 
 def dot(x, y):

@@ -31,13 +31,12 @@ Identity checks are done on the polynomial level by cross-multiplication
 from __future__ import annotations
 
 import math
-import operator
-from functools import cached_property, partial, reduce
+from functools import cached_property
 from itertools import combinations
 
 from .field import AlgScalar, product_sum, products_vanish
-# cross and wedge_pair are re-exported: perfbench/tracer.py wraps them under these names.
-from .g2 import CROSS_TERMS, cross, wedge_pair  # noqa: F401
+# wedge_pair is re-exported: perfbench/tracer.py wraps it under this name.
+from .g2 import CROSS_TERMS, cross, dot, hdot, wedge_pair  # noqa: F401
 from .poly import BiPoly, Poly, evaluate, hermitian_sum, primitive_parts
 
 _DIM = 7
@@ -437,27 +436,6 @@ FRAME_CROSS_TABLE = (
 )
 
 
-def _cross_parts(xr, xi, yr, yi):
-    """x cross y for 7-vectors of (re, im) floats, summed in table order."""
-    outr, outi = [], []
-    for comp in CROSS_TERMS:
-        accr = acci = 0.0
-        for sign, i, j in comp:
-            pr = xr[i] * yr[j] - xi[i] * yi[j]
-            pi = xr[i] * yi[j] + xi[i] * yr[j]
-            if sign > 0:
-                accr, acci = accr + pr, acci + pi
-            else:
-                accr, acci = accr - pr, acci - pi
-        outr.append(accr)
-        outi.append(acci)
-    return outr, outi
-
-
-# the values added in order, starting from the first
-_sum = partial(reduce, operator.add)
-
-
 def _div(a: float, b: float) -> float:
     """a / b, with numpy's inf or NaN where a float division by zero raises."""
     try:
@@ -482,65 +460,55 @@ def _pow(r: float, e: int) -> float:
         return math.inf
 
 
-def _frame_parts(seq: HarmonicSequence, zr: float, zi: float):
-    """The unit-gauge frame at the point zr + i*zi, as (re, im) 7x7 lists of
-    floats: row p holds f_p = E_p / D_{p-1}.  Values that are not finite
-    come out inf or NaN, as numpy gives them, for the audit to see."""
+def _frame(seq: HarmonicSequence, z: complex) -> list[list[complex]]:
+    """The unit-gauge frame at the point z, as 7 rows of 7 complex numbers:
+    row p holds f_p = E_p / D_{p-1}.  Values that are not finite come out
+    inf or NaN, as numpy gives them, for the audit to see."""
     sections = [c for p in range(_DIM) for c in seq.raw_sections[p]]
-    dets = evaluate([seq.gram_det(p - 1) for p in range(_DIM)], zr, zi, real_only=True)
-    vals = evaluate(sections, zr, zi)
+    dets = evaluate([seq.gram_det(p - 1) for p in range(_DIM)], z.real, z.imag, real_only=True)
+    vals = evaluate(sections, z.real, z.imag)
     # f_p[c] is (E / D) * 2^(kE - kD); one common 2^-top keeps it in range
     shift = [[vals[_DIM * p + c][2] - dets[p][2] for c in range(_DIM)] for p in range(_DIM)]
     top = max(map(max, shift))
-    fr = [[_ldexp(_div(vals[_DIM * p + c][0], dets[p][0]), shift[p][c] - top)
-           for c in range(_DIM)] for p in range(_DIM)]
-    fi = [[_ldexp(_div(vals[_DIM * p + c][1], dets[p][0]), shift[p][c] - top)
-           for c in range(_DIM)] for p in range(_DIM)]
+    f = [[complex(_ldexp(_div(re, d), k - top), _ldexp(_div(im, d), k - top))
+          for (re, im, _), k in zip(vals[_DIM * p:_DIM * p + _DIM], shift[p])]
+         for p, (d, _, _) in enumerate(dets)]
     # the gauge: one scalar 1/sqrt(s), s the bilinear square of f_3
-    sr = _sum(a * a - b * b for a, b in zip(fr[3], fi[3]))
-    si = _sum(a * b + b * a for a, b in zip(fr[3], fi[3]))
-    m = math.sqrt(sr * sr + si * si)
-    t = math.sqrt(0.5 * (m + abs(sr)))
-    if sr >= 0:
-        qr, qi = t, _div(si, t + t)
+    s = dot(f[3], f[3])
+    m = math.sqrt(s.real * s.real + s.imag * s.imag)
+    t = math.sqrt(0.5 * (m + abs(s.real)))
+    if s.real >= 0:
+        qr, qi = t, _div(s.imag, t + t)
     else:
-        qr, qi = _div(abs(si), t + t), math.copysign(t, si)
-    gr, gi = _div(qr, m), _div(-qi, m)
-    fr, fi = ([[a * gr - b * gi for a, b in zip(ra, rb)] for ra, rb in zip(fr, fi)],
-              [[a * gi + b * gr for a, b in zip(ra, rb)] for ra, rb in zip(fr, fi)])
+        qr, qi = _div(abs(s.imag), t + t), math.copysign(t, s.imag)
+    g = complex(_div(qr, m), _div(-qi, m))
+    f = [[x * g for x in row] for row in f]
     # its sign: the cross product of f_3 and f_4 measures +i on f_4
-    wr, wi = _cross_parts(fr[3], fi[3], fr[4], fi[4])
-    sign = -1.0 if _sum(a * c - b * d for a, b, c, d in zip(fr[4], fi[4], wi, wr)) < 0 else 1.0
-    return ([[a * sign for a in row] for row in fr], [[b * sign for b in row] for row in fi])
+    return [[-x for x in row] for row in f] if hdot(cross(f[3], f[4]), f[4]).imag < 0 else f
 
 
 def measured_cross_constants(seq: HarmonicSequence, z: complex) -> dict:
     """All 7x7 cross products of the unit-gauge frame at the point z,
     resolved against the table's target section; zero entries report a
-    residual instead.  Plain floats, one point at a time, with the
-    operations numpy arrays of points would do, in their order.
+    residual instead.  Python complex numbers, one point at a time, with
+    the operations numpy arrays of points would do, in their order.
     """
-    z = complex(z)
-    fr, fi = _frame_parts(seq, z.real, z.imag)
-    sq = [_sum(a * a + b * b for a, b in zip(fr[i], fi[i])) for i in range(_DIM)]
+    f = _frame(seq, complex(z))
+    sq = [hdot(row, row).real for row in f]
     norm = [math.sqrt(v) for v in sq]
     out = {}
     for i in range(_DIM):
         for j in range(_DIM):
-            wr, wi = _cross_parts(fr[i], fi[i], fr[j], fi[j])
+            w = cross(f[i], f[j])
             entry = FRAME_CROSS_TABLE[i][j]
             if entry == 0:
-                size = math.sqrt(_sum(a * a + b * b for a, b in zip(wr, wi)))
-                out[(i, j)] = ("zero", _div(size, norm[i] * norm[j]))
+                out[(i, j)] = ("zero", _div(math.sqrt(hdot(w, w).real), norm[i] * norm[j]))
             else:
                 _, k = entry
-                tr, ti = fr[k], fi[k]
-                cr = _div(_sum(a * c + b * d for a, b, c, d in zip(tr, ti, wr, wi)), sq[k])
-                ci = _div(_sum(a * d - b * c for a, b, c, d in zip(tr, ti, wr, wi)), sq[k])
-                rr = [c - (cr * a - ci * b) for a, b, c in zip(tr, ti, wr)]
-                ri = [d - (cr * b + ci * a) for a, b, d in zip(tr, ti, wi)]
-                resid = _div(math.sqrt(_sum(a * a + b * b for a, b in zip(rr, ri))), norm[k])
-                out[(i, j)] = ("scalar", complex(cr, ci), resid)
+                d = hdot(w, f[k])
+                c = complex(_div(d.real, sq[k]), _div(d.imag, sq[k]))
+                r = [b - c * a for a, b in zip(f[k], w)]
+                out[(i, j)] = ("scalar", c, _div(math.sqrt(hdot(r, r).real), norm[k]))
     return out
 
 
@@ -598,8 +566,8 @@ def check_cross_table(
     (c) the proportionality scalars, read off in the unit gauge at sample
         points, match the table's integer multiples of i within
         ``_SCALAR_TOL``.  The points are taken one at a time in Python
-        floats (``measured_cross_constants``), with the operations, and so
-        the bits, of numpy arrays.
+        complex numbers (``measured_cross_constants``), with the
+        operations, and so the bits, of numpy arrays.
     """
     sections = seq.raw_sections
     zero_ok: dict[tuple[int, int], bool] = {}

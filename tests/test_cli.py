@@ -184,8 +184,9 @@ def test_scaled_member_exits_cleanly(scaled_12_files, name, command, capsys, tmp
 @pytest.mark.parametrize("name", ["z_power", "z_power_30", "z_power_400"])
 def test_z_power_multiple_verifies_as_the_member(scaled_12_files, name, tmp_path):
     """The (1,2) member times z^N is the member in CP^6, and the chain is
-    built with z^N divided out: verify prints the member's chain records.
-    coefficient_reality is skipped, as the file's support is off the ladder."""
+    built with z^N divided out: verify prints the member's records.  The
+    coefficient vectors are read with the support shifted down by N, so
+    coefficient_reality has the member's mu too."""
     member = tmp_path / "member.json"
     member.write_text(dumps_canonical(curve_to_obj(catalog.example_family(1, 2), (1, 2))))
     checks = []
@@ -193,10 +194,26 @@ def test_z_power_multiple_verifies_as_the_member(scaled_12_files, name, tmp_path
         out = tmp_path / f"{path.stem}.verify.json"
         assert cli.main(["verify", str(path), "--out", str(out)]) == 0
         checks.append(json.loads(out.read_text())["checks"])
-    assert "mu" in checks[0].pop("coefficient_reality")
-    skipped = checks[1].pop("coefficient_reality")
-    assert skipped["skipped"] and "not on the ladder" in skipped["error"]
+    assert "mu" in checks[0]["coefficient_reality"]
     assert checks[1] == checks[0]
+
+
+@pytest.mark.parametrize("k", [[2, 1], [1000000, 1]])
+def test_verify_fails_a_file_whose_k_tag_is_not_its_type(k, capsys, tmp_path):
+    """The (1,2) golden curve retagged: its support is off the tag's ladder,
+    so coefficient_reality fails and names the support, where it was once
+    skipped and verify exited 0.  Every other check still passes."""
+    obj = json.loads((Path(__file__).parent / "golden" / "gen_1_2.json").read_text())
+    obj["k"] = k
+    path = tmp_path / "retagged.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["verification failed: coefficient_reality"]
+    report = json.loads(out.read_text())
+    assert report["failed"] == ["coefficient_reality"]
+    rec = report["checks"]["coefficient_reality"]
+    assert rec["passed"] is False and "not on the ladder" in rec["error"]
 
 
 def test_report_ignores_monomial_content(scaled_12_files, tmp_path):

@@ -45,6 +45,18 @@ def test_cross_antisymmetric_and_alternating():
         assert all(c.is_zero() for c in g2.cross(x, x))
 
 
+def test_cross_forms_every_product():
+    """e_2 x (inf, 0, ..., 0): cross skips no product, so 0 * inf makes a
+    NaN wherever numpy's elementwise products make one."""
+    x = [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    y = [float("inf")] + [0.0] * 6
+    with np.errstate(invalid="ignore"):
+        prod = np.multiply.outer(x, y)
+    want = [sum(sign * prod[i, j] for sign, i, j in comp) for comp in g2.CROSS_TERMS]
+    assert np.isnan(want).any()
+    np.testing.assert_array_equal(g2.cross(x, y), want)
+
+
 def test_cross_orthogonal_to_factors_real():
     rng = random.Random(29)
     for _ in range(10):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import math
 from fractions import Fraction
 
@@ -74,10 +75,46 @@ def test_oracle_cross_scalars_at_10_points(seq11):
                 assert rec[2] < 1e-8
 
 
+# sha256 of the float.hex of every measured_cross_constants record, at the
+# curve's sample points and at 0, NaN and 30+4i; recorded from the audit on
+# (re, im) float lists, so the complex-number audit must keep every bit
+AUDIT_SHA256 = {
+    "1_1": "6bbf16baa2f087075393aeefa0d8db013dbe82d14abed619a4e80675b771b14c",
+    "1_2": "588cf351bc1982515ed5e431660872de61f94578881d57f04bf7b02789f99d8b",
+    "2_1": "a4c21ee4bbe18253f763117e4214b8f4327c879664ad3b3a72feb264d2c3e3fc",
+    "2_3": "29b1f2d0b6ae5968cab3a3b51124447bbea83bc080d69a48d6ea356189ee3d45",
+    "3_2": "9519e9be969bf94dcc2dce7c976f8063e7b20a42b67579eb39bdc2c3aed73817",
+    "50_50": "5dd2dfe0a3d9aa6ec92d885a9d5b65ec161587300cd8793f743ff1fe0fd08b7e",
+    "dense": "f85963fd1a5c08db58ba204d5a2fb819155da52980bca2dc6e86a2d1cd3c8fb2",
+    "lambda": "dd700d62605be7352e85efa93a2cf4dd09cf7d30144a37b0cf4ae8f2f3be13a8",
+}
+
+
+@pytest.mark.parametrize("name", list(AUDIT_SHA256))
+def test_frame_audit_matches_its_pinned_hash(name, dense_curve):
+    """Every bit of the float audit, not only the maximum error the goldens
+    print: family members, the dense and lambda golden curves, and a member
+    whose frame underflows to NaN at some sample points."""
+    if name == "dense":
+        curve = dense_curve
+    elif name == "lambda":
+        lam = AlgScalar.one() + AlgScalar.term(2, 1) + AlgScalar.term(3, 0, 1)
+        curve = tuple(p * lam for p in catalog.example_family(1, 2))
+    else:
+        curve = catalog.example_family(*map(int, name.split("_")))
+    seq = harmonic.build_sequence(curve)
+    digest = hashlib.sha256()
+    for z in harmonic.regular_sample_points(seq) + [0j, complex("nan"), 30 + 4j]:
+        for key, rec in harmonic.measured_cross_constants(seq, z).items():
+            parts = [f"{v.real.hex()},{v.imag.hex()}" if isinstance(v, complex) else v.hex()
+                     for v in rec[1:]]
+            digest.update(f"{key} {rec[0]} {' '.join(parts)}\n".encode())
+    assert digest.hexdigest() == AUDIT_SHA256[name]
+
+
 def test_oracle_frame_gauge_properties(seq11):
     z = 0.41 + 0.33j
-    fr, fi = harmonic._frame_parts(seq11, z.real, z.imag)
-    frame = np.array(fr) + 1j * np.array(fi)
+    frame = np.array(harmonic._frame(seq11, z))
     # rows stay mutually orthogonal (one common scalar cannot break that)
     gram = frame @ frame.conj().T
     off = gram - np.diag(np.diag(gram))
