@@ -24,11 +24,12 @@ Two radical folds multiply ints only, each with its own contract:
   order of first appearance in a sum or product, a cancelled one holding
   its place as (0, 0) until settled; float conversions sum them in that
   order.
-* ``_fold`` answers zero and equality tests (``products_vanish``,
-  ``product_sum``) on BiPoly sums of signed products.  It groups each
-  operand by radical mask and keys a monomial by one int, so its entries
-  come in no particular order, and none of its results may reach float
-  evaluation.
+* ``_fold`` answers zero and equality tests (``sums_vanish`` and
+  ``product_sums``, and their one-sum cases ``products_vanish`` and
+  ``product_sum``) on a batch of BiPoly sums of signed products.  It
+  packs each distinct operand of the batch once, grouped by radical mask,
+  and keys a monomial by one int, so its entries come in no particular
+  order, and none of its results may reach float evaluation.
 
 AlgScalar is the case with the single key 0.  Every operator is defined on
 the core and takes its other operand through one hook, ``_coerce``, which
@@ -94,12 +95,12 @@ def _settled(out: dict) -> dict:
     return {km: v for km, v in out.items() if v[0] or v[1]}
 
 
-def _by_mask(num: dict, s: int, t: int, f: int) -> list:
+def _by_mask(num: dict, s: int, t: int) -> list:
     """[(mask, [(key, value)])] of flat BiPoly numerators: z^a*zbar^b keyed
-    (a << s) | (b << 3), and (re, im) held as the one int f*(re + im*2^t)."""
+    (a << s) | (b << 3), and (re, im) held as the one int re + im*2^t."""
     rows: dict = {}
     for ((a, b), m), (re, im) in num.items():
-        rows.setdefault(m, []).append(((a << s) | (b << 3), (re + (im << t)) * f))
+        rows.setdefault(m, []).append(((a << s) | (b << 3), re + (im << t)))
     return list(rows.items())
 
 
@@ -108,76 +109,112 @@ def _bits(num: dict) -> int:
     return max(map(abs, itertools.chain.from_iterable(num.values())), default=0).bit_length()
 
 
-def _fold(terms) -> tuple[dict, int, int, int]:
-    """Sum of sign * x * y over the list of (sign, x, y) ``terms``, x and y BiPolys.
+def _fold(sums) -> tuple:
+    """The sums of sign * x * y, one for each list of (sign, x, y) terms in
+    ``sums``, x and y BiPolys, packing each distinct operand once.
 
-    Returns (sums, den, s, t): the sum is sums / den, and each monomial
-    z^a*zbar^b with mask m is keyed by the int (a << s) | (b << 3) | m,
-    s set by the largest zbar exponent so that a product's b fits below
-    a.  A part pair (re, im) is the int re + im*2^t, and every product
+    Returns (s, t, folds): ``folds`` yields (out, den) per sum, in order,
+    the sum being out / den, and each monomial z^a*zbar^b with mask m is
+    keyed in ``out`` by the int (a << s) | (b << 3) | m, s set by the
+    batch's largest zbar exponent so that a product's b fits below a.  A
+    part pair (re, im) is the int re + im*2^t, and every product of a sum
     goes into one dict unreduced.  Reduced modulo 2^(2t) + 1, where 2^t
     squares to -1, the packed ints multiply as complex numbers, and t is
-    large enough that each sum's parts lie strictly within +-2^(t-1): so
-    a sum is zero exactly when its residue is, and the residue gives back
-    both parts.  Each operand is grouped by mask, and each pair of masks
-    applies RADICAL[m1 & m2] and m1 ^ m2 once, outside the inner loop.
+    large enough that each sum's parts lie strictly within +-2^(t-1): so a
+    sum is zero exactly when its residue is, and the residue gives back
+    both parts.  Each operand is packed once for the batch (keyed by
+    identity, so a value shared by many products is grouped by mask once);
+    each pair of masks applies RADICAL[m1 & m2], m1 ^ m2 and the term's
+    sign and denominator factor once, outside the inner loop.  One sum's
+    dict is built at a time.
     """
-    den = math.lcm(*(x._den * y._den for _, x, y in terms))
-    top = max((b for _, x, y in terms for p in (x, y) for (_, b), _ in p._num), default=0)
+    operands = {id(p): p for terms in sums for _, x, y in terms for p in (x, y)}
+    bits = {key: _bits(p._num) for key, p in operands.items()}
+    top = max((b for p in operands.values() for (_, b), _ in p._num), default=0)
     s = 3 + (2 * top).bit_length()
-    factors = [sign * (den // (x._den * y._den)) for sign, x, y in terms]
-    # a product's parts are below 2 * 30 * |f| * 2^(bits x + bits y) <= 2^(bound - 1),
-    # so those of a sum of fewer than 2^(t - bound) products are below 2^(t - 1)
-    bound = max((abs(f).bit_length() + _bits(x._num) + _bits(y._num) + 7
-                 for f, (_, x, y) in zip(factors, terms)), default=0)
-    t = bound + sum(len(x._num) * len(y._num) for _, x, y in terms).bit_length()
-    out: dict = {}
-    get = out.get
-    for f, (_, x, y) in zip(factors, terms):
-        rows2 = _by_mask(y._num, s, t, 1)
-        for m1, row1 in _by_mask(x._num, s, t, f):
-            for m2, row2 in rows2:
-                g = RADICAL[m1 & m2]
-                m = m1 ^ m2
-                for k1, u in row1:
-                    k1 |= m
-                    u *= g
-                    for k2, v in row2:
-                        k = k1 + k2
-                        out[k] = get(k, 0) + u * v
-    return out, den, s, t
+    plans, t = [], 0
+    for terms in sums:
+        den = math.lcm(*(x._den * y._den for _, x, y in terms))
+        plan = [(sign * (den // (x._den * y._den)), id(x), id(y)) for sign, x, y in terms]
+        # a product's parts are below 2 * 30 * |f| * 2^(bits x + bits y) <= 2^(bound - 1),
+        # so those of a sum of fewer than 2^(t - bound) products are below 2^(t - 1)
+        bound = max((abs(f).bit_length() + bits[kx] + bits[ky] + 7 for f, kx, ky in plan),
+                    default=0)
+        count = sum(len(x._num) * len(y._num) for _, x, y in terms)
+        t = max(t, bound + count.bit_length())
+        plans.append((plan, den))
+    packed = {key: _by_mask(p._num, s, t) for key, p in operands.items()}
+
+    def folds():
+        for plan, den in plans:
+            out: dict = {}
+            get = out.get
+            for f, kx, ky in plan:
+                rows2 = packed[ky]
+                for m1, row1 in packed[kx]:
+                    for m2, row2 in rows2:
+                        g = RADICAL[m1 & m2] * f
+                        m = m1 ^ m2
+                        for k1, u in row1:
+                            k1 |= m
+                            u *= g
+                            for k2, v in row2:
+                                k = k1 + k2
+                                out[k] = get(k, 0) + u * v
+            yield out, den
+
+    return s, t, folds()
+
+
+def sums_vanish(sums) -> list[bool]:
+    """For each list of (sign, x, y) terms in ``sums``, whether the sum of
+    sign * x * y is zero; the operands are packed once for the batch.
+
+    ``_fold`` keeps no entry order, so it only answers "is this zero" or,
+    through ``product_sums``, "are these equal"; none of its results may
+    reach float evaluation, which sums entries in stored order.
+    """
+    _, t, folds = _fold(sums)
+    n = (1 << 2 * t) + 1
+    return [not any(v % n for v in out.values()) for out, _ in folds]
 
 
 def products_vanish(terms) -> bool:
-    """Whether the sum of sign * x * y over the (sign, x, y) in ``terms`` is zero.
-
-    ``_fold`` keeps no entry order, so it only answers "is this zero" or,
-    through ``product_sum``, "are these equal"; none of its results may
-    reach float evaluation, which sums entries in stored order.
-    """
-    out, _, _, t = _fold(terms)
-    n = (1 << 2 * t) + 1
-    return not any(v % n for v in out.values())
+    """Whether the sum of sign * x * y over the (sign, x, y) in ``terms``
+    is zero: ``sums_vanish`` of the one sum."""
+    return sums_vanish([terms])[0]
 
 
-def product_sum(terms):
-    """The sum of sign * x * y over the (sign, x, y) in ``terms``, for
-    equality and zero tests only: its entries are not in the order of first
-    appearance that float evaluation reads (see ``products_vanish``).
-    ``terms`` is not empty, and the sum has the class of its operands."""
-    out, den, s, t = _fold(terms)
+def product_sums(sums) -> list:
+    """For each list of (sign, x, y) terms in ``sums``, the sum of
+    sign * x * y, for equality and zero tests only: its entries are not in
+    the order of first appearance that float evaluation reads (see
+    ``sums_vanish``).  No list is empty, and each sum has the class of the
+    batch's first operand."""
+    cls = type(sums[0][0][1])
+    s, t, folds = _fold(sums)
     n = (1 << 2 * t) + 1
     half = 1 << t - 1
     low = (1 << s - 3) - 1
-    num = {}
-    for k, v in out.items():
-        v %= n
-        if v:
-            if v > n >> 1:
-                v -= n
-            re = ((v + half) & ((1 << t) - 1)) - half
-            num[((k >> s, k >> 3 & low), k & 7)] = (re, (v - re) >> t)
-    return type(terms[0][1])._of(num, den)
+    results = []
+    for out, den in folds:
+        num = {}
+        for k, v in out.items():
+            v %= n
+            if v:
+                if v > n >> 1:
+                    v -= n
+                re = ((v + half) & ((1 << t) - 1)) - half
+                num[((k >> s, k >> 3 & low), k & 7)] = (re, (v - re) >> t)
+        results.append(cls._of(num, den))
+    return results
+
+
+def product_sum(terms):
+    """The sum of sign * x * y over the (sign, x, y) in ``terms``:
+    ``product_sums`` of the one sum, for equality and zero tests only.
+    ``terms`` is not empty."""
+    return product_sums([terms])[0]
 
 
 class _SparsePoly:

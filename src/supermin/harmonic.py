@@ -34,7 +34,7 @@ import math
 from functools import cached_property
 from itertools import combinations
 
-from .field import AlgScalar, product_sum, products_vanish
+from .field import AlgScalar, product_sums, sums_vanish
 # wedge_pair is re-exported: perfbench/tracer.py wraps it under this name.
 from .g2 import CROSS_TERMS, cross, dot, hdot, wedge_pair  # noqa: F401
 from .poly import BiPoly, Poly, evaluate, hermitian_sum, primitive_parts
@@ -294,27 +294,29 @@ def check_recursion(seq: HarmonicSequence) -> dict:
     f_{p+1}.  Ascending: dzbar E_{p+1} * D_p - E_{p+1} * dzbar D_p
     + D_{p+1} * E_p = 0 says the conjugate derivative of f_{p+1} falls back
     onto f_p with density -a_{p+1}/a_p.  Each equation is one zero test of
-    three products per component (``field.products_vanish``), and a stage
-    stops at its first failing component.  Passes when all of them hold,
-    the curve has no zbar term and the chain terminates.
+    three products per component, and each stage tests its seven
+    components in one batch (``field.sums_vanish``), so the D_p it shares
+    are packed once; every component is tested, and a stage holds when all
+    seven vanish.  Passes when all of them hold, the curve has no zbar term
+    and the chain terminates.
     """
     sections = seq.raw_sections
     down = []
     for p in range(_DIM):
         dp, dprev = seq.gram_det(p), seq.gram_det(p - 1)
         ddp = dp.diff_z()
-        down.append(all(
-            products_vanish([(1, e.diff_z(), dp), (-1, e, ddp), (-1, enext, dprev)])
+        down.append(all(sums_vanish([
+            [(1, e.diff_z(), dp), (-1, e, ddp), (-1, enext, dprev)]
             for e, enext in zip(sections[p], sections[p + 1])
-        ))
+        ])))
     up = []
     for p in range(_DIM - 1):
         dp, dnext = seq.gram_det(p), seq.gram_det(p + 1)
         ddp = dp.diff_zbar()
-        up.append(all(
-            products_vanish([(1, enext.diff_zbar(), dp), (-1, enext, ddp), (1, dnext, e)])
+        up.append(all(sums_vanish([
+            [(1, enext.diff_zbar(), dp), (-1, enext, ddp), (1, dnext, e)]
             for e, enext in zip(sections[p], sections[p + 1])
-        ))
+        ])))
     detail = {
         "derivative_rule": down,
         "conjugate_derivative_rule": up,
@@ -330,12 +332,13 @@ def orthogonality_residuals(seq: HarmonicSequence) -> dict:
 
     Since each earlier section is a combination of the derivatives F_0..F_p
     with p < q, this is equivalent to mutual orthogonality of the sections.
-    Each pairing is one zero test of seven products
-    (``field.products_vanish``); for q = 7 the section is 0 and so is the sum.
+    Each pairing is one zero test of seven products, all 28 in one batch
+    (``field.sums_vanish``); for q = 7 the section is 0 and so is the sum.
     """
-    return {(q, i): products_vanish([(1, e, f.conj_factor()) for e, f in
-                                     zip(seq.raw_sections[q], seq.derivatives[i])])
-            for q in range(1, _DIM + 1) for i in range(q)}
+    conj = [tuple(f.conj_factor() for f in fs) for fs in seq.derivatives]
+    keys = [(q, i) for q in range(1, _DIM + 1) for i in range(q)]
+    return dict(zip(keys, sums_vanish([[(1, e, f) for e, f in zip(seq.raw_sections[q], conj[i])]
+                                       for q, i in keys])))
 
 
 def _pivot(x, y) -> int | None:
@@ -351,14 +354,14 @@ def _proportional(x, y) -> bool:
     proportional.
 
     With the pivot y[c] != 0 it suffices that x[a]*y[c] - x[c]*y[a] vanish
-    for the other six a, each one zero test of two products: multiplying
-    any minor x[a]*y[b] - x[b]*y[a] by y[c] turns it into
+    for the other six a, each one zero test of two products, the six in one
+    batch (``field.sums_vanish``): multiplying any minor
+    x[a]*y[b] - x[b]*y[a] by y[c] turns it into
     x[c]*(y[a]*y[b] - y[b]*y[a]) = 0, and BiPolys form an integral domain.
     """
     c = _pivot(x, y)
-    return c is None or all(
-        products_vanish([(1, x[a], y[c]), (-1, x[c], y[a])]) for a in range(_DIM) if a != c
-    )
+    return c is None or all(sums_vanish([[(1, x[a], y[c]), (-1, x[c], y[a])]
+                                         for a in range(_DIM) if a != c]))
 
 
 def check_reality(seq: HarmonicSequence) -> dict:
@@ -396,26 +399,29 @@ def check_norm_products(seq: HarmonicSequence) -> dict:
     a_{3+k} * a_{3-k} / a_3^2 must be the constant 1 for k = 1, 2, 3, and
     a_4 * a_5 / (a_3 * a_6) must be the constant 2.  Each ratio is a
     product of four Gram determinants over four (D_{-1} = 1), taken as two
-    pair products D_a * D_b each (``field.product_sum``, each pair formed
-    once).  Its only possible constant is the ratio of leading coefficients,
-    those of the lexicographically largest monomial: lex order on (a, b) is
-    a monomial order and the field has no zero divisors, so a product's
-    leading coefficient is its factors'.  Constancy is then one zero test
-    of two products, lead(den) * num - lead(num) * den
-    (``field.products_vanish``).  The detail carries the measured constants
-    (None for a ratio that is not constant), so an unexpected value is
-    visible rather than silently compared.
+    pair products D_a * D_b each (one ``field.product_sums`` batch, each
+    pair formed once).  Its only possible constant is the ratio of leading
+    coefficients, those of the lexicographically largest monomial: lex
+    order on (a, b) is a monomial order and the field has no zero divisors,
+    so a product's leading coefficient is its factors'.  Constancy is then
+    one zero test of two products, lead(den) * num - lead(num) * den, the
+    four tests in one ``field.sums_vanish`` batch.  The detail carries the
+    measured constants (None for a ratio that is not constant), so an
+    unexpected value is visible rather than silently compared.
     """
     d = seq.gram_det
     lead = {p: d(p).terms[max(d(p).terms)] for p in range(-1, _DIM)}
     keys = {k for num, den, _ in _NORM_PRODUCTS.values() for k in num + den}
-    pair = {(a, b): product_sum([(1, d(a), d(b))]) for a, b in keys}
-    constants: dict[str, AlgScalar | None] = {}
-    for name, (num, den, _) in _NORM_PRODUCTS.items():
+    pair = dict(zip(keys, product_sums([[(1, d(a), d(b))] for a, b in keys])))
+    tests, ratios = [], []
+    for num, den, _ in _NORM_PRODUCTS.values():
         n, m = (math.prod(lead[p] for k in four for p in k) for four in (num, den))
-        constant = products_vanish([(1, pair[num[0]] * m, pair[num[1]]),
-                                    (-1, pair[den[0]] * n, pair[den[1]])])
-        constants[name] = n / m if constant else None
+        tests.append([(1, pair[num[0]] * m, pair[num[1]]), (-1, pair[den[0]] * n, pair[den[1]])])
+        ratios.append((n, m))
+    constants: dict[str, AlgScalar | None] = {
+        name: n / m if constant else None
+        for name, (n, m), constant in zip(_NORM_PRODUCTS, ratios, sums_vanish(tests))
+    }
     passed = all(constants[name] == c for name, (_, _, c) in _NORM_PRODUCTS.items())
     return {"passed": passed, "detail": {"constants": constants}}
 
@@ -557,7 +563,8 @@ def check_cross_table(
     """The frame multiplication table, passed when all three levels hold.
 
     Each component of a cross product of two unnormalized sections is one
-    sum of six products (``g2.CROSS_TERMS``), folded by ``field.product_sum``.
+    sum of six products (``g2.CROSS_TERMS``); a pair's seven sums are one
+    ``field.product_sums`` batch, which packs its 14 operands once.
     (a) zero entries: every component sum vanishes identically (exact);
     (b) nonzero entries: the cross product is pointwise proportional to the
         target section, tested against one pivot component of the target
@@ -568,19 +575,35 @@ def check_cross_table(
         ``_SCALAR_TOL``.  The points are taken one at a time in Python
         complex numbers (``measured_cross_constants``), with the
         operations, and so the bits, of numpy arrays.
+
+    (a) and (b) are decided on half the table when the chain is real:
+    when every E_0..E_6 is nonzero and conj(E_{6-p}) ~ E_p for p = 0..3
+    (``_proportional``), conj(E_{6-p}) = c_p * E_p with c_p a nonzero
+    rational function.  The cross product has real structure constants,
+    so E_{6-j} x E_{6-i} = -conj(c_i c_j) * conj(E_i x E_j): it vanishes
+    exactly when E_i x E_j does, and it is proportional to E_{6-k} exactly
+    when E_i x E_j is to E_k.  ``FRAME_CROSS_TABLE`` maps (i, j) to
+    (6-j, 6-i) and a target k to 6-k, so only the 12 pairs with i + j <= 6
+    are computed and each verdict is copied to its mirror.  Otherwise all
+    21 pairs are computed.  Either way the detail is the same.
     """
     sections = seq.raw_sections
-    zero_ok: dict[tuple[int, int], bool] = {}
-    prop_ok: dict[tuple[int, int], bool] = {}
+    top = _DIM - 1
+    mirror = all(map(any, sections[:_DIM])) and all(
+        _proportional(tuple(c.conj() for c in sections[top - p]), sections[p])
+        for p in range(4))
+    exact: dict[tuple[int, int], bool] = {}
     for i in range(_DIM):
         for j in range(i + 1, _DIM):
-            w = [product_sum([(sign, sections[i][a], sections[j][b]) for sign, a, b in comp])
-                 for comp in CROSS_TERMS]
+            if mirror and i + j > top:
+                exact[(i, j)] = exact[(top - j, top - i)]
+                continue
             entry = FRAME_CROSS_TABLE[i][j]
-            if entry == 0:
-                zero_ok[(i, j)] = not any(w)
-            else:
-                prop_ok[(i, j)] = _proportional(w, sections[entry[1]])
+            w = product_sums([[(sign, sections[i][a], sections[j][b]) for sign, a, b in comp]
+                              for comp in CROSS_TERMS])
+            exact[(i, j)] = not any(w) if entry == 0 else _proportional(w, sections[entry[1]])
+    zero_ok = {ij: ok for ij, ok in exact.items() if FRAME_CROSS_TABLE[ij[0]][ij[1]] == 0}
+    prop_ok = {ij: ok for ij, ok in exact.items() if FRAME_CROSS_TABLE[ij[0]][ij[1]] != 0}
     if samples is None:
         samples = regular_sample_points(seq)
     errors = []

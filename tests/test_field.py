@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from supermin.field import (
     MASK_ORDER, RADICAL, AlgScalar, _settled, _SparsePoly, as_scalar, product_sum,
-    products_vanish,
+    product_sums, products_vanish, sums_vanish,
 )
 from supermin.poly import BiPoly, Poly
 
@@ -296,6 +296,44 @@ def test_product_fold_sees_one_numerator_moved_by_one(x, y, data):
     terms = [(1, moved, y), (-1, x, y)]
     assert not products_vanish(terms)
     assert product_sum(terms) == built(terms) != BiPoly()
+
+
+# operands of very different sizes: as drawn, or scaled by 2^300, or by 1/7^60
+_batch_operand = (_fold_bipoly | _fold_bipoly.map(lambda p: p * 2**300)
+                  | _fold_bipoly.map(lambda p: p * Fraction(1, 7**60)))
+
+
+@st.composite
+def product_batches(draw):
+    """(sums, at): a batch of signed-product sums whose operands are drawn
+    from one pool, so that one value enters many products of many sums,
+    and the index ``at`` of a sum that cancels exactly (its products again
+    with the sign flipped and the factors swapped, shuffled in)."""
+    pool = draw(st.lists(_batch_operand, min_size=1, max_size=5))
+    pick = st.integers(0, len(pool) - 1)
+    term = st.tuples(st.sampled_from((1, -1)), pick, pick).map(
+        lambda t: (t[0], pool[t[1]], pool[t[2]]))
+    sums = draw(st.lists(st.lists(term, min_size=1, max_size=4), min_size=1, max_size=4))
+    base = draw(st.lists(term, min_size=1, max_size=3))
+    at = draw(st.integers(0, len(sums)))
+    sums.insert(at, draw(st.permutations(base + [(-sign, y, x) for sign, x, y in base])))
+    return sums, at
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_batches())
+def test_batched_fold_matches_bipoly_arithmetic(case):
+    """Each sum of a batch, which shares one packing and one 2^t, is the
+    sum built with BiPoly arithmetic, and is zero exactly when that is."""
+    sums, at = case
+    want = [built(terms) for terms in sums]
+    got = product_sums(sums)
+    assert len(got) == len(sums)
+    for g, w in zip(got, want):
+        assert type(g) is BiPoly
+        assert dict(g._num) == dict(w._num) and g._den == w._den
+    assert sums_vanish(sums) == [w.is_zero() for w in want]
+    assert want[at].is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supermin import catalog, g2, harmonic, plucker, twistor
-from supermin.field import AlgScalar
+from supermin.field import AlgScalar, product_sum
 from supermin.poly import BiPoly, Poly, RationalFn
 
 
@@ -447,6 +447,77 @@ def test_cross_table_negative_control(seq11):
             assert ok, (i, j)
     zero = rep["detail"]["zero_entries_exact"]
     assert all(ok for (i, j), ok in zero.items() if 4 not in (i, j))
+
+
+def test_frame_cross_table_is_mirror_consistent():
+    """conj(f_{6-p}) ~ f_p maps f_i x f_j to a multiple of the conjugate of
+    f_{6-j} x f_{6-i}: entry (i, j) is 0 exactly when (6-j, 6-i) is, and a
+    target k goes to 6-k."""
+    table = harmonic.FRAME_CROSS_TABLE
+    for i in range(7):
+        for j in range(7):
+            entry, mirror = table[i][j], table[6 - j][6 - i]
+            assert (entry == 0) == (mirror == 0), (i, j)
+            if entry:
+                assert mirror[1] == 6 - entry[1], (i, j)
+
+
+def direct_cross_table(seq):
+    """The exact entries of ``check_cross_table`` from all 21 pairs, each
+    component sum by ``product_sum``, with no mirror."""
+    s = seq.raw_sections
+    zero, prop = {}, {}
+    for i in range(7):
+        for j in range(i + 1, 7):
+            w = [product_sum([(sign, s[i][a], s[j][b]) for sign, a, b in comp])
+                 for comp in g2.CROSS_TERMS]
+            entry = harmonic.FRAME_CROSS_TABLE[i][j]
+            if entry == 0:
+                zero[(i, j)] = not any(w)
+            else:
+                prop[(i, j)] = harmonic._proportional(w, s[entry[1]])
+    return zero, prop
+
+
+def exact_entries(seq):
+    detail = harmonic.check_cross_table(seq, samples=[])["detail"]
+    return (list(detail["zero_entries_exact"].items()),
+            list(detail["proportional_entries_exact"].items()))
+
+
+def test_cross_table_mirror_matches_the_direct_table(seq11, seq12):
+    """The exact entries, keys in order, are the 21 pairs' own: on the real
+    chains, where half the table is copied from its mirror; on each chain
+    with one component of one E_p doubled, where reality fails; and with
+    E_0 added to E_3.  That keeps f_0 x f_3 ~ f_0 but breaks its mirror
+    f_3 x f_6 ~ f_6, as f_0 x f_6 ~ f_3, so only the test of
+    conj(E_3) ~ E_3 keeps the mirror off."""
+    for seq in (seq11, seq12):
+        sections = seq.raw_sections
+        cases = [with_section(seq, p, doubled(next(a for a in range(7) if sections[p][a])))
+                 for p in range(7)]
+        moved = with_section(seq, 3, lambda comps: [c + e for c, e in zip(comps, sections[0])])
+        for name, case in [("real", seq), *enumerate(cases), ("E_3 + E_0", moved)]:
+            zero, prop = direct_cross_table(case)
+            assert exact_entries(case) == (list(zero.items()), list(prop.items())), name
+        moved_prop = direct_cross_table(moved)[1]
+        assert moved_prop[(0, 3)] and not moved_prop[(3, 6)]
+
+
+def zeroed(comps):
+    return [BiPoly() for _ in comps]
+
+
+def test_cross_table_mirror_needs_every_section_nonzero(seq11):
+    """With E_2 = 0, conj(E_4) ~ E_2 holds vacuously, so reality alone would
+    let a broken E_4 through to the mirror; the table must still be decided
+    on all 21 pairs and fail where they fail."""
+    mutant = with_section(with_section(seq11, 2, zeroed), 4, doubled(0))
+    zero, prop = exact_entries(mutant)
+    assert [ij for ij, ok in prop if not ok] == [(0, 4), (1, 6), (3, 4), (4, 5)]
+    assert [ij for ij, ok in zero if not ok] == [(1, 4), (4, 6)]
+    want_zero, want_prop = direct_cross_table(mutant)
+    assert (zero, prop) == (list(want_zero.items()), list(want_prop.items()))
 
 
 def test_nan_sample_points_fail_the_float_audit(seq11, seq12):

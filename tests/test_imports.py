@@ -62,7 +62,10 @@ def test_no_unused_imports(path):
 
 # {"module.name": "why it stays though nothing reads it"}; an entry the
 # program reads, or that names nothing, fails the test as stale
-UNREAD_ALLOWED: dict[str, str] = {}
+UNREAD_ALLOWED: dict[str, str] = {
+    "field.product_sum": "the one-sum case of field.product_sums, beside products_vanish; "
+                         "tests/test_field.py checks the batched fold through both",
+}
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
@@ -137,7 +140,7 @@ def test_the_scan_names_a_dead_function(tmp_path):
         f.write("\n\ndef dead_helper(x):\n    return x\n")
     with (copy / "poly.py").open("a") as f:
         f.write("\n\nclass Dead:\n    def method_nobody_calls(self):\n        return 0\n")
-    unread = unread_definitions(copy, readers_of(copy))
+    unread = [u for u in unread_definitions(copy, readers_of(copy)) if u not in UNREAD_ALLOWED]
     assert unread == ["g2.dead_helper", "poly.Dead", "poly.Dead.method_nobody_calls"]
 
 
@@ -153,7 +156,7 @@ def test_the_scan_reads_a_name_only_through_its_module(tmp_path):
         f.write("\n\ndef evaluate(x):\n    return x\n")
     with (copy / "twistor.py").open("a") as f:
         f.write("\n\nclass Shape:\n    def evaluate(self):\n        return 0\n")
-    unread = unread_definitions(copy, readers_of(copy))
+    unread = [u for u in unread_definitions(copy, readers_of(copy)) if u not in UNREAD_ALLOWED]
     assert unread == ["g2.evaluate", "twistor.Shape", "twistor.Shape.evaluate"]
 
 
