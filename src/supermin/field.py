@@ -25,11 +25,13 @@ Two radical folds multiply ints only, each with its own contract:
   its place as (0, 0) until settled; float conversions sum them in that
   order.
 * ``_fold`` answers zero and equality tests (``sums_vanish`` and
-  ``product_sums``, and their one-sum cases ``products_vanish`` and
-  ``product_sum``) on a batch of BiPoly sums of signed products.  It
-  packs each distinct operand of the batch once, grouped by radical mask,
-  and keys a monomial by one int, so its entries come in no particular
-  order, and none of its results may reach float evaluation.
+  ``product_sums``, and the one-sum case ``products_vanish``) on a batch
+  of BiPoly sums of signed products.  It splits each distinct operand of
+  the batch once into rows of plain ints, one per radical mask and part
+  (real or imaginary), and keys each part of a monomial by one int, so a
+  sum is zero exactly when every int it accumulates is.  Its entries come
+  in no particular order, and none of its results may reach float
+  evaluation.
 
 AlgScalar is the case with the single key 0.  Every operator is defined on
 the core and takes its other operand through one hook, ``_coerce``, which
@@ -41,7 +43,6 @@ Fractions, and ``coeff(mask)``, ``as_fraction`` and ``repr`` give them back.
 from __future__ import annotations
 
 import decimal
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -95,88 +96,74 @@ def _settled(out: dict) -> dict:
     return {km: v for km, v in out.items() if v[0] or v[1]}
 
 
-def _by_mask(num: dict, s: int, t: int) -> list:
-    """[(mask, [(key, value)])] of flat BiPoly numerators: z^a*zbar^b keyed
-    (a << s) | (b << 3), and (re, im) held as the one int re + im*2^t."""
+def _rows(num: dict, s: int) -> list:
+    """[(mask, part, [(key, value)])] of flat BiPoly numerators, part 0 the
+    real and 1 the imaginary: z^a*zbar^b keyed (a << s) | (b << 4), each
+    nonzero part a plain int in its own row."""
     rows: dict = {}
-    for ((a, b), m), (re, im) in num.items():
-        rows.setdefault(m, []).append(((a << s) | (b << 3), re + (im << t)))
-    return list(rows.items())
-
-
-def _bits(num: dict) -> int:
-    """The largest bit length of the flat numerators' parts."""
-    return max(map(abs, itertools.chain.from_iterable(num.values())), default=0).bit_length()
+    for ((a, b), m), v in num.items():
+        k = (a << s) | (b << 4)
+        for part, x in enumerate(v):
+            if x:
+                rows.setdefault((m, part), []).append((k, x))
+    return [(m, part, row) for (m, part), row in rows.items()]
 
 
 def _fold(sums) -> tuple:
     """The sums of sign * x * y, one for each list of (sign, x, y) terms in
-    ``sums``, x and y BiPolys, packing each distinct operand once.
+    ``sums``, x and y BiPolys, splitting each distinct operand once.
 
-    Returns (s, t, folds): ``folds`` yields (out, den) per sum, in order,
-    the sum being out / den, and each monomial z^a*zbar^b with mask m is
-    keyed in ``out`` by the int (a << s) | (b << 3) | m, s set by the
-    batch's largest zbar exponent so that a product's b fits below a.  A
-    part pair (re, im) is the int re + im*2^t, and every product of a sum
-    goes into one dict unreduced.  Reduced modulo 2^(2t) + 1, where 2^t
-    squares to -1, the packed ints multiply as complex numbers, and t is
-    large enough that each sum's parts lie strictly within +-2^(t-1): so a
-    sum is zero exactly when its residue is, and the residue gives back
-    both parts.  Each operand is packed once for the batch (keyed by
-    identity, so a value shared by many products is grouped by mask once);
-    each pair of masks applies RADICAL[m1 & m2], m1 ^ m2 and the term's
+    Returns (s, folds): ``folds`` yields (out, den) per sum, in order, the
+    sum being out / den.  Each operand is split once for the batch (keyed
+    by identity) into rows of plain ints, one per (mask, part), part 0 the
+    real and 1 the imaginary, so an entry with both parts nonzero sits in
+    two rows.  In ``out`` part p of monomial z^a*zbar^b with mask m is
+    keyed by the int (a << s) | (b << 4) | (p << 3) | m, s set by the
+    batch's largest zbar exponent so that a product's b fits below a.
+    Each pair of rows applies RADICAL[m1 & m2], the sign -1 when both
+    parts are imaginary, the tag (m1 ^ m2) | (p1 ^ p2) << 3 and the term's
     sign and denominator factor once, outside the inner loop.  One sum's
     dict is built at a time.
     """
     operands = {id(p): p for terms in sums for _, x, y in terms for p in (x, y)}
-    bits = {key: _bits(p._num) for key, p in operands.items()}
     top = max((b for p in operands.values() for (_, b), _ in p._num), default=0)
-    s = 3 + (2 * top).bit_length()
-    plans, t = [], 0
-    for terms in sums:
-        den = math.lcm(*(x._den * y._den for _, x, y in terms))
-        plan = [(sign * (den // (x._den * y._den)), id(x), id(y)) for sign, x, y in terms]
-        # a product's parts are below 2 * 30 * |f| * 2^(bits x + bits y) <= 2^(bound - 1),
-        # so those of a sum of fewer than 2^(t - bound) products are below 2^(t - 1)
-        bound = max((abs(f).bit_length() + bits[kx] + bits[ky] + 7 for f, kx, ky in plan),
-                    default=0)
-        count = sum(len(x._num) * len(y._num) for _, x, y in terms)
-        t = max(t, bound + count.bit_length())
-        plans.append((plan, den))
-    packed = {key: _by_mask(p._num, s, t) for key, p in operands.items()}
+    s = 4 + (2 * top).bit_length()
+    packed = {key: _rows(p._num, s) for key, p in operands.items()}
 
     def folds():
-        for plan, den in plans:
+        for terms in sums:
+            den = math.lcm(*(x._den * y._den for _, x, y in terms))
             out: dict = {}
             get = out.get
-            for f, kx, ky in plan:
-                rows2 = packed[ky]
-                for m1, row1 in packed[kx]:
-                    for m2, row2 in rows2:
-                        g = RADICAL[m1 & m2] * f
-                        m = m1 ^ m2
+            for sign, x, y in terms:
+                f = sign * (den // (x._den * y._den))
+                rows2 = packed[id(y)]
+                for m1, p1, row1 in packed[id(x)]:
+                    for m2, p2, row2 in rows2:
+                        g = RADICAL[m1 & m2] * (-f if p1 & p2 else f)
+                        tag = (m1 ^ m2) | (p1 ^ p2) << 3
                         for k1, u in row1:
-                            k1 |= m
+                            k1 |= tag
                             u *= g
                             for k2, v in row2:
                                 k = k1 + k2
                                 out[k] = get(k, 0) + u * v
             yield out, den
 
-    return s, t, folds()
+    return s, folds()
 
 
 def sums_vanish(sums) -> list[bool]:
     """For each list of (sign, x, y) terms in ``sums``, whether the sum of
-    sign * x * y is zero; the operands are packed once for the batch.
+    sign * x * y is zero: whether every int ``_fold`` accumulates is; the
+    operands are split once for the batch.
 
     ``_fold`` keeps no entry order, so it only answers "is this zero" or,
     through ``product_sums``, "are these equal"; none of its results may
     reach float evaluation, which sums entries in stored order.
     """
-    _, t, folds = _fold(sums)
-    n = (1 << 2 * t) + 1
-    return [not any(v % n for v in out.values()) for out, _ in folds]
+    _, folds = _fold(sums)
+    return [not any(out.values()) for out, _ in folds]
 
 
 def products_vanish(terms) -> bool:
@@ -192,29 +179,18 @@ def product_sums(sums) -> list:
     ``sums_vanish``).  No list is empty, and each sum has the class of the
     batch's first operand."""
     cls = type(sums[0][0][1])
-    s, t, folds = _fold(sums)
-    n = (1 << 2 * t) + 1
-    half = 1 << t - 1
-    low = (1 << s - 3) - 1
+    s, folds = _fold(sums)
+    low = (1 << s - 4) - 1
     results = []
     for out, den in folds:
-        num = {}
+        num: dict = {}
         for k, v in out.items():
-            v %= n
             if v:
-                if v > n >> 1:
-                    v -= n
-                re = ((v + half) & ((1 << t) - 1)) - half
-                num[((k >> s, k >> 3 & low), k & 7)] = (re, (v - re) >> t)
+                km = ((k >> s, k >> 4 & low), k & 7)
+                re, im = num.get(km, (0, 0))
+                num[km] = (re, im + v) if k & 8 else (re + v, im)
         results.append(cls._of(num, den))
     return results
-
-
-def product_sum(terms):
-    """The sum of sign * x * y over the (sign, x, y) in ``terms``:
-    ``product_sums`` of the one sum, for equality and zero tests only.
-    ``terms`` is not empty."""
-    return product_sums([terms])[0]
 
 
 class _SparsePoly:

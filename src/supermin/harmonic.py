@@ -127,6 +127,8 @@ class HarmonicSequence:
                     f"0..{p} are linearly dependent (failing order {p})"
                 )
         self._reversed: _ChartAtInfinity | None = None
+        # conj(E_{6-p}) ~ E_p by p, filled by ``_mirrored``
+        self._reality: dict[int, bool] = {}
         # the quadrature's memo, filled by ``grid_densities``
         self._grid_values: dict = {}
 
@@ -364,6 +366,17 @@ def _proportional(x, y) -> bool:
                                          for a in range(_DIM) if a != c]))
 
 
+def _mirrored(seq: HarmonicSequence, p: int) -> bool:
+    """Whether conj(E_{6-p}) ~ E_p (``_proportional``), decided once per
+    chain: ``check_reality`` reads p = 0..2 and ``check_cross_table``
+    p = 0..3."""
+    memo = seq._reality
+    if p not in memo:
+        sections = seq.raw_sections
+        memo[p] = _proportional(tuple(c.conj() for c in sections[_DIM - 1 - p]), sections[p])
+    return memo[p]
+
+
 def check_reality(seq: HarmonicSequence) -> dict:
     """Pointwise proportionality conj(f_{3+k}) ~ f_{3-k} for k = 1, 2, 3.
 
@@ -372,12 +385,11 @@ def check_reality(seq: HarmonicSequence) -> dict:
     identically 0, each other component a must satisfy
     conj(E_{3+k})[a] * E_{3-k}[c] == conj(E_{3+k})[c] * E_{3-k}[a], one
     zero test of two products (``_proportional``); this is the vanishing
-    of every 2x2 minor.  Passes when all three pairings hold.
+    of every 2x2 minor.  Each pairing is decided once per chain
+    (``_mirrored``), for this check and ``check_cross_table``.  Passes
+    when all three pairings hold.
     """
-    detail = {}
-    for k in (1, 2, 3):
-        upper = tuple(c.conj() for c in seq.raw_sections[3 + k])
-        detail[k] = _proportional(upper, seq.raw_sections[3 - k])
+    detail = {k: _mirrored(seq, 3 - k) for k in (1, 2, 3)}
     detail["all_proportional"] = all(detail[k] for k in (1, 2, 3))
     return {"passed": detail["all_proportional"], "detail": detail}
 
@@ -404,7 +416,8 @@ def check_norm_products(seq: HarmonicSequence) -> dict:
     coefficients, those of the lexicographically largest monomial: lex
     order on (a, b) is a monomial order and the field has no zero divisors,
     so a product's leading coefficient is its factors'.  Constancy is then
-    one zero test of two products, lead(den) * num - lead(num) * den, the
+    one zero test of two products, lead(den) * num - lead(num) * den, each
+    scalar multiplied into the pair product of fewer terms on its side, the
     four tests in one ``field.sums_vanish`` batch.  The detail carries the
     measured constants (None for a ratio that is not constant), so an
     unexpected value is visible rather than silently compared.
@@ -416,7 +429,11 @@ def check_norm_products(seq: HarmonicSequence) -> dict:
     tests, ratios = [], []
     for num, den, _ in _NORM_PRODUCTS.values():
         n, m = (math.prod(lead[p] for k in four for p in k) for four in (num, den))
-        tests.append([(1, pair[num[0]] * m, pair[num[1]]), (-1, pair[den[0]] * n, pair[den[1]])])
+        test = []
+        for sign, (a, b), c in ((1, num, m), (-1, den, n)):
+            small, large = sorted((pair[a], pair[b]), key=len)
+            test.append((sign, small * c, large))
+        tests.append(test)
         ratios.append((n, m))
     constants: dict[str, AlgScalar | None] = {
         name: n / m if constant else None
@@ -578,20 +595,20 @@ def check_cross_table(
 
     (a) and (b) are decided on half the table when the chain is real:
     when every E_0..E_6 is nonzero and conj(E_{6-p}) ~ E_p for p = 0..3
-    (``_proportional``), conj(E_{6-p}) = c_p * E_p with c_p a nonzero
-    rational function.  The cross product has real structure constants,
-    so E_{6-j} x E_{6-i} = -conj(c_i c_j) * conj(E_i x E_j): it vanishes
-    exactly when E_i x E_j does, and it is proportional to E_{6-k} exactly
-    when E_i x E_j is to E_k.  ``FRAME_CROSS_TABLE`` maps (i, j) to
-    (6-j, 6-i) and a target k to 6-k, so only the 12 pairs with i + j <= 6
-    are computed and each verdict is copied to its mirror.  Otherwise all
-    21 pairs are computed.  Either way the detail is the same.
+    (``_mirrored``, tested in p order up to the first that fails, the
+    first three shared with ``check_reality``), conj(E_{6-p}) = c_p * E_p
+    with c_p a nonzero rational function.  The cross product has real
+    structure constants, so E_{6-j} x E_{6-i} = -conj(c_i c_j) *
+    conj(E_i x E_j): it vanishes exactly when E_i x E_j does, and it is
+    proportional to E_{6-k} exactly when E_i x E_j is to E_k.
+    ``FRAME_CROSS_TABLE`` maps (i, j) to (6-j, 6-i) and a target k to 6-k,
+    so only the 12 pairs with i + j <= 6 are computed and each verdict is
+    copied to its mirror.  Otherwise all 21 pairs are computed.  Either way
+    the detail is the same.
     """
     sections = seq.raw_sections
     top = _DIM - 1
-    mirror = all(map(any, sections[:_DIM])) and all(
-        _proportional(tuple(c.conj() for c in sections[top - p]), sections[p])
-        for p in range(4))
+    mirror = all(map(any, sections[:_DIM])) and all(_mirrored(seq, p) for p in range(4))
     exact: dict[tuple[int, int], bool] = {}
     for i in range(_DIM):
         for j in range(i + 1, _DIM):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supermin.field import (
-    MASK_ORDER, RADICAL, AlgScalar, _settled, _SparsePoly, as_scalar, product_sum,
+    MASK_ORDER, RADICAL, AlgScalar, _settled, _SparsePoly, as_scalar,
     product_sums, products_vanish, sums_vanish,
 )
 from supermin.poly import BiPoly, Poly
@@ -274,7 +274,7 @@ def built(terms) -> BiPoly:
 def test_product_fold_matches_bipoly_arithmetic(case):
     terms, cancels = case
     want = built(terms)
-    got = product_sum(terms)
+    got = product_sums([terms])[0]
     assert type(got) is BiPoly
     assert dict(got._num) == dict(want._num) and got._den == want._den
     assert products_vanish(terms) == want.is_zero()
@@ -295,7 +295,7 @@ def test_product_fold_sees_one_numerator_moved_by_one(x, y, data):
     moved = BiPoly._of(_settled(num), x._den)
     terms = [(1, moved, y), (-1, x, y)]
     assert not products_vanish(terms)
-    assert product_sum(terms) == built(terms) != BiPoly()
+    assert product_sums([terms])[0] == built(terms) != BiPoly()
 
 
 # operands of very different sizes: as drawn, or scaled by 2^300, or by 1/7^60
@@ -323,7 +323,7 @@ def product_batches(draw):
 @settings(max_examples=100, deadline=None)
 @given(product_batches())
 def test_batched_fold_matches_bipoly_arithmetic(case):
-    """Each sum of a batch, which shares one packing and one 2^t, is the
+    """Each sum of a batch, whose operands are split into rows once, is the
     sum built with BiPoly arithmetic, and is zero exactly when that is."""
     sums, at = case
     want = [built(terms) for terms in sums]
@@ -334,6 +334,27 @@ def test_batched_fold_matches_bipoly_arithmetic(case):
         assert dict(g._num) == dict(w._num) and g._den == w._den
     assert sums_vanish(sums) == [w.is_zero() for w in want]
     assert want[at].is_zero()
+
+
+@pytest.mark.parametrize("c, vanishes", [((2, 0), True), ((2, 1), False)])
+def test_fold_cancels_across_part_pairings(c, vanishes):
+    """(1+i)x * (1-i)y - c*x*y for real x and y: the real part of the first
+    product comes from both real*real and imaginary*imaginary rows, and its
+    imaginary part cancels between real*imaginary and imaginary*real rows,
+    so the sum vanishes at c = 2.  At c = 2 + i it is -i*x*y, nonzero only
+    in its imaginary part."""
+    x = BiPoly({(1, 0): AlgScalar.term(2, 1), (0, 2): AlgScalar.rational(3, 7)})
+    y = BiPoly({(2, 1): AlgScalar.term(3, 5), (0, 0): AlgScalar.term(6, -1)})
+    terms = [(1, x * AlgScalar({0: (1, 1)}), y * AlgScalar({0: (1, -1)})),
+             (-1, x * AlgScalar({0: c}), y)]
+    assert products_vanish(terms) is vanishes
+    got = product_sums([terms])[0]
+    assert got == built(terms)
+    if vanishes:
+        assert got == BiPoly()
+    else:
+        assert got == x * y * AlgScalar({0: (0, -1)}) != BiPoly()
+        assert all(re == 0 != im for re, im in got._num.values())
 
 
 # ---------------------------------------------------------------------------

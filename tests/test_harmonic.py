@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from supermin import catalog, g2, harmonic, plucker, twistor
-from supermin.field import AlgScalar, product_sum
+from supermin.field import AlgScalar, product_sums
 from supermin.poly import BiPoly, Poly, RationalFn
 
 
@@ -379,11 +379,13 @@ def test_proportional_catches_a_break_off_the_pivot():
 
 
 def with_section(seq, p, change):
-    """A copy of seq whose section E_p is replaced by change(E_p)."""
+    """A copy of seq whose section E_p is replaced by change(E_p), with
+    none of the reality verdicts decided on seq's sections."""
     mutant = copy.copy(seq)
     sections = list(seq.raw_sections)
     sections[p] = tuple(change(list(sections[p])))
     mutant.raw_sections = tuple(sections)
+    mutant._reality = {}
     return mutant
 
 
@@ -464,12 +466,12 @@ def test_frame_cross_table_is_mirror_consistent():
 
 def direct_cross_table(seq):
     """The exact entries of ``check_cross_table`` from all 21 pairs, each
-    component sum by ``product_sum``, with no mirror."""
+    component sum by its own ``product_sums`` call, with no mirror."""
     s = seq.raw_sections
     zero, prop = {}, {}
     for i in range(7):
         for j in range(i + 1, 7):
-            w = [product_sum([(sign, s[i][a], s[j][b]) for sign, a, b in comp])
+            w = [product_sums([[(sign, s[i][a], s[j][b]) for sign, a, b in comp]])[0]
                  for comp in g2.CROSS_TERMS]
             entry = harmonic.FRAME_CROSS_TABLE[i][j]
             if entry == 0:
@@ -540,6 +542,21 @@ def test_second_curve_identities(seq12):
     assert reality["detail"]["all_proportional"] and reality["passed"]
     assert harmonic.check_norm_products(seq12)["passed"]
     assert all(harmonic.orthogonality_residuals(seq12).values())
+
+
+def test_two_part_chain_passes_the_exact_checks(curve12, seq12):
+    """(1+i) times the (1, 2) member, the same curve projectively: every
+    entry of its sections has both parts nonzero, so each zero test must
+    cancel across real and imaginary rows of the product fold."""
+    seq = harmonic.build_sequence(tuple(c * AlgScalar({0: (1, 1)}) for c in curve12))
+    assert all(re and im for e in seq.raw_sections[:7] for c in e for re, im in c._num.values())
+    assert harmonic.check_recursion(seq)["passed"]
+    assert harmonic.check_reality(seq)["passed"]
+    norms = harmonic.check_norm_products(seq)
+    assert norms["passed"] and norms == harmonic.check_norm_products(seq12)
+    detail = harmonic.check_cross_table(seq, samples=[])["detail"]
+    assert all(detail["zero_entries_exact"].values())
+    assert all(detail["proportional_entries_exact"].values())
 
 
 def test_chain_drops_the_scalar_content(curve12, seq12):

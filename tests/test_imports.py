@@ -62,10 +62,7 @@ def test_no_unused_imports(path):
 
 # {"module.name": "why it stays though nothing reads it"}; an entry the
 # program reads, or that names nothing, fails the test as stale
-UNREAD_ALLOWED: dict[str, str] = {
-    "field.product_sum": "the one-sum case of field.product_sums, beside products_vanish; "
-                         "tests/test_field.py checks the batched fold through both",
-}
+UNREAD_ALLOWED: dict[str, str] = {}
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
