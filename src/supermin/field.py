@@ -25,13 +25,12 @@ Two radical folds multiply ints only, each with its own contract:
   its place as (0, 0) until settled; float conversions sum them in that
   order.
 * ``_fold`` answers zero and equality tests (``sums_vanish`` and
-  ``product_sums``, and the one-sum case ``products_vanish``) on a batch
-  of BiPoly sums of signed products.  It splits each distinct operand of
-  the batch once into rows of plain ints, one per radical mask and part
-  (real or imaginary), and keys each part of a monomial by one int, so a
-  sum is zero exactly when every int it accumulates is.  Its entries come
-  in no particular order, and none of its results may reach float
-  evaluation.
+  ``product_sums``) on a batch of BiPoly sums of signed products.  It
+  splits each distinct operand of the batch once into rows of plain ints,
+  one per radical mask and part (real or imaginary), and keys each part
+  of a monomial by one int, so a sum is zero exactly when every int it
+  accumulates is.  Its entries come in no particular order, and none of
+  its results may reach float evaluation.
 
 AlgScalar is the case with the single key 0.  Every operator is defined on
 the core and takes its other operand through one hook, ``_coerce``, which
@@ -164,12 +163,6 @@ def sums_vanish(sums) -> list[bool]:
     """
     _, folds = _fold(sums)
     return [not any(out.values()) for out, _ in folds]
-
-
-def products_vanish(terms) -> bool:
-    """Whether the sum of sign * x * y over the (sign, x, y) in ``terms``
-    is zero: ``sums_vanish`` of the one sum."""
-    return sums_vanish([terms])[0]
 
 
 def product_sums(sums) -> list:
@@ -342,9 +335,6 @@ class _SparsePoly:
         o = self._coerce(other)
         if o is not None:
             return self._times(o)
-        if type(other) is int:
-            num = {k: (re * other, im * other) for k, (re, im) in self._num.items()}
-            return self._of(num if other else {}, self._den)
         s = as_scalar(other)
         if s is None:
             return NotImplemented

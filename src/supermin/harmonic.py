@@ -69,12 +69,22 @@ def derivative_tower(curve, order: int) -> tuple[tuple[Poly, ...], ...]:
     return tuple(tower)
 
 
+# The last-row Laplace expansion of each minor, read by ``wedge_table`` and
+# ``raw_sections``: stage p lists every sorted (p+1)-subset of columns with
+# its terms (c, the subset less c, the sign (-1)^(p+t) of c at position t).
+_LAPLACE = tuple(
+    tuple((cols, tuple((c, cols[:t] + cols[t + 1 :], (-1) ** (p + t)) for t, c in enumerate(cols)))
+          for cols in combinations(range(_DIM), p + 1))
+    for p in range(_DIM))
+
+
 def wedge_table(tower) -> list[dict[tuple[int, ...], Poly]]:
     """Minors of the derivative tower: stage p maps each sorted (p+1)-subset
     of component indices to det [tower[i][c]] (rows i = 0..p, columns c).
 
     Stage p collects the homogeneous coordinates of the p-th osculating
-    curve.  Built by expanding along the last row, reusing stage p-1.
+    curve, p <= 6.  Built by expanding along the last row with the terms
+    and signs of ``_LAPLACE``, reusing stage p-1.
     """
     stages: list[dict[tuple[int, ...], Poly]] = [
         {(c,): tower[0][c] for c in range(_DIM)}
@@ -83,16 +93,13 @@ def wedge_table(tower) -> list[dict[tuple[int, ...], Poly]]:
         prev = stages[p - 1]
         row = tower[p]
         cur: dict[tuple[int, ...], Poly] = {}
-        for cols in combinations(range(_DIM), p + 1):
+        for cols, terms in _LAPLACE[p]:
             acc = Poly()
-            for t, c in enumerate(cols):
-                if not row[c]:
-                    continue
-                sub = prev[cols[:t] + cols[t + 1 :]]
-                if not sub:
-                    continue
-                term = row[c] * sub
-                acc = acc + term if (p + t) % 2 == 0 else acc - term
+            for c, rest, sign in terms:
+                sub = prev[rest]
+                if row[c] and sub:
+                    term = row[c] * sub
+                    acc = acc + term if sign > 0 else acc - term
             cur[cols] = acc
         stages.append(cur)
     return stages
@@ -153,15 +160,13 @@ class HarmonicSequence:
     def raw_sections(self) -> tuple[tuple[BiPoly, ...], ...]:
         sections = [tuple(c.to_bipoly() for c in self.curve)]
         for p in range(1, _DIM):
-            prev = self.minors[p - 1]
+            stage, prev = self.minors[p], self.minors[p - 1]
             terms: list[list] = [[] for _ in range(_DIM)]
-            for cols, w in self.minors[p].items():
-                if not w:
-                    continue
-                for pos, c in enumerate(cols):
-                    sub = prev[cols[:pos] + cols[pos + 1 :]]
-                    if sub:
-                        terms[c].append((-1 if (pos + p) % 2 else 1, w, sub))
+            for cols, laplace in _LAPLACE[p]:
+                w = stage[cols]
+                for c, rest, sign in laplace:
+                    if w and prev[rest]:
+                        terms[c].append((sign, w, prev[rest]))
             sections.append(tuple(hermitian_sum(t) for t in terms))
         sections.append(tuple(BiPoly() for _ in range(_DIM)))
         return tuple(sections)
@@ -467,14 +472,6 @@ def _div(a: float, b: float) -> float:
         return math.copysign(math.inf, a) * math.copysign(1.0, b) if a and a == a else math.nan
 
 
-def _ldexp(x: float, e: int) -> float:
-    """x * 2^e, with numpy's signed inf where ``math.ldexp`` overflows."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.copysign(math.inf, x)
-
-
 def _pow(r: float, e: int) -> float:
     """r^e for r > 0, with numpy's inf where the float power overflows."""
     try:
@@ -491,9 +488,10 @@ def _frame(seq: HarmonicSequence, z: complex) -> list[list[complex]]:
     dets = evaluate([seq.gram_det(p - 1) for p in range(_DIM)], z.real, z.imag, real_only=True)
     vals = evaluate(sections, z.real, z.imag)
     # f_p[c] is (E / D) * 2^(kE - kD); one common 2^-top keeps it in range
+    # (every k - top is at most 0, so ldexp cannot overflow)
     shift = [[vals[_DIM * p + c][2] - dets[p][2] for c in range(_DIM)] for p in range(_DIM)]
     top = max(map(max, shift))
-    f = [[complex(_ldexp(_div(re, d), k - top), _ldexp(_div(im, d), k - top))
+    f = [[complex(math.ldexp(_div(re, d), k - top), math.ldexp(_div(im, d), k - top))
           for (re, im, _), k in zip(vals[_DIM * p:_DIM * p + _DIM], shift[p])]
          for p, (d, _, _) in enumerate(dets)]
     # the gauge: one scalar 1/sqrt(s), s the bilinear square of f_3

@@ -7,7 +7,7 @@ Three layers, all immutable by convention:
                     z^a * zbar^b;
 * ``RationalFn`` -- quotients of BiPolys.  The only automatic simplification
                     is cancellation of a common monomial z^c * zbar^d; equality
-                    is one zero test of the cross products (``products_vanish``).
+                    is one zero test of the cross products (``sums_vanish``).
 
 Coefficients lie in Q(i, sqrt2, sqrt3, sqrt5).  ``Poly`` and ``BiPoly``
 are cases of the ring core ``field._SparsePoly``, which ``AlgScalar``
@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .field import _mul_into, _settled, _SparsePoly, products_vanish
+from .field import _mul_into, _settled, _SparsePoly, sums_vanish
 
 # points per power table of the float kernel; bounds its memory
 BLOCK = 2048
@@ -343,7 +343,7 @@ class RationalFn:
     def __eq__(self, other) -> bool:
         if type(other) is not RationalFn:
             return NotImplemented
-        return products_vanish([(1, self.num, other.den), (-1, other.num, self.den)])
+        return sums_vanish([[(1, self.num, other.den), (-1, other.num, self.den)]])[0]
 
     # nothing in src/ calls it: perfbench/tracer.py wraps it by name.
     def __call__(self, z):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .field import AlgScalar, MASK_ORDER, frac_str
@@ -43,13 +44,23 @@ def _is_int(v) -> bool:
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+def _echo(s) -> str:
+    """repr(s), cut after 60 characters: a rejected value is named, not copied."""
+    r = repr(s)
+    return r if len(r) <= 60 else f"{r[:60]}... ({len(r)} characters)"
+
+
 def _rational(s) -> Fraction:
-    _require(isinstance(s, str), f"rational must be a 'p/q' string, got {s!r}")
-    _require(_RATIONAL.fullmatch(s) is not None, f"not a rational 'p/q' string: {s!r}")
+    _require(isinstance(s, str), f"rational must be a 'p/q' string, got {_echo(s)}")
+    _require(_RATIONAL.fullmatch(s) is not None, f"not a rational 'p/q' string: {_echo(s)}")
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not a rational 'p/q' string: {s!r}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"not a rational 'p/q' string: {_echo(s)}") from None
+    except ValueError:  # past _RATIONAL, only CPython's limit on int digits
+        raise ValueError(f"not a rational 'p/q' string: a part has more digits than CPython "
+                         f"converts to an int ({sys.get_int_max_str_digits()}, "
+                         f"sys.get_int_max_str_digits()): {_echo(s)}") from None
 
 
 def scalar_from_strings(parts) -> AlgScalar:

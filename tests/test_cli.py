@@ -459,13 +459,14 @@ def last_stage_file(tmp_path_factory):
     (["--p", "0", "--tol", "nan"], 2, "usage error:"),
     (["--p", "0", "--tol", "inf"], 2, "usage error:"),
     (["--p", "0", "--grid", "4"], 2, "usage error:"),
+    (["--p", "6"], 2, "usage error:"),
     (["--p", "5"], 1, "verification failed: unexpected interior singularity"),
-], ids=["nan", "inf", "grid4", "last_stage"])
+], ids=["nan", "inf", "grid4", "p6", "last_stage"])
 def test_integrate_rejects_non_finite_tol(args, code, err, last_stage_file, capsys):
     """Exit codes of integrate, each with one stderr line.  A non-finite
-    --tol and a --grid below 8 are usage errors, checked before the curve
-    file is read (here it does not exist); a curve ramified away from 0 in
-    its last stage only is refused, as report refuses it."""
+    --tol, a --grid below 8 and a --p outside 0..5 are usage errors, checked
+    before the curve file is read (here it does not exist); a curve ramified
+    away from 0 in its last stage only is refused, as report refuses it."""
     path = str(last_stage_file) if code == 1 else "/no/such/curve.json"
     assert cli.main(["integrate", path, *args]) == code
     lines = capsys.readouterr().err.splitlines()
@@ -474,6 +475,34 @@ def test_integrate_rejects_non_finite_tol(args, code, err, last_stage_file, caps
 
 def test_integrate_p_out_of_range(curve_file):
     assert run_cli("integrate", str(curve_file), "--p", "6").returncode == 2
+
+
+def test_integrate_reports_non_convergence_in_process(curve12, capsys, tmp_path):
+    """A tolerance below what a grid of 8 nodes reaches on the (1,2) member
+    exits 1 with p, the exact degree and the reason on stderr."""
+    path = tmp_path / "c12.json"
+    path.write_text(dumps_canonical(curve_to_obj(curve12, (1, 2))))
+    assert cli.main(["integrate", str(path), "--p", "2", "--tol", "1e-15", "--grid", "8"]) == 1
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 3, lines
+    assert lines[0] == "p = 2" and lines[1] == "exact = 16"
+    assert lines[2].startswith("non-convergence: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--k1", "0", "--k2", "1", "--out", "{out}"],
+    ["sample", "{curve}", "-n", "7", "--out", "{out}"],
+], ids=["gen_k1_0", "sample_n7"])
+def test_usage_errors_in_process(argv, curve_file, capsys, tmp_path):
+    """Arguments out of range exit 2 with one "usage error:" line and
+    write nothing."""
+    out_path = tmp_path / "out.json"
+    assert cli.main([a.format(curve=curve_file, out=out_path) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1 and lines[0].startswith("usage error: "), lines
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------

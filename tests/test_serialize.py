@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -137,6 +138,21 @@ def test_cli_malformed_curve_exits_2(curve11, shape, tmp_path):
         *run_main(["sample", str(path), "-n", "8", "--out", str(tmp_path / "pts.json")])
     )
     assert not (tmp_path / "pts.json").exists()
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="CPython limits int string conversion from 3.11 on")
+def test_cli_oversized_rational_names_the_digit_limit(curve11, tmp_path):
+    """A 5000-digit numerator is past CPython's limit on converting strings
+    to ints: one short line that names the limit and echoes a prefix."""
+    obj = serialize.curve_to_obj(curve11, (1, 1))
+    obj["components"][0][0][1][0] = "1" + "0" * 4999
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_main(["verify", str(path)])
+    assert_clean_usage_exit(code, out, err)
+    assert len(err.rstrip("\n")) < 300, len(err)
+    assert str(sys.get_int_max_str_digits()) in err
 
 
 def test_cli_deeply_nested_curve_exits_2(tmp_path):

@@ -234,6 +234,96 @@ def test_equivariance_20_group_elements():
 
 
 # ---------------------------------------------------------------------------
+# metric lemmas, exactly
+# ---------------------------------------------------------------------------
+
+def exact_vec(entries):
+    """A 7-vector of AlgScalar from {index: value}, the rest 0."""
+    return tuple(entries.get(k, AlgScalar.zero()) for k in range(7))
+
+
+R2, R3, R5 = AlgScalar.root(2), AlgScalar.root(3), AlgScalar.root(5)
+ONE = AlgScalar.one()
+# real (a, b) with a perp b and |a| = |b|, so that x = a + ib is null
+NULL_PAIRS = {
+    "e1_e2": (exact_vec({0: ONE}), exact_vec({1: ONE})),
+    "sqrt2_sqrt3": (exact_vec({0: ONE, 1: R2, 3: R3}), exact_vec({0: R2, 1: -ONE, 2: R3})),
+    "sqrt5": (exact_vec({0: 2 * ONE, 2: ONE}), exact_vec({1: R5})),
+}
+
+
+def norm_sq(v):
+    return g2.hdot(v, v)
+
+
+def lemma_vectors(a, b):
+    """x = a + ib, c = a x b, and w perp a, b, c: the first standard axis
+    left nonzero once its a, b and c parts are taken out."""
+    i = AlgScalar.i()
+    x = tuple(p + i * q for p, q in zip(a, b))
+    c = tuple(g2.cross(a, b))
+    for k in range(7):
+        w = g2.std_basis(k)
+        for u in (a, b, c):
+            w = g2.sub_vec(w, g2.scale_vec(g2.dot(w, u) * g2.dot(u, u).inverse(), u))
+        if any(w):
+            return x, c, w
+    raise AssertionError("a, b, c span C^7")
+
+
+@pytest.mark.parametrize("name", NULL_PAIRS)
+def test_lemmas_hold_exactly_at_null_points(name):
+    """The twistor lemmas as exact identities: with c = a x b and w perp
+    a, b, c, h = |a|^2 w + i (w x c) is superhorizontal (x cross h = 0),
+    pushed forward with ratio 1 and complex linearly; c is pushed forward
+    with ratio 1/sqrt2 and anti-linearly; conj(h) is vertical.  FS lengths
+    are ||v|| = 2|v| / |x|, so ratio 1 reads |dpi(h)|^2 |x|^2 = 4 |h|^2."""
+    a, b = NULL_PAIRS[name]
+    assert g2.dot(a, b) == 0 and g2.dot(a, a) == g2.dot(b, b)
+    x, c, w = lemma_vectors(a, b)
+    assert g2.dot(x, x) == 0
+    i = AlgScalar.i()
+    h = tuple(g2.dot(a, a) * p + i * q for p, q in zip(w, g2.cross(w, c)))
+    base = twistor.project(x)
+
+    def J(v):
+        return tuple(g2.cross(base, v))
+
+    assert not any(g2.cross(x, h))
+    dh, dc = twistor.pushforward(x, h), twistor.pushforward(x, c)
+    assert norm_sq(dh) * norm_sq(x) == 4 * norm_sq(h)
+    assert norm_sq(dc) * norm_sq(x) == 2 * norm_sq(c)
+    assert twistor.pushforward(x, g2.scale_vec(i, h)) == J(dh)
+    assert twistor.pushforward(x, g2.scale_vec(i, c)) == g2.scale_vec(-ONE, J(dc))
+    assert not any(twistor.pushforward(x, tuple(v.conj() for v in h)))
+
+    # negative control: the real part of h alone is not superhorizontal
+    # and is not pushed forward with ratio 1
+    half = g2.scale_vec(g2.dot(a, a), w)
+    assert any(g2.cross(x, half))
+    assert norm_sq(twistor.pushforward(x, half)) * norm_sq(x) != 4 * norm_sq(half)
+
+
+@pytest.mark.parametrize("name", NULL_PAIRS)
+def test_project_is_equivariant_exactly(name):
+    """project(g x) = g project(x) for the compact rotation
+    e_2 -> e_3 -> -e_2, e_6 -> e_7 -> -e_6, an element of G2."""
+    g = [[AlgScalar.zero()] * 7 for _ in range(7)]
+    for k in (0, 3, 4):
+        g[k][k] = ONE
+    for src, dst in ((1, 2), (5, 6)):
+        g[dst][src], g[src][dst] = ONE, -ONE
+    assert g2.g2c_membership(g)
+
+    def apply(v):
+        return tuple(g2.dot(row, v) for row in g)
+
+    a, b = NULL_PAIRS[name]
+    x, _, _ = lemma_vectors(a, b)
+    assert twistor.project(apply(x)) == apply(twistor.project(x))
+
+
+# ---------------------------------------------------------------------------
 # curve-level predicates
 # ---------------------------------------------------------------------------
 
