@@ -9,6 +9,9 @@ e_7 = e_3 x e_4).  Entry t in row i, column j (0-based) means
 with 0 for a vanishing product.  The products below are generic over the
 scalar ring: entries may be AlgScalar, Poly, BiPoly, complex numbers or
 numpy scalars; they need only +, * and unary -, and none is tested for zero.
+``hdot`` also needs a conjugation (``conj`` or ``conjugate``), and
+``twistor.project`` and ``twistor.pushforward``, built on ``cross`` and
+``hdot``, also need ``/``.
 """
 
 from __future__ import annotations

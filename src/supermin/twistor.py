@@ -16,6 +16,10 @@ x = lambda (a + ib), a and b real orthonormal and c = a cross b: H' is
 
 Fubini-Study lengths are normalized as ||v|| = 2|v| / |x|, so the pushforward
 preserves lengths on H' and contracts by sqrt(2) on D.
+
+``project`` and ``pushforward`` are written once over any field that
+``g2.cross`` and ``g2.hdot`` accept and that divides: AlgScalar entries give
+exact tuples, complex floats give tuples of complex floats.
 """
 
 from __future__ import annotations
@@ -23,13 +27,9 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .field import AlgScalar
-from .g2 import CROSS_TERMS, cross, dot, hdot, scale_vec
+from .g2 import CROSS_TERMS, _conj, cross, dot, hdot, scale_vec, sub_vec
 
 _REL_TOL = 1e-9
-
-
-def _is_exact(x) -> bool:
-    return isinstance(x[0], AlgScalar)
 
 
 class QuadricPoint(namedtuple("QuadricPoint", "x")):
@@ -55,18 +55,17 @@ TangentSplit = namedtuple("TangentSplit", "vertical superhorizontal horizontal_r
 
 
 def project(x):
-    """Image of [x] on the unit 6-sphere.
+    """Image of [x] on the unit 6-sphere: half of ``pushforward(x, x)``, since
+    xbar cross x - x cross xbar = 2 xbar cross x."""
+    return tuple(c / 2 for c in pushforward(x, x))
 
-    Exact vectors (AlgScalar entries) stay exact; anything else goes through
-    numpy, imported on first use, and comes back as a real float 7-vector.
-    """
-    if _is_exact(x):
-        xbar = tuple(c.conj() for c in x)
-        scale = AlgScalar.i() * hdot(x, x).inverse()
-        return scale_vec(scale, cross(xbar, x))
-    import numpy as np
-    v = np.asarray(x, dtype=complex)
-    return project_arrays(v.real, v.imag)
+
+def pushforward(x, v):
+    """Differential of the fibration at [x] applied to a tangent vector v,
+    both 7-vectors over the same field."""
+    i = AlgScalar.i() if isinstance(x[0], AlgScalar) else 1j
+    diff = sub_vec(cross(tuple(map(_conj, x)), v), cross(x, tuple(map(_conj, v))))
+    return scale_vec(i / hdot(x, x), diff)
 
 
 def project_arrays(xr, xi):
@@ -92,21 +91,6 @@ def project_arrays(xr, xi):
                 else:
                     acc += im_ij
     return np.stack([2.0 * v / sq for v in out], axis=-1)
-
-
-def pushforward(x, v):
-    """Differential of the fibration at [x] applied to a tangent vector v."""
-    if _is_exact(x):
-        xbar = tuple(c.conj() for c in x)
-        vbar = tuple(c.conj() for c in v)
-        scale = AlgScalar.i() * hdot(x, x).inverse()
-        diff = [a - b for a, b in zip(cross(xbar, v), cross(x, vbar))]
-        return scale_vec(scale, diff)
-    import numpy as np
-    xf = np.asarray(x, dtype=complex)
-    vf = np.asarray(v, dtype=complex)
-    out = np.array(cross(xf.conjugate(), vf)) - np.array(cross(xf, vf.conjugate()))
-    return 1j * out / np.vdot(xf, xf).real
 
 
 def fs_norm(x, v) -> float:
@@ -168,7 +152,7 @@ def lemma_checks(point: QuadricPoint) -> dict:
     base = project(x)
 
     def J(w):
-        return np.array(cross(base.astype(complex), w))
+        return np.array(cross(base, w))
 
     ratios_h, lin_resid = [], 0.0
     for v in split.superhorizontal:

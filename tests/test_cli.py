@@ -69,10 +69,6 @@ def test_gen_is_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_gen_rejects_bad_exponents():
-    assert run_cli("gen", "--k1", "0", "--k2", "1").returncode == 2
-
-
 def test_gen_io_failure():
     res = run_cli("gen", "--k1", "1", "--k2", "1", "--out", "/no/such/dir/x.json")
     assert res.returncode == 3
@@ -473,10 +469,6 @@ def test_integrate_rejects_non_finite_tol(args, code, err, last_stage_file, caps
     assert len(lines) == 1 and lines[0].startswith(err), lines
 
 
-def test_integrate_p_out_of_range(curve_file):
-    assert run_cli("integrate", str(curve_file), "--p", "6").returncode == 2
-
-
 def test_integrate_reports_non_convergence_in_process(curve12, capsys, tmp_path):
     """A tolerance below what a grid of 8 nodes reaches on the (1,2) member
     exits 1 with p, the exact degree and the reason on stderr."""
@@ -493,7 +485,8 @@ def test_integrate_reports_non_convergence_in_process(curve12, capsys, tmp_path)
 @pytest.mark.parametrize("argv", [
     ["gen", "--k1", "0", "--k2", "1", "--out", "{out}"],
     ["sample", "{curve}", "-n", "7", "--out", "{out}"],
-], ids=["gen_k1_0", "sample_n7"])
+    ["sample", "{curve}", "-n", "4", "--out", "{out}"],
+], ids=["gen_k1_0", "sample_n7", "sample_n4"])
 def test_usage_errors_in_process(argv, curve_file, capsys, tmp_path):
     """Arguments out of range exit 2 with one "usage error:" line and
     write nothing."""
@@ -651,10 +644,6 @@ def test_rows_formats_like_format_float():
     xs = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1.7976931348623157e308,
           0.1, 1 / 3, 1e16, 123456789012345678.0]
     assert cli._rows("%.17g", ",", np.array(xs)[:, None]) == ",".join(map(format_float, xs))
-
-
-def test_sample_rejects_tiny_grid(curve_file):
-    assert run_cli("sample", str(curve_file), "-n", "4", "--out", "/tmp/x").returncode == 2
 
 
 def test_sample_out_of_memory_exits_in_one_line(curve_file, monkeypatch, capsys, tmp_path):

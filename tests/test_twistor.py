@@ -26,7 +26,7 @@ def test_project_lands_on_unit_sphere():
         pt = twistor.random_quadric_point(rng)
         p = twistor.project(pt.x)
         assert abs(np.linalg.norm(p) - 1) < 1e-12
-        assert np.max(np.abs(p.imag)) if np.iscomplexobj(p) else True
+        assert np.abs(np.imag(p)).max() < 1e-12
 
 
 def test_project_scale_invariant():
@@ -70,7 +70,8 @@ def test_pushforward_finite_difference_oracle():
     split = twistor.split_tangent(pt)
     h = 1e-5
     for v in list(split.superhorizontal) + list(split.horizontal_rest):
-        fd = (twistor.project(x + h * v) - twistor.project(x - h * v)) / (2 * h)
+        fd = (np.asarray(twistor.project(x + h * v))
+              - np.asarray(twistor.project(x - h * v))) / (2 * h)
         dv = twistor.pushforward(x, v)
         assert np.linalg.norm(dv - fd) < 1e-7
 
@@ -109,7 +110,7 @@ def test_pushforward_lands_in_tangent_space():
     split = twistor.split_tangent(pt)
     for v in list(split.superhorizontal) + list(split.horizontal_rest):
         dv = twistor.pushforward(pt.x, v)
-        assert abs(np.vdot(base.astype(complex), dv)) < 1e-10
+        assert abs(np.vdot(base, dv)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +183,7 @@ def test_split_blocks_have_their_defining_properties(case):
     assert np.abs(five @ x).max() < tol                 # (v, x) = 0
     assert np.abs(five @ x.conjugate()).max() < tol     # <v, x> = 0
     assert np.abs(five.conjugate() @ five.T - np.eye(5)).max() < 1e-12
-    d, base = split.horizontal_rest[0], twistor.project(x)
+    d, base = split.horizontal_rest[0], np.asarray(twistor.project(x))
     assert np.linalg.norm(d - np.vdot(base, d) * base) < 1e-12
 
 
@@ -277,7 +278,8 @@ def test_lemmas_hold_exactly_at_null_points(name):
     a, b, c, h = |a|^2 w + i (w x c) is superhorizontal (x cross h = 0),
     pushed forward with ratio 1 and complex linearly; c is pushed forward
     with ratio 1/sqrt2 and anti-linearly; conj(h) is vertical.  FS lengths
-    are ||v|| = 2|v| / |x|, so ratio 1 reads |dpi(h)|^2 |x|^2 = 4 |h|^2."""
+    are ||v|| = 2|v| / |x|, so ratio 1 reads |dpi(h)|^2 |x|^2 = 4 |h|^2.
+    Also dpi(x) = 2 project(x), and dpi(i x) = 0."""
     a, b = NULL_PAIRS[name]
     assert g2.dot(a, b) == 0 and g2.dot(a, a) == g2.dot(b, b)
     x, c, w = lemma_vectors(a, b)
@@ -296,6 +298,8 @@ def test_lemmas_hold_exactly_at_null_points(name):
     assert twistor.pushforward(x, g2.scale_vec(i, h)) == J(dh)
     assert twistor.pushforward(x, g2.scale_vec(i, c)) == g2.scale_vec(-ONE, J(dc))
     assert not any(twistor.pushforward(x, tuple(v.conj() for v in h)))
+    assert twistor.pushforward(x, x) == g2.scale_vec(2, base)
+    assert not any(twistor.pushforward(x, g2.scale_vec(i, x)))
 
     # negative control: the real part of h alone is not superhorizontal
     # and is not pushed forward with ratio 1
