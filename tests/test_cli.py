@@ -69,6 +69,10 @@ def test_gen_is_byte_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_rejects_bad_exponents():
+    assert run_cli("gen", "--k1", "0", "--k2", "1").returncode == 2
+
+
 def test_gen_io_failure():
     res = run_cli("gen", "--k1", "1", "--k2", "1", "--out", "/no/such/dir/x.json")
     assert res.returncode == 3
@@ -467,6 +471,10 @@ def test_integrate_rejects_non_finite_tol(args, code, err, last_stage_file, caps
     assert cli.main(["integrate", path, *args]) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(err), lines
+
+
+def test_integrate_p_out_of_range(curve_file):
+    assert run_cli("integrate", str(curve_file), "--p", "6").returncode == 2
 
 
 def test_integrate_reports_non_convergence_in_process(curve12, capsys, tmp_path):
