@@ -18,12 +18,13 @@ denominator, standing for
 
 The form is reduced -- no (0, 0) pair, and the gcd of the denominator and
 all numerators is 1 -- so ``==`` and ``hash`` compare the stored data.
-Two radical folds multiply ints only, each with its own contract:
+Two radical folds multiply ints only.  Both take sums of signed products
+as lists of (sign, x, y) terms, each with its own contract:
 
-* ``_mul_into`` makes every value that floats read.  Entries keep their
-  order of first appearance in a sum or product, a cancelled one holding
-  its place as (0, 0) until settled; float conversions sum them in that
-  order.
+* ``ordered_sum`` makes every value that floats read; a product is its
+  one-term case.  Entries keep their order of first appearance, a
+  cancelled one holding its place as (0, 0) until the end; float
+  conversions sum them in that order.
 * ``_fold`` answers zero and equality tests (``sums_vanish`` and
   ``product_sums``) on a batch of BiPoly sums of signed products.  It
   splits each distinct operand of the batch once into rows of plain ints,
@@ -64,30 +65,41 @@ def _by_key(num: dict) -> list:
     return list(groups.items())
 
 
-def _mul_into(out: dict, num1: dict, num2: dict, add) -> None:
-    """out += p1 * p2, for the flat numerators of two values.
+def ordered_sum(cls, terms):
+    """The ``cls`` value of sum sign * x * y over a list of (sign, x, y)
+    terms of class ``cls``: the fold behind every value floats read.
 
-    Each product enters ``out`` at (add(k1, k2), m1 ^ m2).  A sum that
-    cancels stays as a (0, 0) pair, so the entry keeps its first place;
-    ``_settled`` drops it.
+    Every product is added into one table over the lcm of the terms'
+    denominators, term by term, x's keys outer and y's inner, in stored
+    order, at (cls._ADD(k1, k2), m1 ^ m2); a sum that cancels holds its
+    first place as (0, 0) until ``_settled`` drops it at the end.
     """
+    den = 1
+    for _, x, y in terms:
+        den = math.lcm(den, x._den * y._den)
+    add = cls._ADD
+    out: dict = {}
     get = out.get
-    rows2 = _by_key(num2)
-    for k1, ms1 in _by_key(num1):
-        for k2, ms2 in rows2:
-            k = add(k1, k2)
-            for m1, p, q in ms1:
-                for m2, c, d in ms2:
-                    re = p * c - q * d
-                    im = p * d + q * c
-                    g = m1 & m2
-                    if g:
-                        g = RADICAL[g]
-                        re *= g
-                        im *= g
-                    km = (k, m1 ^ m2)
-                    v = get(km)
-                    out[km] = (re, im) if v is None else (v[0] + re, v[1] + im)
+    for sign, x, y in terms:
+        f = sign * (den // (x._den * y._den))
+        num = x._num if f == 1 else {km: (re * f, im * f) for km, (re, im) in x._num.items()}
+        rows2 = _by_key(y._num)
+        for k1, ms1 in _by_key(num):
+            for k2, ms2 in rows2:
+                k = add(k1, k2)
+                for m1, p, q in ms1:
+                    for m2, c, d in ms2:
+                        re = p * c - q * d
+                        im = p * d + q * c
+                        g = m1 & m2
+                        if g:
+                            g = RADICAL[g]
+                            re *= g
+                            im *= g
+                        km = (k, m1 ^ m2)
+                        v = get(km)
+                        out[km] = (re, im) if v is None else (v[0] + re, v[1] + im)
+    return cls._of(_settled(out), den)
 
 
 def _settled(out: dict) -> dict:
@@ -327,9 +339,7 @@ class _SparsePoly:
 
     def _times(self, other):
         """The product with a value of the same class."""
-        out: dict = {}
-        _mul_into(out, self._num, other._num, self._ADD)
-        return self._of(_settled(out), self._den * other._den)
+        return ordered_sum(type(self), ((1, self, other),))
 
     def __mul__(self, other):
         o = self._coerce(other)

@@ -66,10 +66,7 @@ def dot(x, y):
 
 def hdot(x, y):
     """Hermitian product sum_i x_i * conj(y_i) for scalar-entry vectors."""
-    acc = x[0] * _conj(y[0])
-    for i in range(1, 7):
-        acc = acc + x[i] * _conj(y[i])
-    return acc
+    return dot(x, [_conj(v) for v in y])
 
 
 def wedge_pair(x, y) -> dict[tuple[int, int], object]:

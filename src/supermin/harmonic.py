@@ -34,10 +34,10 @@ import math
 from functools import cached_property
 from itertools import combinations
 
-from .field import AlgScalar, product_sums, sums_vanish
+from .field import AlgScalar, ordered_sum, product_sums, sums_vanish
 # wedge_pair is re-exported: perfbench/tracer.py wraps it under this name.
 from .g2 import CROSS_TERMS, cross, dot, hdot, wedge_pair  # noqa: F401
-from .poly import BiPoly, Poly, evaluate, hermitian_sum, primitive_parts
+from .poly import BiPoly, Poly, evaluate, primitive_parts
 
 _DIM = 7
 # the float part of the cross-table check: a fixed, seeded set of points
@@ -93,6 +93,9 @@ def wedge_table(tower) -> list[dict[tuple[int, ...], Poly]]:
         prev = stages[p - 1]
         row = tower[p]
         cur: dict[tuple[int, ...], Poly] = {}
+        # summed by ``+``, not ``ordered_sum``: an entry that cancels in a
+        # partial sum and reappears goes last here, where the fold keeps its
+        # first place, and that order fixes the floats ``verify`` prints
         for cols, terms in _LAPLACE[p]:
             acc = Poly()
             for c, rest, sign in terms:
@@ -141,7 +144,9 @@ class HarmonicSequence:
 
     @cached_property
     def _dets(self) -> tuple[BiPoly, ...]:
-        dets = [hermitian_sum((1, w, w) for w in stage.values() if w) for stage in self.minors]
+        dets = [ordered_sum(BiPoly, [(1, w.to_bipoly(), w.conj_factor())
+                                     for w in stage.values() if w])
+                for stage in self.minors]
         return (*dets, BiPoly())
 
     def gram_det(self, p: int) -> BiPoly:
@@ -160,14 +165,14 @@ class HarmonicSequence:
     def raw_sections(self) -> tuple[tuple[BiPoly, ...], ...]:
         sections = [tuple(c.to_bipoly() for c in self.curve)]
         for p in range(1, _DIM):
-            stage, prev = self.minors[p], self.minors[p - 1]
+            prev = {rest: v.conj_factor() for rest, v in self.minors[p - 1].items() if v}
             terms: list[list] = [[] for _ in range(_DIM)]
             for cols, laplace in _LAPLACE[p]:
-                w = stage[cols]
+                w = self.minors[p][cols].to_bipoly()
                 for c, rest, sign in laplace:
-                    if w and prev[rest]:
+                    if w and rest in prev:
                         terms[c].append((sign, w, prev[rest]))
-            sections.append(tuple(hermitian_sum(t) for t in terms))
+            sections.append(tuple(ordered_sum(BiPoly, t) for t in terms))
         sections.append(tuple(BiPoly() for _ in range(_DIM)))
         return tuple(sections)
 

@@ -60,16 +60,16 @@ def _stage_deg(stage) -> int:
 def singularity_type(curve, at=0) -> tuple[int, ...]:
     """Ramification indices (r_1..r_6) of the osculating chain at a point.
 
-    ``at`` is 0 or "inf" (math.inf also accepted).  With s_p the vanishing
-    order of stage p at the point and s_{-1} = 0, the j-th index is the
-    second difference s_{j+1} - 2 s_j + s_{j-1}.  At infinity s_p is the
-    order at w = 0 in the chart w = 1/z: e_p (``chart_exponents``) minus
-    the stage's top degree.
+    ``at`` is 0 or "inf".  With s_p the vanishing order of stage p at the
+    point and s_{-1} = 0, the j-th index is the second difference
+    s_{j+1} - 2 s_j + s_{j-1}.  At infinity s_p is the order at w = 0 in
+    the chart w = 1/z: e_p (``chart_exponents``) minus the stage's top
+    degree.
     """
     seq = _sequence(curve)
     if at == 0:
         s = [0] + [_stage_ord(stage) for stage in seq.minors]
-    elif at in ("inf", math.inf):
+    elif at == "inf":
         s = [0] + [e - _stage_deg(st) for st, e in zip(seq.minors, seq.chart_exponents)]
     else:
         raise ValueError("singularity_type evaluates at 0 or 'inf' only")

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .field import _mul_into, _settled, _SparsePoly, sums_vanish
+from .field import _SparsePoly, sums_vanish
 
 # points per power table of the float kernel; bounds its memory
 BLOCK = 2048
@@ -52,10 +52,6 @@ BLOCK = 2048
 
 def _add_pairs(k1, k2):
     return (k1[0] + k2[0], k1[1] + k2[1])
-
-
-def _pair(a, b):
-    return (a, b)
 
 
 class Poly(_SparsePoly):
@@ -286,24 +282,6 @@ def _unscaled(p: _SparsePoly, z):
     re, im, k = evaluate((p,), z.real, z.imag)[0]
     out = as_complex(np.ldexp(re, k), np.ldexp(im, k))
     return complex(out) if out.ndim == 0 else out
-
-
-def hermitian_sum(terms) -> BiPoly:
-    """The BiPoly sum of sign * u(z) * conj(v(z)) over (sign, u, v) in terms.
-
-    ``u`` and ``v`` are Polys and ``sign`` is 1 or -1.  All products are
-    added into one table over a common denominator, with no BiPoly formed
-    for any of them.
-    """
-    terms = list(terms)
-    den = math.lcm(*(u._den * v._den for _, u, v in terms))
-    out: dict = {}
-    for sign, u, v in terms:
-        f = sign * (den // (u._den * v._den))
-        num = {km: (re * f, im * f) for km, (re, im) in u._num.items()}
-        vbar = {km: (re, -im) for km, (re, im) in v._num.items()}
-        _mul_into(out, num, vbar, _pair)
-    return BiPoly._of(_settled(out), den)
 
 
 def primitive_parts(polys: tuple[Poly, ...]) -> tuple[Poly, ...]:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from supermin.field import (
     MASK_ORDER, RADICAL, AlgScalar, _settled, _SparsePoly, as_scalar,
-    product_sums, sums_vanish,
+    ordered_sum, product_sums, sums_vanish,
 )
 from supermin.poly import BiPoly, Poly
 
@@ -355,6 +355,69 @@ def test_fold_cancels_across_part_pairings(c, vanishes):
     else:
         assert got == x * y * AlgScalar({0: (0, -1)}) != BiPoly()
         assert all(re == 0 != im for re, im in got._num.values())
+
+
+# ---------------------------------------------------------------------------
+# the ordered fold: entries in order of first appearance, for float reads
+# ---------------------------------------------------------------------------
+
+def ordered_reference(terms) -> dict:
+    """{(key, mask): (re, im)} of the sum of sign * x * y in Fractions, term
+    by term, x's monomials outer and y's inner, each monomial's masks in
+    stored order; a cancelled entry stays where it first appeared."""
+    out: dict = {}
+    for sign, x, y in terms:
+        for (a1, b1), s in x.terms.items():
+            for (a2, b2), t in y.terms.items():
+                for (_, m1), (p, q) in s._num.items():
+                    for (_, m2), (c, d) in t._num.items():
+                        g = Fraction(sign * RADICAL[m1 & m2], s._den * t._den)
+                        km = ((a1 + a2, b1 + b2), m1 ^ m2)
+                        re, im = out.get(km, (0, 0))
+                        out[km] = (re + g * (p * c - q * d), im + g * (p * d + q * c))
+    return out
+
+
+@st.composite
+def revived_terms(draw):
+    """Signed BiPoly products; the first of them again with its sign
+    flipped, which cancels the entries only it has made; more products;
+    and, half the time, the first product once more, which revives them."""
+    terms = draw(st.lists(_signed, max_size=4))
+    if terms:
+        sign, x, y = terms[0]
+        terms += [(-sign, x, y), *draw(st.lists(_signed, max_size=2))]
+        if draw(st.booleans()):
+            terms.append((sign, x, y))
+    return terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(revived_terms())
+def test_ordered_sum_keeps_the_order_of_first_appearance(terms):
+    """The entries of ``ordered_sum`` are the reference's nonzero ones, in
+    its order, so a revived entry sits at its first place and one that
+    ends at zero is gone; the value is the one ``product_sums`` gives."""
+    got = ordered_sum(BiPoly, terms)
+    want = {km: v for km, v in ordered_reference(terms).items() if any(v)}
+    assert type(got) is BiPoly
+    assert list(got._num) == list(want)
+    assert {km: (Fraction(re, got._den), Fraction(im, got._den))
+            for km, (re, im) in got._num.items()} == want
+    assert got == (product_sums([terms])[0] if terms else BiPoly())
+
+
+def test_ordered_sum_revives_an_entry_at_its_first_place():
+    """z*1 - z*1 + 1*1 + z*1: z cancels, then comes back ahead of 1, where
+    ``+``, which drops a cancelled entry at once, puts it after 1.  An
+    empty sum is the zero of the class."""
+    z, one = BiPoly({(1, 0): 1}), BiPoly.one()
+    terms = [(1, z, one), (-1, z, one), (1, one, one), (1, z, one)]
+    got = ordered_sum(BiPoly, terms)
+    assert got == built(terms) == z + one
+    assert list(got._num) == [((1, 0), 0), ((0, 0), 0)]
+    assert list(built(terms)._num) == [((0, 0), 0), ((1, 0), 0)]
+    assert ordered_sum(Poly, []) == Poly()
 
 
 # ---------------------------------------------------------------------------

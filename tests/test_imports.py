@@ -10,7 +10,8 @@ access.  A helper that only its own tests call is dead code and fails
 here; a name kept on purpose goes in ``UNREAD_ALLOWED`` with its reason.
 
 Only g2 reads ``CROSS_TABLE``; every other module reads its one decoding,
-``g2.CROSS_TERMS``.
+``g2.CROSS_TERMS``.  Only field reads its private names, ``_SparsePoly``
+excepted.
 
 Importing supermin leaves a process with one thread: the package asks
 OpenBLAS for one unless the caller has set ``OPENBLAS_NUM_THREADS``.
@@ -182,6 +183,36 @@ def test_the_cross_table_scan_names_its_readers(tmp_path):
         with (copy / f"{module}.py").open("a") as f:
             f.write(f"\n{line}\n")
     assert cross_table_readers(copy) == ["catalog", "plucker", "twistor"]
+
+
+def field_private_readers(package: Path) -> list[str]:
+    """"module: name" for each private name of field (a leading underscore,
+    not a dunder) that another module of ``package`` reads, by import or as
+    an attribute of ``field``; ``_SparsePoly``, the ring core, is allowed."""
+    return sorted(f"{path.stem}: {r[2]}" for path in package.glob("*.py") if path.stem != "field"
+                  for r in reads([path]) if r[:2] in {("import", "field"), ("attr", "field")}
+                  and r[2].startswith("_") and not r[2].startswith("__")
+                  and r[2] != "_SparsePoly")
+
+
+def test_only_field_reads_its_private_names():
+    """The ring core's folds and helpers stay inside field: poly builds on
+    ``_SparsePoly`` and reads nothing else private of it."""
+    assert field_private_readers(SRC) == []
+
+
+def test_the_field_scan_names_its_readers(tmp_path):
+    """Negative control: a copy of the package that imports ``_settled`` in
+    poly and reads ``field._rows`` as an attribute in catalog fails the scan
+    by those names, while ``_SparsePoly`` and a dunder pass."""
+    copy = tmp_path / "supermin"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    for module, line in (("poly", "from .field import _settled  # noqa: F401"),
+                         ("catalog", "_R = field._rows"),
+                         ("twistor", "_F = field.__file__, field._SparsePoly")):
+        with (copy / f"{module}.py").open("a") as f:
+            f.write(f"\n{line}\n")
+    assert field_private_readers(copy) == ["catalog: _rows", "poly: _settled"]
 
 
 _THREADS = ("import os, supermin, numpy\n"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -211,8 +212,9 @@ def test_wedge_curves_requires_linear_fullness():
 
 
 def test_singularity_type_rejects_bad_point(curve11):
-    with pytest.raises(ValueError):
-        plucker.singularity_type(curve11, at=-1)
+    for at in (-1, math.inf):
+        with pytest.raises(ValueError):
+            plucker.singularity_type(curve11, at=at)
 
 
 # ---------------------------------------------------------------------------
